@@ -14,12 +14,12 @@ to relative graph perturbations.
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .filters import shift_stack
-from .graphs import GSO
+from .graphs import GSO, hop_distances
 from .spectral import eigendecompose
 
 _ACTIVATIONS = {
@@ -59,6 +59,10 @@ class GNNModel:
                                                      dtype=float))
         if self.readout_bias.shape != (1,):
             raise ValueError("readout bias must be a single scalar")
+        if not self.layers:
+            raise ValueError("model needs at least one layer")
+        if self.node < 0:
+            raise ValueError(f"readout node {self.node} is negative")
         f = self.layers[0].taps.shape[0]
         for i, layer in enumerate(self.layers):
             if layer.taps.shape[0] != f:
@@ -137,7 +141,9 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
 
     first_layer_shifts, when given, is the precomputed (K, N, F_0) shift
     stack of x (shifts do not depend on the parameters, so training loops
-    reuse them across epochs).
+    reuse them across epochs). `train` passes a stack that is true only
+    inside the readout's receptive field: the prediction is then exact,
+    the features on rows outside it are not.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -147,6 +153,9 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
             f"input of shape {x.shape} does not match N = {S.node_count}, "
             f"F_0 = {model.input_features}"
         )
+    if not 0 <= model.node < S.node_count:
+        raise ValueError(f"readout node {model.node} is not one of the "
+                         f"{S.node_count} nodes")
     cache = ForwardCache(prediction=0.0)
     feat = x
     for i, layer in enumerate(model.layers):
@@ -218,26 +227,39 @@ def sample_gradients(model: GNNModel, S: GSO, x, y: float,
                      cache: ForwardCache):
     """Analytic gradients of smooth_l1(forward(x), y) w.r.t. all parameters.
 
+    The readout reads row `model.node` only, so the last layer's upstream
+    gradient is zero on every other row and its tap gradient is the exact
+    outer product of that row's shifts with the readout-row gradient. The
+    full N-row gradient is built only to backpropagate into earlier layers;
+    there, layer l's gradient is nonzero only within sum_{m > l} (K_m - 1)
+    hops of the readout node.
+
     Returns (tap_grads per layer, readout_weight_grad, bias_grad).
     """
     if cache.features is None:
         raise ValueError("forward cache is missing")
+    node = model.node
     dpred = smooth_l1_grad(cache.prediction, y)
-    g_w = dpred * cache.features[model.node]
+    g_w = dpred * cache.features[node]
     g_b = dpred
-    G = np.zeros_like(cache.features)
-    G[model.node] = dpred * model.readout_weights
-    tap_grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[i]
-        dact = _ACTIVATIONS[layer.activation][1]
-        Gp = G * dact(cache.preactivations[i])
-        tap_grads[i] = np.einsum("knf,ng->fgk", cache.layer_shifts[i], Gp)
-        if i > 0:
-            K = layer.taps.shape[2]
-            # S is symmetric, so the adjoint of shifting is shifting
-            T = shift_stack(S, Gp, K)
-            G = np.einsum("kng,fgk->nf", T, layer.taps)
+    last = len(model.layers) - 1
+    dact = _ACTIVATIONS[model.layers[last].activation][1]
+    gp = dpred * model.readout_weights * dact(cache.preactivations[last][node])
+    tap_grads = [None] * last + [
+        np.einsum("kf,g->fgk", cache.layer_shifts[last][:, node], gp)
+    ]
+    if last > 0:
+        Gp = np.zeros_like(cache.features)
+        Gp[node] = gp
+    for i in range(last, 0, -1):
+        taps = model.layers[i].taps
+        # S is symmetric, so the adjoint of shifting is shifting
+        T = shift_stack(S, Gp, taps.shape[2])
+        G = np.einsum("kng,fgk->nf", T, taps)
+        dact = _ACTIVATIONS[model.layers[i - 1].activation][1]
+        Gp = G * dact(cache.preactivations[i - 1])
+        tap_grads[i - 1] = np.einsum("knf,ng->fgk",
+                                     cache.layer_shifts[i - 1], Gp)
     return tap_grads, g_w, g_b
 
 
@@ -316,13 +338,29 @@ def resolve_lambda_interval(S: GSO, config: TrainConfig) -> tuple:
 def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     """Mini-batch ADAM on the penalized objective.
 
-    train_set is a list of (signal, label) pairs. Batches are drawn by a
-    seeded shuffle each epoch; gradients are averaged over the batch before
-    each ADAM step. Returns (trained model, per-epoch trace) where the trace
-    rows are (epoch, mean data loss, penalty value).
+    train_set is a list of (signal, label) pairs; every signal and label
+    must be finite. Batches are drawn by a seeded shuffle each epoch;
+    gradients are averaged over the batch before each ADAM step. Returns
+    (trained model, per-epoch trace) where the trace rows are (epoch, mean
+    data loss, penalty value). Raises ValueError naming the epoch whose loss
+    is not finite.
+
+    The readout reads one node, and a network whose layers have K_l taps
+    sees only the H = sum_l (K_l - 1) hops around it. So the first layer's
+    parameter-free shift stack holds power k only on the nodes within H - k
+    hops of `model.node`, and zeros elsewhere. Each kept row is a full row
+    of S times the previous power, and a dropped entry only ever meets a
+    zero of S, so every value the loss reads has the same bits as with the
+    full stack.
     """
     if not train_set:
         raise ValueError("training set is empty")
+    X0 = np.stack(
+        [np.atleast_2d(np.asarray(x, dtype=float).T).T for x, _ in train_set]
+    )  # (n, N, F_0)
+    labels = np.array([y for _, y in train_set], dtype=float)
+    if not (np.isfinite(X0).all() and np.isfinite(labels).all()):
+        raise ValueError("training signals and labels must be finite")
     model = copy.deepcopy(model)
     config = copy.copy(config)
     config.lambda_interval = resolve_lambda_interval(S, config)
@@ -331,14 +369,16 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     rng = np.random.default_rng(config.rng_seed)
     n = len(train_set)
     K0 = model.layers[0].taps.shape[2]
-    # Layer-1 shifts are parameter-free: compute them once for every sample.
-    X0 = np.stack(
-        [np.atleast_2d(np.asarray(x, dtype=float).T).T for x, _ in train_set]
-    )  # (n, N, F_0)
-    shifts_all = np.empty((K0,) + X0.shape)
+    # Layer-1 shifts are parameter-free: compute them once for every sample,
+    # on the rows inside the readout's receptive field.
+    H = sum(layer.taps.shape[2] - 1 for layer in model.layers)
+    hops = hop_distances(S, model.node, H)
+    shifts_all = np.zeros((K0,) + X0.shape)
     shifts_all[0] = X0
     for k in range(1, K0):
-        shifts_all[k] = np.einsum("ij,sjf->sif", S.matrix, shifts_all[k - 1])
+        rows = np.flatnonzero(hops <= H - k)
+        shifts_all[k][:, rows] = np.einsum("ij,sjf->sif", S.matrix[rows],
+                                           shifts_all[k - 1])
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -362,6 +402,9 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
                 for slot, g in zip(acc, pen_grads):
                     slot += config.mu * g
             adam_step(params, acc, state, config)
+        if not np.isfinite(epoch_loss):
+            raise ValueError(f"training loss is not finite at epoch {epoch}: "
+                             f"{epoch_loss}")
         pen_value = penalty(model, config)[0]
         trace.append((epoch, epoch_loss / n, pen_value))
     return model, trace
@@ -396,33 +439,42 @@ def model_from_dict(d: dict) -> GNNModel:
 
 
 def save_checkpoint(path, model: GNNModel, config: TrainConfig) -> None:
-    payload = {
-        "model": model_to_dict(model),
-        "config": {
-            "mu": config.mu,
-            "lambda_interval": list(config.lambda_interval)
-            if config.lambda_interval else None,
-            "grid_size": config.grid_size,
-            "learning_rate": config.learning_rate,
-            "beta1": config.beta1,
-            "beta2": config.beta2,
-            "epsilon_adam": config.epsilon_adam,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "rng_seed": config.rng_seed,
-        },
-    }
+    payload = {"model": model_to_dict(model),
+               "config": asdict(config)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
+def _check_keys(what, d, expected) -> None:
+    missing = sorted(set(expected) - set(d))
+    unknown = sorted(set(d) - set(expected))
+    if missing or unknown:
+        raise ValueError(f"{what} has missing keys {missing} and unknown "
+                         f"keys {unknown}")
+
+
 def load_checkpoint(path):
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Raises ValueError naming the file when it is not such a checkpoint:
+    missing or unknown keys, or values the model or config reject.
+    """
     with open(path) as fh:
-        payload = json.load(fh)
-    cfg = payload["config"]
-    if cfg["lambda_interval"] is not None:
-        cfg["lambda_interval"] = tuple(cfg["lambda_interval"])
-    return model_from_dict(payload["model"]), TrainConfig(**cfg)
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+        _check_keys("checkpoint", payload, ["model", "config"])
+        _check_keys("model", payload["model"],
+                    ["layers", "readout_weights", "readout_bias", "node"])
+        for i, layer in enumerate(payload["model"]["layers"]):
+            _check_keys(f"layer {i}", layer, ["taps", "activation"])
+        cfg = payload["config"]
+        _check_keys("config", cfg, [f.name for f in fields(TrainConfig)])
+        if cfg["lambda_interval"] is not None:
+            cfg["lambda_interval"] = tuple(cfg["lambda_interval"])
+        return model_from_dict(payload["model"]), TrainConfig(**cfg)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
 
 
 def save_trace_csv(trace, path) -> None:

@@ -132,3 +132,43 @@ def test_missing_data_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "nope.data"),
                  "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,named", [("unknown", "dropout"),
+                                        ("missing", "grid_size"),
+                                        ("layer key", "activation"),
+                                        ("no layers", "layer")])
+def test_malformed_checkpoint_exits_2(trained_dir, ratings_file, tmp_path,
+                                      capsys, edit, named):
+    path = trained_dir / "checkpoint_mu0.5_split1.json"
+    payload = json.loads(path.read_text())
+    if edit == "unknown":
+        payload["config"]["dropout"] = 0.1
+    elif edit == "missing":
+        del payload["config"]["grid_size"]
+    elif edit == "layer key":
+        del payload["model"]["layers"][0]["activation"]
+    else:
+        payload["model"]["layers"] = []
+    path.write_text(json.dumps(payload))
+    assert main([
+        "perturb-sweep", "--data", str(ratings_file),
+        "--checkpoints", str(trained_dir), "--epsilon", "0.05",
+        "--draws", "1", "--out", str(tmp_path / "perturb"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert path.name in err and named in err
+
+
+def test_checkpoint_node_outside_graph_exits_2(trained_dir, ratings_file,
+                                               tmp_path, capsys):
+    path = trained_dir / "checkpoint_mu0.0_split0.json"
+    payload = json.loads(path.read_text())
+    payload["model"]["node"] = 100000
+    path.write_text(json.dumps(payload))
+    assert main([
+        "perturb-sweep", "--data", str(ratings_file),
+        "--checkpoints", str(trained_dir), "--epsilon", "0.05",
+        "--draws", "1", "--out", str(tmp_path / "perturb"),
+    ]) == 2
+    assert "readout node 100000" in capsys.readouterr().err

@@ -1,8 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
 from graphstab import (
     GNNModel,
+    Graph,
     LayerSpec,
     TrainConfig,
     adam_init,
@@ -18,11 +21,16 @@ from graphstab import (
     smooth_l1_loss,
     train,
 )
+from graphstab.filters import shift_stack
 from graphstab.gnn import (
+    _ACTIVATIONS,
     _parameters,
     load_checkpoint,
+    model_to_dict,
     objective,
     objective_gradients,
+    resolve_lambda_interval,
+    sample_gradients,
     save_checkpoint,
 )
 from graphstab.spectral import response_derivative_scaled
@@ -76,6 +84,16 @@ def test_forward_shape_mismatch(gso8):
         forward(identity_network(0), gso8, np.zeros(5))
 
 
+def test_readout_node_and_layers_validated(gso8):
+    with pytest.raises(ValueError, match="not one of the 8 nodes"):
+        forward(identity_network(8), gso8, np.zeros(8))
+    with pytest.raises(ValueError, match="negative"):
+        identity_network(-1)
+    with pytest.raises(ValueError, match="at least one layer"):
+        GNNModel(layers=[], readout_weights=np.array([1.0]),
+                 readout_bias=0.0, node=0)
+
+
 def test_smooth_l1_values():
     assert smooth_l1_loss(1.0, 1.0) == 0.0
     assert smooth_l1_loss(3.0, 1.0) == pytest.approx(1.5)
@@ -85,8 +103,6 @@ def test_smooth_l1_values():
 
 
 def test_activations_normalized_lipschitz(gso8):
-    from graphstab.gnn import _ACTIVATIONS
-
     rng = np.random.default_rng(2)
     a, b = rng.standard_normal(1000), rng.standard_normal(1000)
     for name, (act, _) in _ACTIVATIONS.items():
@@ -260,3 +276,136 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
     )
     assert loaded_config.mu == 0.5
     assert loaded_config.lambda_interval == (-2.0, 2.0)
+
+
+# --- exactness of the receptive-field training path --------------------------
+
+def _full_n_sample_gradients(model, S, y, cache):
+    """Oracle: backpropagate through every layer as full (N, F) arrays."""
+    dpred = smooth_l1_grad(cache.prediction, y)
+    G = np.zeros_like(cache.features)
+    G[model.node] = dpred * model.readout_weights
+    tap_grads = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[i]
+        Gp = G * _ACTIVATIONS[layer.activation][1](cache.preactivations[i])
+        tap_grads[i] = np.einsum("knf,ng->fgk", cache.layer_shifts[i], Gp)
+        if i > 0:
+            T = shift_stack(S, Gp, layer.taps.shape[2])
+            G = np.einsum("kng,fgk->nf", T, layer.taps)
+    return tap_grads, dpred * cache.features[model.node], dpred
+
+
+def _full_n_train(model, S, train_set, config):
+    """Oracle: the per-sample training loop on the full N-row first-layer
+    shift stack, with full N-row gradients."""
+    model = copy.deepcopy(model)
+    config = copy.copy(config)
+    config.lambda_interval = resolve_lambda_interval(S, config)
+    params = _parameters(model)
+    state = adam_init(params)
+    rng = np.random.default_rng(config.rng_seed)
+    n = len(train_set)
+    X0 = np.stack([np.atleast_2d(np.asarray(x, dtype=float).T).T
+                   for x, _ in train_set])
+    shifts_all = np.empty((model.layers[0].taps.shape[2],) + X0.shape)
+    shifts_all[0] = X0
+    for k in range(1, shifts_all.shape[0]):
+        shifts_all[k] = np.einsum("ij,sjf->sif", S.matrix, shifts_all[k - 1])
+    trace = []
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            acc = [np.zeros_like(p) for p in params]
+            for idx in batch:
+                x, y = train_set[idx]
+                cache = forward(model, S, x,
+                                first_layer_shifts=shifts_all[:, idx])
+                epoch_loss += smooth_l1_loss(cache.prediction, y)
+                tap_grads, g_w, g_b = _full_n_sample_gradients(model, S, y,
+                                                               cache)
+                for slot, g in zip(acc, tap_grads + [g_w, np.atleast_1d(g_b)]):
+                    slot += g
+            for slot in acc:
+                slot /= len(batch)
+            if config.mu > 0:
+                for slot, g in zip(acc, penalty(model, config)[1]):
+                    slot += config.mu * g
+            adam_step(params, acc, state, config)
+        trace.append((epoch, epoch_loss / n, penalty(model, config)[0]))
+    return model, trace
+
+
+def _exactness_gso(kind):
+    rng = np.random.default_rng(11)
+    if kind == "ring":  # sparse: the readout sees a few nodes of 60
+        n = 60
+        W = np.zeros((n, n))
+        w = rng.uniform(0.2, 1.0, n)
+        for i in range(n):
+            W[i, (i + 1) % n] = W[(i + 1) % n, i] = w[i]
+        return build_gso(Graph(W))
+    return build_gso(random_weighted_graph(30, seed=12, p=0.9))
+
+
+def _sparse_samples(n, features, count, seed):
+    """Signals with exact zeros at most nodes, like per-user ratings."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((n, features)) * (rng.random((n, 1)) < 0.3),
+             float(rng.uniform(1, 5))) for _ in range(count)]
+
+
+EXACTNESS_NETS = [
+    ([1, 4], [4], ["relu"]),
+    ([1, 3, 2], [3, 4], ["relu", "tanh"]),
+    ([2, 3, 2, 3], [2, 3, 2], ["relu", "tanh", "relu"]),
+]
+
+
+@pytest.mark.parametrize("graph", ["ring", "dense"])
+@pytest.mark.parametrize("dims,taps,acts", EXACTNESS_NETS)
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+def test_train_matches_full_n_oracle(graph, dims, taps, acts, mu):
+    S = _exactness_gso(graph)
+    model = init_model(4, dims, taps, acts, node=7)
+    data = _sparse_samples(S.node_count, dims[0], count=9, seed=5)
+    config = TrainConfig(mu=mu, epochs=3, batch_size=4, rng_seed=1)
+    got_model, got_trace = train(model, S, data, config)
+    want_model, want_trace = _full_n_train(model, S, data, config)
+    assert got_trace == want_trace
+    assert model_to_dict(got_model) == model_to_dict(want_model)
+    assert model_to_dict(got_model) != model_to_dict(model)
+
+
+@pytest.mark.parametrize("graph", ["ring", "dense"])
+@pytest.mark.parametrize("dims,taps,acts", EXACTNESS_NETS)
+def test_sample_gradients_match_full_n(graph, dims, taps, acts):
+    S = _exactness_gso(graph)
+    model = init_model(6, dims, taps, acts, node=7)
+    for x, y in _sparse_samples(S.node_count, dims[0], count=5, seed=8):
+        cache = forward(model, S, x)
+        tap_grads, g_w, g_b = sample_gradients(model, S, x, y, cache)
+        want_taps, want_w, want_b = _full_n_sample_gradients(model, S, y, cache)
+        assert all(np.array_equal(a, b) for a, b in zip(tap_grads, want_taps))
+        assert np.array_equal(g_w, want_w) and g_b == want_b
+
+
+def test_train_rejects_non_finite_inputs(gso8):
+    model = init_model(0, [1, 4], [5], ["relu"], node=2)
+    x = np.ones(8)
+    x_nan = x.copy()
+    x_nan[3] = np.nan
+    for data in ([(x, 1.0), (x_nan, 2.0)], [(x, np.inf)]):
+        with pytest.raises(ValueError, match="finite"):
+            train(model, gso8, data, TrainConfig(epochs=1))
+
+
+def test_train_stops_on_non_finite_loss(gso8):
+    model = identity_network(node=2)
+    model.readout_weights[:] = 1e308  # the prediction overflows
+    with pytest.raises(ValueError, match="epoch 0"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        train(model, gso8, [(np.full(8, 10.0), 1.0)],
+              TrainConfig(epochs=3, batch_size=1))

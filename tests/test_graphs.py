@@ -14,6 +14,7 @@ from graphstab import (
     random_weighted_graph,
 )
 from graphstab.graphs import (
+    hop_distances,
     load_edge_list,
     load_signal,
     permutation_matrix,
@@ -170,3 +171,16 @@ def test_signal_roundtrip(tmp_path):
     path = tmp_path / "signal.csv"
     save_signal(x, path)
     assert np.allclose(load_signal(path), x)
+
+
+def test_hop_distances_ring_and_unreachable():
+    W = np.zeros((12, 12))
+    for i in range(10):  # ring on nodes 0..9; nodes 10 and 11 isolated
+        W[i, (i + 1) % 10] = W[(i + 1) % 10, i] = 1.0
+    S = build_gso(Graph(W))
+    assert hop_distances(S, 0, 3).tolist() == [0, 1, 2, 3, 4, 4, 4, 3, 2, 1,
+                                               4, 4]
+    assert hop_distances(S, 0, 9).tolist() == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1,
+                                               10, 10]
+    with pytest.raises(ValueError, match="node 12"):
+        hop_distances(S, 12, 3)
