@@ -16,6 +16,7 @@ from .graphs import (
 )
 from .spectral import (
     EigenSystem,
+    bank_response,
     eigendecompose,
     frequency_response,
     gft,
@@ -24,7 +25,6 @@ from .spectral import (
     response_derivative_scaled,
 )
 from .filters import (
-    filter_bank_apply,
     filter_distance,
     filter_matrix,
     graph_convolution,
@@ -49,7 +49,6 @@ from .gnn import (
     forward,
     init_model,
     penalty,
-    predict,
     smooth_l1_grad,
     smooth_l1_loss,
     train,

@@ -25,7 +25,6 @@ from .gnn import (
     objective,
     objective_gradients,
     save_checkpoint,
-    save_trace_csv,
     train,
 )
 from .graphs import (
@@ -34,7 +33,7 @@ from .graphs import (
     permute_signal,
     random_weighted_graph,
 )
-from .movielens import build_task, load_ratings, rmse, save_split_manifest
+from .movielens import build_task, load_ratings, rmse
 from .perturbation import random_relative_perturbation, solve_relative_error
 from .spectral import eigendecompose, frequency_response, gft
 from .stability import (
@@ -64,6 +63,29 @@ def _write_csv(path, header_lines, columns, rows):
                               for v in row) + "\n")
 
 
+def _mean_std(values):
+    """Mean and sample standard deviation (0 for a single value)."""
+    std = statistics.stdev(values) if len(values) > 1 else 0.0
+    return statistics.fmean(values), std
+
+
+def _load_run(args):
+    """Open the output directory of a sweep over a `train` run and read the
+    run: its summary, the ratings, and the model of every (mu, split seed),
+    keyed by (mu string, split seed) in the order mu, then seed."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt_dir = Path(args.checkpoints)
+    summary = json.loads((ckpt_dir / "train_summary.json").read_text())
+    ratings = load_ratings(args.data)
+    models = {
+        (mu_key, seed): load_checkpoint(
+            ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json")[0]
+        for mu_key in summary["mus"] for seed in summary["seeds"]
+    }
+    return out, summary, ratings, models
+
+
 def _evaluate(model, gso, samples):
     preds = [forward(model, gso, x).prediction for x, _ in samples]
     labels = [y for _, y in samples]
@@ -80,9 +102,12 @@ def _train_one_split(ratings, args, split_seed, mu, out: Path):
     test_rmse = _evaluate(trained, task.gso, task.test) if task.test else float("nan")
     tag = f"mu{mu}_split{split_seed}"
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
-    save_trace_csv(trace, out / f"trace_{tag}.csv")
-    save_split_manifest(task, out / f"split_{split_seed}.csv")
-    return task, trained, test_rmse
+    _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
+               trace)
+    _write_csv(out / f"split_{split_seed}.csv", [], ["user_id", "subset"],
+               [(uid, "train") for uid in task.train_user_ids]
+               + [(uid, "test") for uid in task.test_user_ids])
+    return test_rmse
 
 
 def _manifest_hash(path: Path) -> str:
@@ -100,11 +125,10 @@ def cmd_train(args) -> int:
     for mu in args.mu:
         per_split = []
         for split_seed in args.seeds:
-            _, _, test_rmse = _train_one_split(ratings, args, split_seed, mu, out)
+            test_rmse = _train_one_split(ratings, args, split_seed, mu, out)
             rows.append((mu, split_seed, test_rmse))
             per_split.append(test_rmse)
-        mean = statistics.fmean(per_split)
-        std = statistics.stdev(per_split) if len(per_split) > 1 else 0.0
+        mean, std = _mean_std(per_split)
         summary["mus"][str(mu)] = {"rmse_per_split": per_split,
                                    "rmse_mean": mean, "rmse_std": std}
         print(f"mu={mu}: test RMSE {mean:.4f} (+-{std:.4f}) "
@@ -118,11 +142,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_transfer(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = Path(args.checkpoints)
-    summary = json.loads((ckpt_dir / "train_summary.json").read_text())
-    ratings = load_ratings(args.data)
+    out, summary, ratings, models = _load_run(args)
     movie_ids = args.movie_ids or _most_rated(ratings, summary["movie_id"], 5)
     rows = []
     for mu_key, stats in summary["mus"].items():
@@ -133,13 +153,10 @@ def cmd_transfer(args) -> int:
                 task = build_task(ratings, target_item_id=movie_id,
                                   train_fraction=summary["train_fraction"],
                                   seed=split_seed)
-                model, _ = load_checkpoint(
-                    ckpt_dir / f"checkpoint_mu{mu_key}_split{split_seed}.json"
-                )
+                model = models[mu_key, split_seed]
                 model.node = task.target_index
                 per_split.append(_evaluate(model, task.gso, task.test))
-            mean = statistics.fmean(per_split)
-            std = statistics.stdev(per_split) if len(per_split) > 1 else 0.0
+            mean, std = _mean_std(per_split)
             degradation = 100.0 * (mean - baseline) / baseline
             rows.append((mu_key, movie_id, mean, std, degradation))
             print(f"mu={mu_key} movie {movie_id}: RMSE {mean:.4f} "
@@ -159,29 +176,21 @@ def _most_rated(ratings, exclude_item_id, count):
 
 
 def cmd_perturb_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = Path(args.checkpoints)
-    summary = json.loads((ckpt_dir / "train_summary.json").read_text())
-    ratings = load_ratings(args.data)
+    out, summary, ratings, models = _load_run(args)
     rows = []
-    for mu_key in summary["mus"]:
-        for split_seed in summary["seeds"]:
-            task = build_task(ratings, target_item_id=summary["movie_id"],
-                              train_fraction=summary["train_fraction"],
-                              seed=split_seed)
-            model, _ = load_checkpoint(
-                ckpt_dir / f"checkpoint_mu{mu_key}_split{split_seed}.json"
-            )
-            base = _evaluate(model, task.gso, task.test)
-            for eps in args.epsilon:
-                for draw in range(args.draws):
-                    spec = random_relative_perturbation(
-                        task.gso, eps, seed=1000 * split_seed + draw
-                    )
-                    perturbed = _evaluate(model, spec.perturbed, task.test)
-                    rows.append((mu_key, split_seed, eps, draw,
-                                 base, perturbed, perturbed - base))
+    for (mu_key, split_seed), model in models.items():
+        task = build_task(ratings, target_item_id=summary["movie_id"],
+                          train_fraction=summary["train_fraction"],
+                          seed=split_seed)
+        base = _evaluate(model, task.gso, task.test)
+        for eps in args.epsilon:
+            for draw in range(args.draws):
+                spec = random_relative_perturbation(
+                    task.gso, eps, seed=1000 * split_seed + draw
+                )
+                perturbed = _evaluate(model, spec.perturbed, task.test)
+                rows.append((mu_key, split_seed, eps, draw,
+                             base, perturbed, perturbed - base))
     _write_csv(out / "perturb_sweep.csv", _header_lines(args),
                ["mu", "split_seed", "epsilon", "draw", "rmse_base",
                 "rmse_perturbed", "rmse_difference"], rows)
@@ -199,29 +208,21 @@ def _print_sweep_summary(rows):
 
 
 def cmd_split_sweep(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_dir = Path(args.checkpoints)
-    summary = json.loads((ckpt_dir / "train_summary.json").read_text())
-    ratings = load_ratings(args.data)
+    out, summary, ratings, models = _load_run(args)
     rows = []
-    for mu_key in summary["mus"]:
-        for split_seed in summary["seeds"]:
-            model, _ = load_checkpoint(
-                ckpt_dir / f"checkpoint_mu{mu_key}_split{split_seed}.json"
-            )
-            trained_task = build_task(
-                ratings, target_item_id=summary["movie_id"],
-                train_fraction=summary["train_fraction"], seed=split_seed
-            )
-            base = _evaluate(model, trained_task.gso, trained_task.test)
-            for ratio in args.splits:
-                task = build_task(ratings, target_item_id=summary["movie_id"],
-                                  train_fraction=ratio, seed=split_seed)
-                model.node = task.target_index
-                perturbed = _evaluate(model, task.gso, task.test)
-                rows.append((mu_key, split_seed, ratio, base, perturbed,
-                             perturbed - base))
+    for (mu_key, split_seed), model in models.items():
+        trained_task = build_task(
+            ratings, target_item_id=summary["movie_id"],
+            train_fraction=summary["train_fraction"], seed=split_seed
+        )
+        base = _evaluate(model, trained_task.gso, trained_task.test)
+        for ratio in args.splits:
+            task = build_task(ratings, target_item_id=summary["movie_id"],
+                              train_fraction=ratio, seed=split_seed)
+            model.node = task.target_index
+            perturbed = _evaluate(model, task.gso, task.test)
+            rows.append((mu_key, split_seed, ratio, base, perturbed,
+                         perturbed - base))
     _write_csv(out / "split_sweep.csv", _header_lines(args),
                ["mu", "split_seed", "train_fraction", "rmse_base",
                 "rmse_at_ratio", "rmse_difference"], rows)
@@ -418,17 +419,21 @@ def _render_plots(out: Path, lam, eps, grid, h) -> None:
 # --- entry point -------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: `train --seed 3` must fail, not mean `--seeds 3`
     parser = argparse.ArgumentParser(
         prog="graphstab",
         description="stability experiments for graph filters and GNNs",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+    def add_parser(name, help):
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    p = sub.add_parser("train", help="train the recommendation GNNs")
+    def add_out(p):
+        p.add_argument("--out", default="out", help="output directory")
+
+    p = add_parser("train", help="train the recommendation GNNs")
     p.add_argument("--data", required=True, help="path to u.data")
     p.add_argument("--movie-id", type=int, default=50)
     p.add_argument("--mu", type=float, nargs="+", default=[0.0, 0.5])
@@ -438,45 +443,46 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.9)
     p.add_argument("--features", type=int, default=PAPER_FEATURES)
     p.add_argument("--taps", type=int, default=PAPER_TAPS)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("transfer", help="evaluate trained models on other movies")
+    p = add_parser("transfer", help="evaluate trained models on other movies")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoints", required=True,
                    help="output directory of a previous train run")
     p.add_argument("--movie-ids", type=int, nargs="*", default=None)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("perturb-sweep",
-                       help="evaluate under synthetic GSO perturbations")
+    p = add_parser("perturb-sweep",
+                   help="evaluate under synthetic GSO perturbations")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--epsilon", type=float, nargs="+",
                    default=[0.01, 0.02, 0.05, 0.1])
     p.add_argument("--draws", type=int, default=10)
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_perturb_sweep)
 
-    p = sub.add_parser("split-sweep",
-                       help="evaluate under changed train/test ratios")
+    p = add_parser("split-sweep",
+                   help="evaluate under changed train/test ratios")
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--splits", type=float, nargs="+",
                    default=[0.5, 0.6, 0.7, 0.8, 0.9])
-    add_common(p)
+    add_out(p)
     p.set_defaults(func=cmd_split_sweep)
 
-    p = sub.add_parser("verify", help="run the invariant suite")
+    p = add_parser("verify", help="run the invariant suite")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--inject-fault", action="store_true",
                    help="test hook: corrupt one gradient by 1%")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("demo", help="regenerate the demonstration figures")
-    add_common(p)
+    p = add_parser("demo", help="regenerate the demonstration figures")
+    add_out(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
     return parser
 

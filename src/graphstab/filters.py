@@ -1,8 +1,8 @@
-"""Graph convolutions, multi-feature filter banks and filter distances.
+"""Graph convolutions, shift stacks and filter distances.
 
 A graph convolution y = sum_k h_k S^k x is evaluated by repeated shifting
 (never by forming matrix powers), matching the distributed K-1-exchange
-semantics of the operation. Filter banks are (F_in, F_out, K) tap grids.
+semantics of the operation.
 """
 
 import itertools
@@ -36,27 +36,6 @@ def shift_stack(S: GSO, x: np.ndarray, K: int) -> np.ndarray:
     for k in range(1, K):
         out[k] = graph_shift(S, out[k - 1])
     return out
-
-
-def filter_bank_apply(S: GSO, bank: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Apply an (F_in, F_out, K) filter bank to an (N, F_in) signal.
-
-    Output feature g is the sum over input features f of the convolution of
-    X[:, f] with taps bank[f, g].
-    """
-    bank = np.asarray(bank, dtype=float)
-    if bank.ndim != 3:
-        raise ValueError("filter bank must have shape (F_in, F_out, K)")
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    f_in, f_out, K = bank.shape
-    if X.shape[1] != f_in:
-        raise ValueError(
-            f"signal has {X.shape[1]} features but the bank expects {f_in}"
-        )
-    shifts = shift_stack(S, X, K)  # (K, N, F_in)
-    return np.einsum("knf,fgk->ng", shifts, bank)
 
 
 def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
@@ -96,15 +75,22 @@ def filter_distance(S: GSO, S_hat: GSO, h: np.ndarray,
         return spectral_norm(H - H_hat)
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")
-    N = S.node_count
+
+    def relabeled_distance(perm):
+        P = permutation_matrix(perm)
+        # H built on the relabeled GSO is the relabeled filter matrix
+        return spectral_norm(H - P.T @ H_hat @ P)
+
+    return _brute_force_min(S.node_count, relabeled_distance)
+
+
+def _brute_force_min(N: int, distance) -> float:
+    """Smallest distance(perm) over every permutation perm of N nodes,
+    given as an index array; limited to N <= BRUTE_FORCE_MAX_NODES."""
     if N > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
             f"brute_force permutation search limited to N <= "
             f"{BRUTE_FORCE_MAX_NODES}, got N = {N}"
         )
-    best = np.inf
-    for perm in itertools.permutations(range(N)):
-        P = permutation_matrix(np.array(perm))
-        # H built on the relabeled GSO is the relabeled filter matrix
-        best = min(best, spectral_norm(H - P.T @ H_hat @ P))
-    return float(best)
+    return float(min(distance(np.array(perm))
+                     for perm in itertools.permutations(range(N))))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .filters import shift_stack
 from .graphs import GSO, hop_distances
-from .spectral import eigendecompose
+from .spectral import bank_response, eigendecompose
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
@@ -109,7 +109,6 @@ class TrainConfig:
 @dataclass
 class ForwardCache:
     prediction: float
-    layer_inputs: list = field(default_factory=list)      # x_{l-1} per layer
     layer_shifts: list = field(default_factory=list)      # (K, N, F_in)
     preactivations: list = field(default_factory=list)    # H_l(S) x_{l-1}
     features: np.ndarray | None = None                    # final (N, F_L)
@@ -166,7 +165,6 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
             shifts = shift_stack(S, feat, K)
         z = np.einsum("knf,fgk->ng", shifts, layer.taps)
         act = _ACTIVATIONS[layer.activation][0]
-        cache.layer_inputs.append(feat)
         cache.layer_shifts.append(shifts)
         cache.preactivations.append(z)
         feat = act(z)
@@ -205,21 +203,14 @@ def penalty(model: GNNModel, config: TrainConfig):
     value = 0.0
     grads = []
     for layer in model.layers:
-        taps = layer.taps
-        K = taps.shape[2]
-        ks = np.arange(K, dtype=float)
-        powers = grid[:, None] ** np.arange(K)[None, :]  # (G, K)
-        v = np.tensordot(powers, taps * ks, axes=([1], [2]))  # (G, F_in, F_out)
+        v = bank_response(layer.taps, grid, derivative=True)  # (G, F_in, F_out)
         idx = np.argmax(np.abs(v), axis=0)             # first argmax per filter
-        f_idx, g_idx = np.meshgrid(
-            np.arange(taps.shape[0]), np.arange(taps.shape[1]), indexing="ij"
-        )
-        v_star = v[idx, f_idx, g_idx]
+        v_star = np.take_along_axis(v, idx[None], axis=0)[0]
         value += float(np.sum(np.abs(v_star)))
         lam_star = grid[idx]                           # (F_in, F_out)
-        sign = np.sign(v_star)
-        grads.append(sign[:, :, None] * ks[None, None, :]
-                     * lam_star[:, :, None] ** ks[None, None, :])
+        ks = np.arange(layer.taps.shape[2], dtype=float)
+        grads.append(np.sign(v_star)[:, :, None] * ks
+                     * lam_star[:, :, None] ** ks)
     return value, grads
 
 
@@ -309,18 +300,32 @@ def objective(model: GNNModel, S: GSO, samples, config: TrainConfig) -> float:
     return float(total)
 
 
-def objective_gradients(model: GNNModel, S: GSO, samples, config: TrainConfig):
-    """Gradients of `objective` as a flat parameter-ordered list."""
+def _data_gradients(model: GNNModel, S: GSO, samples, shifts):
+    """Summed data-loss gradients over samples, in parameter order, and the
+    loss of each sample. shifts holds each sample's precomputed first-layer
+    shift stack, or None (see `forward`)."""
     acc = _zero_like(_parameters(model))
-    for x, y in samples:
-        cache = forward(model, S, x)
+    losses = []
+    for (x, y), first_layer_shifts in zip(samples, shifts):
+        cache = forward(model, S, x, first_layer_shifts=first_layer_shifts)
+        losses.append(smooth_l1_loss(cache.prediction, y))
         tap_grads, g_w, g_b = sample_gradients(model, S, x, y, cache)
         for slot, g in zip(acc, tap_grads + [g_w, np.atleast_1d(g_b)]):
             slot += g
+    return acc, losses
+
+
+def _add_penalty_gradients(acc, model: GNNModel, config: TrainConfig) -> None:
     if config.mu > 0:
         _, pen_grads = penalty(model, config)
         for slot, g in zip(acc, pen_grads):
             slot += config.mu * g
+
+
+def objective_gradients(model: GNNModel, S: GSO, samples, config: TrainConfig):
+    """Gradients of `objective` as a flat parameter-ordered list."""
+    acc, _ = _data_gradients(model, S, samples, [None] * len(samples))
+    _add_penalty_gradients(acc, model, config)
     return acc
 
 
@@ -385,22 +390,14 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc = _zero_like(params)
-            for idx in batch:
-                x, y = train_set[idx]
-                cache = forward(model, S, x,
-                                first_layer_shifts=shifts_all[:, idx])
-                epoch_loss += smooth_l1_loss(cache.prediction, y)
-                tap_grads, g_w, g_b = sample_gradients(model, S, x, cache=cache,
-                                                       y=y)
-                for slot, g in zip(acc, tap_grads + [g_w, np.atleast_1d(g_b)]):
-                    slot += g
+            acc, losses = _data_gradients(
+                model, S, [train_set[i] for i in batch],
+                [shifts_all[:, i] for i in batch])
+            for loss in losses:
+                epoch_loss += loss
             for slot in acc:
                 slot /= len(batch)
-            if config.mu > 0:
-                _, pen_grads = penalty(model, config)
-                for slot, g in zip(acc, pen_grads):
-                    slot += config.mu * g
+            _add_penalty_gradients(acc, model, config)
             adam_step(params, acc, state, config)
         if not np.isfinite(epoch_loss):
             raise ValueError(f"training loss is not finite at epoch {epoch}: "
@@ -410,11 +407,7 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     return model, trace
 
 
-def predict(model: GNNModel, S: GSO, x) -> float:
-    return forward(model, S, x).prediction
-
-
-# --- checkpoints and traces --------------------------------------------------
+# --- checkpoints -------------------------------------------------------------
 
 def model_to_dict(model: GNNModel) -> dict:
     return {
@@ -475,10 +468,3 @@ def load_checkpoint(path):
         return model_from_dict(payload["model"]), TrainConfig(**cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc
-
-
-def save_trace_csv(trace, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,loss,penalty\n")
-        for epoch, loss, pen in trace:
-            fh.write(f"{epoch},{float(loss)!r},{float(pen)!r}\n")

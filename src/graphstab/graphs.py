@@ -23,7 +23,7 @@ class Graph:
     """Weighted undirected-or-directed graph given by its weight matrix.
 
     weights[i, j] is the weight of edge (j, i); 0 encodes absence.
-    The diagonal must be zero and all weights nonnegative.
+    The diagonal must be zero and all weights finite and nonnegative.
     """
 
     weights: np.ndarray
@@ -34,6 +34,8 @@ class Graph:
             raise ValueError(f"weight matrix must be square, got shape {W.shape}")
         if W.shape[0] < 1:
             raise ValueError("graph needs at least one node")
+        if not np.isfinite(W).all():
+            raise ValueError("edge weights must be finite")
         if np.any(W < 0):
             raise ValueError("edge weights must be nonnegative")
         if np.any(np.diag(W) != 0):
@@ -198,43 +200,3 @@ def random_weighted_graph(n: int, seed: int | None = None,
             if mask[i, j] and W[i, j] == 0:
                 W[i, j] = W[j, i] = weights[i, j]
     return Graph(W)
-
-
-# --- CSV fixtures ------------------------------------------------------------
-
-def save_edge_list(W: np.ndarray, path) -> None:
-    """Write nonzero entries as `i,j,weight` rows (0-indexed)."""
-    W = np.asarray(W, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("i,j,weight\n")
-        for i, j in zip(*np.nonzero(W)):
-            fh.write(f"{i},{j},{float(W[i, j])!r}\n")
-
-
-def load_edge_list(path, node_count: int | None = None) -> np.ndarray:
-    """Read an `i,j,weight` CSV back into a dense matrix."""
-    entries = []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "i,j,weight":
-            raise ValueError(f"unexpected edge-list header: {header.strip()!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, w = line.split(",")
-            entries.append((int(i), int(j), float(w)))
-    if node_count is None:
-        node_count = 1 + max((max(i, j) for i, j, _ in entries), default=-1)
-    W = np.zeros((node_count, node_count))
-    for i, j, w in entries:
-        W[i, j] = w
-    return W
-
-
-def save_signal(x: np.ndarray, path) -> None:
-    np.savetxt(path, np.atleast_2d(np.asarray(x, dtype=float).T).T, delimiter=",")
-
-
-def load_signal(path) -> np.ndarray:
-    x = np.loadtxt(path, delimiter=",")
-    return x

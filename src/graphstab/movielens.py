@@ -29,14 +29,6 @@ class RatingsMatrix:
     movie_ids: tuple
 
     @property
-    def user_count(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def movie_count(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def rating_count(self) -> int:
         return int(np.count_nonzero(self.matrix))
 
@@ -178,13 +170,3 @@ def rmse(predictions, labels) -> float:
     if predictions.shape != labels.shape or predictions.size == 0:
         raise ValueError("predictions and labels must be equal-length and nonempty")
     return float(np.sqrt(np.mean((predictions - labels) ** 2)))
-
-
-def save_split_manifest(split: TaskSplit, path) -> None:
-    """Record which user ids landed in which side of the split."""
-    with open(path, "w") as fh:
-        fh.write("user_id,subset\n")
-        for uid in split.train_user_ids:
-            fh.write(f"{uid},train\n")
-        for uid in split.test_user_ids:
-            fh.write(f"{uid},test\n")

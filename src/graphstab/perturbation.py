@@ -10,12 +10,11 @@ and the relative distance d(S, S_hat) is the smallest ||E|| over admissible
 solved spectrally.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .filters import spectral_norm
+from .filters import _brute_force_min, spectral_norm
 from .graphs import GSO, permutation_matrix, validate_permutation
 from .spectral import eigendecompose
 
@@ -125,8 +124,7 @@ def solve_relative_error(S: GSO, S_hat: GSO,
     E_tilde = (V.T @ delta @ V) / denom
     E = V @ E_tilde @ V.T
     E = (E + E.T) / 2.0
-    residual = spectral_norm(P.T @ S_hat.matrix @ P - S.matrix
-                             - (E @ S.matrix + S.matrix @ E))
+    residual = spectral_norm(delta - (E @ S.matrix + S.matrix @ E))
     if residual > MEMBERSHIP_TOL * max(norm_s, 1e-300):
         raise ValueError(
             f"recovered E fails the membership identity "
@@ -146,21 +144,19 @@ def relative_distance(S: GSO, S_hat: GSO, mode: str = "identity") -> float:
         return spectral_norm(solve_relative_error(S, S_hat))
     if mode != "brute_force":
         raise ValueError(f"unknown mode {mode!r}")
-    N = S.node_count
-    if N > 8:
-        raise ValueError(f"brute_force limited to N <= 8, got N = {N}")
-    best = np.inf
-    for perm in itertools.permutations(range(N)):
+
+    def error_norm(perm):
         try:
-            E = solve_relative_error(S, S_hat, np.array(perm))
+            return spectral_norm(solve_relative_error(S, S_hat, perm))
         except SingularEquationError:
-            continue
-        best = min(best, spectral_norm(E))
+            return np.inf
+
+    best = _brute_force_min(S.node_count, error_norm)
     if not np.isfinite(best):
         raise SingularEquationError(
             "no permutation yields a solvable error-matrix equation"
         )
-    return float(best)
+    return best
 
 
 def match_eigenbases(U: np.ndarray, V: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ class ILCheck:
 
     C: float
     bounded: bool
-    argmax_lambda: float
 
 
 def _as_matrix(S) -> np.ndarray:
@@ -85,6 +84,22 @@ def frequency_response(h: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def bank_response(taps: np.ndarray, grid: np.ndarray,
+                  derivative: bool = False) -> np.ndarray:
+    """Matrix response of an (F_in, F_out, K) filter bank on a grid.
+
+    Returns shape (G, F_in, F_out): H(lambda) = sum_k taps[:, :, k] lambda^k
+    or, with derivative=True, the integral Lipschitz functional's matrix
+    lambda H'(lambda) = sum_k k taps[:, :, k] lambda^k.
+    """
+    taps = np.asarray(taps, dtype=float)
+    K = taps.shape[2]
+    if derivative:
+        taps = taps * np.arange(K, dtype=float)
+    powers = np.asarray(grid, dtype=float)[:, None] ** np.arange(K)
+    return np.tensordot(powers, taps, axes=([1], [2]))
+
+
 def response_derivative_scaled(h: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """|lambda h'(lambda)| on a grid; the integral Lipschitz functional."""
     h = np.asarray(h, dtype=float)
@@ -110,16 +125,6 @@ def integral_lipschitz_check(
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     grid = np.linspace(lam_a, lam_b, grid_size)
-    scaled = response_derivative_scaled(h, grid)
-    idx = int(np.argmax(scaled))
+    C = float(np.max(response_derivative_scaled(h, grid)))
     bounded = bool(np.max(np.abs(frequency_response(h, grid))) <= 1.0)
-    return ILCheck(C=float(scaled[idx]), bounded=bounded,
-                   argmax_lambda=float(grid[idx]))
-
-
-def save_response_csv(grid: np.ndarray, values: np.ndarray, path) -> None:
-    """Export a frequency response as `lambda,value` rows."""
-    with open(path, "w") as fh:
-        fh.write("lambda,value\n")
-        for lam, v in zip(grid, values):
-            fh.write(f"{float(lam)!r},{float(v)!r}\n")
+    return ILCheck(C=C, bounded=bounded)

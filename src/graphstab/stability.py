@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .filters import filter_distance
-from .gnn import GNNModel, LayerSpec, TrainConfig, forward, train
+from .gnn import (_ACTIVATIONS, GNNModel, LayerSpec, TrainConfig, forward,
+                  init_model, train)
 from .graphs import GSO
 from .perturbation import (
     PerturbationSpec,
@@ -26,6 +27,7 @@ from .perturbation import (
     spec_misalignment,
 )
 from .spectral import (
+    bank_response,
     eigendecompose,
     frequency_response,
     gft,
@@ -114,24 +116,9 @@ def bank_il_constant(taps: np.ndarray, interval,
                      grid_size: int = 1001) -> float:
     """Integral Lipschitz constant of an (F_in, F_out, K) bank: the grid
     maximum of the spectral norm of the matrix lambda H'(lambda)."""
-    taps = np.asarray(taps, dtype=float)
-    K = taps.shape[2]
     grid = np.linspace(interval[0], interval[1], grid_size)
-    ks = np.arange(K, dtype=float)
-    powers = grid[:, None] ** np.arange(K)[None, :]
-    v = np.tensordot(powers, taps * ks, axes=([1], [2]))  # (G, F_in, F_out)
-    return float(max(np.linalg.norm(v[g], 2) for g in range(len(grid))))
-
-
-def bank_response_norm(taps: np.ndarray, interval,
-                       grid_size: int = 1001) -> float:
-    """Grid maximum of the spectral norm of the bank's matrix response."""
-    taps = np.asarray(taps, dtype=float)
-    K = taps.shape[2]
-    grid = np.linspace(interval[0], interval[1], grid_size)
-    powers = grid[:, None] ** np.arange(K)[None, :]
-    h = np.tensordot(powers, taps, axes=([1], [2]))
-    return float(max(np.linalg.norm(h[g], 2) for g in range(len(grid))))
+    v = bank_response(taps, grid, derivative=True)
+    return float(np.linalg.norm(v, 2, axis=(1, 2)).max())
 
 
 def _spectral_interval(*gsos, pad: float = 1e-6):
@@ -159,6 +146,17 @@ def quadratic_slack(reports) -> float:
         if r.epsilon > 0:
             q = max(q, (r.measured - r.bound) / r.epsilon ** 2)
     return max(q, 0.0)
+
+
+def _with_slack(raw) -> list:
+    """Give every report the fitted quadratic slack coefficient q and let
+    `satisfied` allow it: measured <= bound + q eps^2."""
+    q = quadratic_slack(raw)
+    return [
+        replace(r, slack_coefficient=q,
+                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
+        for r in raw
+    ]
 
 
 def linear_fit_r2(xs, ys):
@@ -195,12 +193,7 @@ def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
                 C=check.C, delta=delta, L=1, N=N, satisfied=measured <= bound,
                 seed=seed,
             ))
-    q = quadratic_slack(raw)
-    return [
-        replace(r, slack_coefficient=q,
-                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
-        for r in raw
-    ]
+    return _with_slack(raw)
 
 
 def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
@@ -219,7 +212,8 @@ def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
     C = bank_il_constant(taps, interval)
     if C > c_target > 0:
         taps *= c_target / C
-    peak = bank_response_norm(taps, interval)
+    grid = np.linspace(a, b, 1001)
+    peak = np.linalg.norm(bank_response(taps, grid), 2, axis=(1, 2)).max()
     if peak > 1.0:
         taps /= peak
     return LayerSpec(taps, activation)
@@ -272,19 +266,12 @@ def empirical_gnn_distance_sweep(model: GNNModel, S: GSO, kind: str,
                 C=C, delta=delta, L=L, N=N, satisfied=measured <= bound,
                 seed=seed,
             ))
-    q = quadratic_slack(raw)
-    return [
-        replace(r, slack_coefficient=q,
-                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
-        for r in raw
-    ]
+    return _with_slack(raw)
 
 
 def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
     """Feed the top eigenvector through a pointwise nonlinearity and report
     how much spectral energy leaks away from the top coefficient."""
-    from .gnn import _ACTIVATIONS
-
     eig = eigendecompose(S)
     N = S.node_count
     x = eig.eigenvectors[:, -1]
@@ -317,7 +304,8 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
     if abs(lam[-1] - lam[-2]) < 1e-9 * max(1.0, abs(lam[-1])):
         raise ValueError("top eigenvalues are degenerate; demo needs a gap")
     dilated = lam * (1.0 + epsilon)
-    interval = _spectral_interval(S, GSO((1 + epsilon) * S.matrix, S.kind))
+    S_hat = GSO((1.0 + epsilon) * S.matrix, S.kind)
+    interval = _spectral_interval(S, S_hat)
 
     # sharp filter: exact polynomial interpolation putting response 1 at the
     # top eigenvalue and 0 at every other one (degree N-1)
@@ -336,16 +324,12 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
 
     # 1-layer relu GNN trained to tell the two eigenvectors apart
     node = int(np.argmax(np.abs(V[:, -1])))
-    rng_seed = seed
-    from .gnn import init_model
-
-    model = init_model(rng_seed, [1, 4], [5], ["relu"], node)
+    model = init_model(seed, [1, 4], [5], ["relu"], node)
     dataset = [(V[:, -1], 1.0), (V[:, -2], 0.0)]
     config = TrainConfig(mu=0.02, lambda_interval=interval,
                          learning_rate=0.01, epochs=train_epochs,
-                         batch_size=2, rng_seed=rng_seed)
+                         batch_size=2, rng_seed=seed)
     trained, _ = train(model, S, dataset, config)
-    S_hat = GSO((1.0 + epsilon) * S.matrix, S.kind)
 
     def gnn_margin(op):
         return (forward(trained, op, V[:, -1]).prediction
@@ -363,14 +347,3 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
         gnn_margin_original=gnn_margin(S),
         gnn_margin_dilated=gnn_margin(S_hat),
     )
-
-
-def save_bound_reports_csv(reports, path, header_lines=()) -> None:
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("epsilon,seed,measured,bound,C,delta,satisfied\n")
-        for r in reports:
-            fh.write(f"{float(r.epsilon)!r},{r.seed},{float(r.measured)!r},"
-                     f"{float(r.bound)!r},{float(r.C)!r},{float(r.delta)!r},"
-                     f"{r.satisfied}\n")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphstab.cli import build_parser, invariant_suite, main
+from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
 
 def csv_body(path):
@@ -25,6 +25,26 @@ def trained_dir(tmp_path, ratings_file):
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+@pytest.mark.parametrize("command", ["train", "transfer", "perturb-sweep",
+                                     "split-sweep"])
+def test_seed_option_is_rejected(command, tmp_path, capsys):
+    # with abbreviations allowed, `train --seed 3` would mean `--seeds 3`
+    argv = [command, "--data", "u.data", "--seed", "3"]
+    if command != "train":
+        argv += ["--checkpoints", str(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+def test_write_csv(tmp_path):
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["meta"], ["lambda", "value"], [(0.1, 1 / 3), (2, "x")])
+    assert path.read_text() == ("# meta\nlambda,value\n"
+                                "0.1,0.3333333333333333\n2,x\n")
 
 
 def test_verify_quick_passes(capsys):

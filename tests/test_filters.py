@@ -2,18 +2,29 @@ import numpy as np
 import pytest
 
 from graphstab import (
+    GNNModel,
+    LayerSpec,
     build_gso,
     eigendecompose,
-    filter_bank_apply,
     filter_distance,
     filter_matrix,
+    forward,
     frequency_response,
     graph_convolution,
     permute_gso,
     permute_signal,
     random_weighted_graph,
+    relative_distance,
     spectral_norm,
 )
+
+
+def bank_apply(S, bank, X):
+    """Features of a linear one-layer GNN: the bank applied to X."""
+    bank = np.asarray(bank, dtype=float)
+    model = GNNModel([LayerSpec(bank, "linear")], np.ones(bank.shape[1]),
+                     0.0, 0)
+    return forward(model, S, X).features
 
 
 def test_identity_filter(gso20):
@@ -49,20 +60,20 @@ def test_bank_degenerates_to_convolution(gso20):
     h = np.array([0.5, -0.3, 0.2])
     x = np.random.default_rng(5).standard_normal(20)
     bank = h[None, None, :]
-    assert np.allclose(filter_bank_apply(gso20, bank, x[:, None])[:, 0],
+    assert np.allclose(bank_apply(gso20, bank, x[:, None])[:, 0],
                        graph_convolution(gso20, h, x))
 
 
 def test_zero_bank(gso20):
     X = np.random.default_rng(6).standard_normal((20, 3))
-    assert np.array_equal(filter_bank_apply(gso20, np.zeros((3, 2, 4)), X),
+    assert np.array_equal(bank_apply(gso20, np.zeros((3, 2, 4)), X),
                           np.zeros((20, 2)))
 
 
 def test_bank_sums_input_features(gso20):
     X = np.random.default_rng(7).standard_normal((20, 2))
     bank = np.ones((2, 1, 1))
-    assert np.allclose(filter_bank_apply(gso20, bank, X)[:, 0], X.sum(axis=1))
+    assert np.allclose(bank_apply(gso20, bank, X)[:, 0], X.sum(axis=1))
 
 
 def test_filter_matrix_consistent(gso20):
@@ -112,8 +123,10 @@ def test_identity_mode_upper_bounds_brute_force():
 
 def test_brute_force_size_cap():
     S = build_gso(random_weighted_graph(9, seed=13))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="N <= 8"):
         filter_distance(S, S, [1.0], "brute_force")
+    with pytest.raises(ValueError, match="N <= 8"):
+        relative_distance(S, S, "brute_force")
 
 
 def test_permutation_equivariance_random():

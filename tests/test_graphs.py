@@ -15,11 +15,7 @@ from graphstab import (
 )
 from graphstab.graphs import (
     hop_distances,
-    load_edge_list,
-    load_signal,
     permutation_matrix,
-    save_edge_list,
-    save_signal,
 )
 
 from conftest import PATH3
@@ -30,6 +26,12 @@ def test_graph_rejects_self_loops_and_negative_weights():
         Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_rejects_non_finite_weights(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Graph(np.array([[0.0, bad], [bad, 0.0]]))
 
 
 def test_build_gso_adjacency(path3_graph):
@@ -157,20 +159,6 @@ def test_invalid_permutation_rejected():
         permutation_matrix(np.array([0, 0, 2]))
     with pytest.raises(ValueError):
         permutation_matrix(np.array([0.5, 1.0]))
-
-
-def test_edge_list_roundtrip(tmp_path):
-    W = random_weighted_graph(6, seed=1).weights
-    path = tmp_path / "graph.csv"
-    save_edge_list(W, path)
-    assert np.array_equal(load_edge_list(path), W)
-
-
-def test_signal_roundtrip(tmp_path):
-    x = np.random.default_rng(0).standard_normal(5)
-    path = tmp_path / "signal.csv"
-    save_signal(x, path)
-    assert np.allclose(load_signal(path), x)
 
 
 def test_hop_distances_ring_and_unreachable():

@@ -8,7 +8,7 @@ from graphstab import (
     pearson_graph,
     rmse,
 )
-from graphstab.movielens import save_split_manifest
+from graphstab.cli import main
 
 
 def ratings_from_matrix(matrix):
@@ -163,10 +163,12 @@ def test_rmse_values():
 
 
 def test_split_manifest(tmp_path, ratings_file):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--mu", "0.0", "--seeds", "0", "--epochs", "1",
+                 "--features", "2", "--taps", "2", "--out", str(out)]) == 0
     split = build_task(load_ratings(ratings_file), 7, seed=0)
-    path = tmp_path / "manifest.csv"
-    save_split_manifest(split, path)
-    lines = path.read_text().strip().splitlines()
+    lines = (out / "split_0.csv").read_text().strip().splitlines()
     assert lines[0] == "user_id,subset"
-    assert len(lines) == 1 + len(split.train) + len(split.test)
-    assert sum(line.endswith(",test") for line in lines) == len(split.test)
+    assert lines[1:] == ([f"{uid},train" for uid in split.train_user_ids]
+                         + [f"{uid},test" for uid in split.test_user_ids])

@@ -16,7 +16,7 @@ from graphstab import (
     random_weighted_graph,
     response_derivative_scaled,
 )
-from graphstab.spectral import save_response_csv
+from graphstab.cli import _write_csv
 from graphstab.stability import design_il_taps
 
 
@@ -168,7 +168,8 @@ def test_integral_lipschitz_empty_interval():
 def test_response_csv(tmp_path):
     grid = np.linspace(0, 1, 5)
     path = tmp_path / "resp.csv"
-    save_response_csv(grid, frequency_response([1.0, 1.0], grid), path)
+    _write_csv(path, [], ["lambda", "value"],
+               list(zip(grid, frequency_response([1.0, 1.0], grid))))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,value"
     assert len(lines) == 6

@@ -18,15 +18,19 @@ from graphstab import (
     random_weighted_graph,
     spectral_norm,
 )
+from graphstab.cli import _write_csv
+from graphstab.spectral import (
+    bank_response,
+    frequency_response,
+    response_derivative_scaled,
+)
 from graphstab.stability import (
     bank_il_constant,
-    bank_response_norm,
     design_il_taps,
     discriminability_tradeoff_demo,
     il_layer,
     linear_fit_r2,
     quadratic_slack,
-    save_bound_reports_csv,
 )
 
 
@@ -56,8 +60,6 @@ def test_design_il_taps_meets_targets():
     check = integral_lipschitz_check(taps, interval)
     assert check.C <= 1.0 + 1e-9
     grid = np.linspace(*interval, 1001)
-    from graphstab import frequency_response
-
     assert np.max(np.abs(frequency_response(taps, grid))) <= 1.0 + 1e-9
 
 
@@ -67,18 +69,19 @@ def test_bank_constants_match_scalar_case():
     check = integral_lipschitz_check(taps, (-2.0, 2.0))
     assert bank_il_constant(bank, (-2.0, 2.0)) == pytest.approx(check.C)
     grid = np.linspace(-2.0, 2.0, 1001)
-    from graphstab import frequency_response
-
-    assert bank_response_norm(bank, (-2.0, 2.0)) == pytest.approx(
-        np.max(np.abs(frequency_response(taps, grid)))
-    )
+    response = bank_response(bank, grid)
+    assert response.shape == (1001, 1, 1)
+    assert np.allclose(response[:, 0, 0], frequency_response(taps, grid))
+    scaled = bank_response(bank, grid, derivative=True)[:, 0, 0]
+    assert np.allclose(np.abs(scaled), response_derivative_scaled(taps, grid))
 
 
 def test_il_layer_respects_constraints():
     layer = il_layer(2, 3, 5, (-2.0, 2.0), c_target=0.8, seed=0)
     assert layer.taps.shape == (2, 3, 5)
     assert bank_il_constant(layer.taps, (-2.0, 2.0)) <= 0.8 + 1e-9
-    assert bank_response_norm(layer.taps, (-2.0, 2.0)) <= 1.0 + 1e-9
+    response = bank_response(layer.taps, np.linspace(-2.0, 2.0, 1001))
+    assert np.linalg.norm(response, 2, axis=(1, 2)).max() <= 1.0 + 1e-9
 
 
 def test_quadratic_slack_and_fit():
@@ -191,7 +194,11 @@ def test_bound_reports_csv(tmp_path, gso20):
     reports = empirical_filter_distance_sweep(gso20, taps, "dilation",
                                               [0.1], [0])
     path = tmp_path / "bounds.csv"
-    save_bound_reports_csv(reports, path, header_lines=["meta"])
+    _write_csv(path, ["meta"],
+               ["epsilon", "seed", "measured", "bound", "C", "delta",
+                "satisfied"],
+               [(r.epsilon, r.seed, r.measured, r.bound, r.C, r.delta,
+                 r.satisfied) for r in reports])
     lines = path.read_text().splitlines()
     assert lines[0] == "# meta"
     assert lines[1] == "epsilon,seed,measured,bound,C,delta,satisfied"
