@@ -1,16 +1,29 @@
 """Graph and graph-signal representations and the graph shift operation.
 
 Graphs are stored as dense N x N weight matrices (the largest graph we care
-about has ~1600 nodes, so dense double precision is simplest and fast enough).
-A graph shift operator (GSO) is any symmetric matrix respecting the graph's
-sparsity; shifting a signal means multiplying by it.
+about has ~1600 nodes). A graph shift operator (GSO) is any symmetric matrix
+respecting the graph's sparsity; shifting a signal means multiplying by it.
+
+The shift takes one of two paths, chosen in `graph_shift` alone: a single
+column (x of shape (N,) or (N, 1)) is shifted over the nonzeros of S when at
+most SPARSE_MAX_DENSITY of its entries are nonzero, as in the k-NN movie
+graph (about 1%); every other shift is the dense product S @ x. For many
+columns the dense product wins, since a GEMM reuses each entry of S it reads.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 GSO_KINDS = ("adjacency", "laplacian", "markov")
+
+# largest share of nonzero entries of S for which graph_shift shifts a single
+# column over the nonzeros of S rather than by the dense product
+SPARSE_MAX_DENSITY = 1 / 16
+
+# a GSO must equal its transpose to within this share of max(1, max|S|)
+SYMMETRY_RTOL = 1e-12
 
 
 class DegenerateGraphError(ValueError):
@@ -52,32 +65,61 @@ class Graph:
 
 @dataclass(frozen=True)
 class GSO:
-    """Graph shift operator: symmetric matrix respecting a graph's sparsity."""
+    """Graph shift operator: symmetric matrix respecting a graph's sparsity.
+
+    The matrix must be finite and symmetric to within SYMMETRY_RTOL of
+    max(1, max|S|); an inexactly symmetric one is averaged with its
+    transpose, so the stored matrix is exactly symmetric. It is stored as a
+    read-only copy, so views derived from it cannot go stale.
+    """
 
     matrix: np.ndarray
     kind: str = "adjacency"
 
     def __post_init__(self):
-        S = np.asarray(self.matrix, dtype=float)
+        S = np.array(self.matrix, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"GSO must be square, got shape {S.shape}")
         if self.kind not in GSO_KINDS:
             raise ValueError(f"unknown GSO kind {self.kind!r}")
-        # Force exact symmetry so spectral code can rely on real
-        # eigendecompositions.
-        S = (S + S.T) / 2.0
+        if not np.isfinite(S).all():
+            raise ValueError("GSO entries must be finite")
+        if not np.array_equal(S, S.T):
+            asym = np.abs(S - S.T).max()
+            if asym > SYMMETRY_RTOL * max(1.0, np.abs(S).max()):
+                raise ValueError("GSO must be symmetric, got "
+                                 f"max |S - S^T| = {asym:g}")
+            S = (S + S.T) / 2.0
+        S.setflags(write=False)
         object.__setattr__(self, "matrix", S)
 
     @property
     def node_count(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def nonzero_rows(self):
+        """Compressed rows of S, or None when S is too dense to shift over.
+
+        Returns (rows, starts, cols, vals): the nonzeros of S in row-major
+        order as column indices `cols` and values `vals`, the rows that hold
+        any, and where each such row starts in `cols`. None when more than
+        SPARSE_MAX_DENSITY of the entries are nonzero; that is decided by a
+        count before any index is built.
+        """
+        S = self.matrix
+        if np.count_nonzero(S) > SPARSE_MAX_DENSITY * S.size:
+            return None
+        r, cols = np.nonzero(S)
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        return r[starts], starts, cols, S[r, cols]
+
 
 def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
     """Build a shift operator from a graph: adjacency, Laplacian or Markov.
 
     The Markov operator D^-1 W is not symmetric in general; it is symmetrized
-    by averaging with its transpose.
+    here by averaging with its transpose.
     """
     W = graph.weights
     if kind == "adjacency":
@@ -92,6 +134,7 @@ def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
                 f"markov GSO undefined: node {bad} has zero degree"
             )
         S = W / d[:, None]
+        S = (S + S.T) / 2.0
     else:
         raise ValueError(f"unknown GSO kind {kind!r}")
     return GSO(S, kind)
@@ -100,13 +143,23 @@ def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
 def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:
     """One application of the shift operator: y_i = sum_j s_ij x_j.
 
-    Works on vectors (N,) and feature matrices (N, F) alike.
+    Works on vectors (N,) and feature matrices (N, F) alike. A single column
+    on a sparse S is summed over the nonzeros of S (see the module
+    docstring); the result equals S @ x up to rounding.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != S.node_count:
+    N = S.node_count
+    if x.shape[0] != N:
         raise ValueError(
-            f"signal has {x.shape[0]} rows but the GSO has {S.node_count} nodes"
+            f"signal has {x.shape[0]} rows but the GSO has {N} nodes"
         )
+    csr = S.nonzero_rows if x.size == N else None
+    if csr is not None:
+        rows, starts, cols, vals = csr
+        y = np.zeros(N)
+        if vals.size:
+            y[rows] = np.add.reduceat(vals * x.ravel()[cols], starts)
+        return y.reshape(x.shape)
     return S.matrix @ x
 
 
@@ -145,14 +198,25 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
     N = W.shape[0]
     if not (0 < k < N):
         raise ValueError(f"k must be in (0, {N}), got {k}")
-    masked = W.copy()
-    np.fill_diagonal(masked, -np.inf)
-    kept = np.zeros_like(W)
-    for i in range(N):
-        # stable sort on descending weight keeps the lower index among ties
-        order = np.argsort(-masked[i], kind="stable")[:k]
-        kept[i, order] = W[i, order]
-    return (kept + kept.T) / 2.0
+    if not np.isfinite(W).all():
+        raise ValueError("weights must be finite")
+    # each row keeps every off-diagonal weight above its k-th largest, then
+    # fills up to k with the lowest-index weights equal to it
+    part = W.copy()
+    np.fill_diagonal(part, -np.inf)
+    part.partition(N - k, axis=1)
+    kth = part[:, N - k, None].copy()
+    del part
+    above = W > kth
+    tie = W == kth
+    np.fill_diagonal(above, False)
+    np.fill_diagonal(tie, False)
+    need = k - np.count_nonzero(above, axis=1)[:, None]
+    keep = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
+    kept = np.where(keep, W, 0.0)
+    out = kept + kept.T
+    out *= 0.5
+    return out
 
 
 def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:

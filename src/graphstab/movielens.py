@@ -18,15 +18,32 @@ from .graphs import GSO, Graph, build_gso, knn_sparsify
 MIN_COMMON_RATERS = 2
 DEFAULT_KNN = 10
 STAR_WARS_ITEM_ID = 50
+MAX_RATING = 5
+
+# float32 holds every integer below this exactly
+_FLOAT32_EXACT = 2 ** 24
 
 
 @dataclass(frozen=True)
 class RatingsMatrix:
-    """Dense user-by-movie rating matrix; 0 encodes "unrated"."""
+    """Dense user-by-movie rating matrix; 0 encodes "unrated".
+
+    Every entry must be an integer in 0..MAX_RATING: `pearson_graph` relies
+    on it to sum ratings exactly in single precision.
+    """
 
     matrix: np.ndarray
     user_ids: tuple
     movie_ids: tuple
+
+    def __post_init__(self):
+        M = np.asarray(self.matrix, dtype=float)
+        if M.ndim != 2:
+            raise ValueError(f"ratings must be a matrix, got shape {M.shape}")
+        if not np.array_equal(M, np.clip(np.rint(M), 0, MAX_RATING)):
+            raise ValueError("ratings must be integers in "
+                             f"0..{MAX_RATING} (0 = unrated)")
+        object.__setattr__(self, "matrix", M)
 
     @property
     def rating_count(self) -> int:
@@ -75,9 +92,10 @@ def load_ratings(path) -> RatingsMatrix:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer field in {line!r}"
                 )
-            if not 1 <= rating <= 5:
+            if not 1 <= rating <= MAX_RATING:
                 raise ValueError(
-                    f"{path}: line {lineno}: rating {rating} outside 1..5"
+                    f"{path}: line {lineno}: rating {rating} outside "
+                    f"1..{MAX_RATING}"
                 )
             key = (user, item)
             if key not in records or ts >= records[key][1]:
@@ -98,25 +116,40 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
     Pairs with fewer than MIN_COMMON_RATERS co-raters or zero variance get
     weight 0; negative correlations are clipped to 0. All sums are restricted
     per pair to the users that rated both movies (no global mean-centering).
+
+    The sums are sums of integer ratings. While U * MAX_RATING**2 stays below
+    2**24 they are computed exactly in single precision (in any order), so
+    the result has the bits of a double-precision computation. corr[i, j]
+    and corr[j, i] come from the same operations on commuted operands, so
+    the result is exactly symmetric.
     """
     user_subset = np.asarray(list(user_subset), dtype=int)
     if user_subset.size == 0:
         raise ValueError("user subset is empty")
-    R = ratings.matrix[user_subset]            # (U, M)
-    B = (R > 0).astype(float)
-    n = B.T @ B                                # co-rater counts
-    sum_i = R.T @ B                            # sum of movie-i ratings over co-raters with j
-    sum_sq = (R * R).T @ B
-    cross = R.T @ R
+    exact32 = user_subset.size * MAX_RATING ** 2 < _FLOAT32_EXACT
+    R = ratings.matrix[user_subset].astype(np.float32 if exact32 else float)
+    B = (R > 0).astype(R.dtype)                # (U, M)
+    n = (B.T @ B).astype(float)                # co-rater counts
+    sum_i = (R.T @ B).astype(float)            # sum of movie-i ratings over co-raters with j
+    sum_sq = ((R * R).T @ B).astype(float)
+    cross = (R.T @ R).astype(float)
+    # the elementwise tail works in place; nonfinite ratios and pairs with
+    # too few co-raters become 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        cov = cross - sum_i * sum_i.T / n
-        var_i = sum_sq - sum_i ** 2 / n
-        corr = cov / np.sqrt(var_i * var_i.T)
-    corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
-    corr[n < MIN_COMMON_RATERS] = 0.0
-    corr = np.clip(corr, 0.0, 1.0)
+        cov = sum_i * sum_i.T
+        cov /= n
+        corr = np.subtract(cross, cov, out=cov)
+        var_i = np.square(sum_i)
+        var_i /= n
+        np.subtract(sum_sq, var_i, out=var_i)
+        scale = var_i * var_i.T
+        np.sqrt(scale, out=scale)
+        corr /= scale
+    zero = ~np.isfinite(corr)
+    zero |= n < MIN_COMMON_RATERS
+    np.copyto(corr, 0.0, where=zero)
+    np.clip(corr, 0.0, 1.0, out=corr)
     np.fill_diagonal(corr, 0.0)
-    corr = (corr + corr.T) / 2.0
     return Graph(corr)
 
 

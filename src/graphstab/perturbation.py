@@ -85,10 +85,13 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         E = np.zeros((N, N))
     else:
         E *= target / spectral_norm(E)
+    # E and M are symmetric, so M E = (E M)^T, and adding the symmetric
+    # P + P^T keeps S_hat exactly symmetric
     M = S.matrix
+    P = E @ M
     return PerturbationSpec(
         original=S,
-        perturbed=GSO(M + E @ M + M @ E, S.kind),
+        perturbed=GSO(M + (P + P.T), S.kind),
         error=E,
         permutation=np.arange(N),
         epsilon=float(epsilon),

@@ -4,11 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphstab import (
+    GSO,
     DegenerateGraphError,
     Graph,
     build_gso,
+    build_task,
     graph_shift,
     knn_sparsify,
+    load_ratings,
+    pearson_graph,
     permute_gso,
     permute_signal,
     random_weighted_graph,
@@ -18,7 +22,7 @@ from graphstab.graphs import (
     permutation_matrix,
 )
 
-from conftest import PATH3
+from conftest import PATH3, make_ratings_file
 
 
 def test_graph_rejects_self_loops_and_negative_weights():
@@ -54,6 +58,25 @@ def test_build_gso_markov_symmetrized(path3_graph):
     assert np.allclose(S.matrix, expected, atol=1e-15)
 
 
+def test_gso_rejects_asymmetric_or_non_finite_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        GSO(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        GSO(np.array([[0.0, np.inf], [np.inf, 0.0]]))
+    # within tolerance the stored matrix is made exactly symmetric
+    S = GSO(np.array([[0.0, 1.0], [1.0 + 1e-14, 0.0]]))
+    assert np.array_equal(S.matrix, S.matrix.T)
+
+
+def test_gso_matrix_is_read_only_copy():
+    W = PATH3.copy()
+    S = GSO(W)
+    with pytest.raises(ValueError, match="read-only"):
+        S.matrix[0, 1] = 2.0
+    W[0, 1] = W[1, 0] = 2.0  # the caller's array stays writable and apart
+    assert np.array_equal(S.matrix, PATH3)
+
+
 def test_build_gso_markov_zero_degree():
     g = Graph(np.zeros((2, 2)))
     with pytest.raises(DegenerateGraphError):
@@ -73,6 +96,55 @@ def test_graph_shift_weighted():
     g = Graph(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
     S = build_gso(g)
     assert np.allclose(graph_shift(S, np.array([1.0, 0, 0])), [0.0, 2.0, 0.0])
+
+
+def knn_movie_gso(tmp_path):
+    """k-NN movie GSO of a build_task on 300 movies (a few % nonzero)."""
+    path = make_ratings_file(tmp_path / "u.data", users=120, movies=300)
+    return build_task(load_ratings(path), 7, knn=5).gso
+
+
+def isolated_nodes_gso(tmp_path):
+    """Ring on nodes 0..39 of 48; nodes 40..47 have empty rows."""
+    W = np.zeros((48, 48))
+    for i in range(40):
+        W[i, (i + 1) % 40] = W[(i + 1) % 40, i] = 1.0 + i / 40
+    return build_gso(Graph(W))
+
+
+def dense_gso(tmp_path):
+    return build_gso(random_weighted_graph(40, seed=4, p=0.5))
+
+
+@pytest.mark.parametrize("make_gso", [knn_movie_gso, isolated_nodes_gso])
+@pytest.mark.parametrize("columns", [None, 1])
+def test_graph_shift_sparse_path_matches_dense_product(tmp_path, make_gso,
+                                                       columns):
+    S = make_gso(tmp_path)
+    assert S.nonzero_rows is not None
+    N = S.node_count
+    shape = (N,) if columns is None else (N, columns)
+    x = np.random.default_rng(2).standard_normal(shape)
+    y = graph_shift(S, x)
+    expected = S.matrix @ x
+    assert y.shape == expected.shape
+    assert np.abs(y - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("make_gso,columns", [
+    (knn_movie_gso, 3),
+    (dense_gso, None),
+    (dense_gso, 1),
+    (dense_gso, 3),
+])
+def test_graph_shift_dense_path_bits(tmp_path, make_gso, columns):
+    S = make_gso(tmp_path)
+    N = S.node_count
+    shape = (N,) if columns is None else (N, columns)
+    x = np.random.default_rng(3).standard_normal(shape)
+    assert np.array_equal(graph_shift(S, x), S.matrix @ x)
+    if make_gso is dense_gso:
+        assert S.nonzero_rows is None
 
 
 def test_graph_shift_shape_error(path3_adjacency):
@@ -121,6 +193,49 @@ def test_knn_symmetric_and_average_subset():
             candidates.add(W[i, j] / 2)
     for w in np.unique(out):
         assert any(abs(w - c) < 1e-15 for c in candidates)
+
+
+def knn_oracle(W, k):
+    """Per-row stable sort: the reference that knn_sparsify must match."""
+    masked = W.copy()
+    np.fill_diagonal(masked, -np.inf)
+    kept = np.zeros_like(W)
+    for i in range(W.shape[0]):
+        order = np.argsort(-masked[i], kind="stable")[:k]
+        kept[i, order] = W[i, order]
+    return (kept + kept.T) / 2.0
+
+
+def tie_heavy_weights(n=64, seed=11):
+    """Weights from a few levels, so rows tie at their k-th largest, with
+    some all-zero rows and an asymmetric part."""
+    rng = np.random.default_rng(seed)
+    W = rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, n), p=[0.4, 0.2, 0.2, 0.2])
+    W[rng.choice(n, 6, replace=False)] = 0.0
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
+@pytest.mark.parametrize("k", [1, 5, 50, 63])
+@pytest.mark.parametrize("weights", ["ties", "ties_on_diagonal", "pearson"])
+def test_knn_matches_per_row_sort(tmp_path, k, weights):
+    if weights.startswith("ties"):
+        W = tie_heavy_weights()
+        if weights == "ties_on_diagonal":  # the diagonal is never kept
+            np.fill_diagonal(W, 1.0)
+    else:
+        path = make_ratings_file(tmp_path / "u.data", users=60, movies=64)
+        W = pearson_graph(load_ratings(path), range(60)).weights
+    out, expected = knn_sparsify(W, k), knn_oracle(W, k)
+    assert np.array_equal(out, expected)
+    assert out.tobytes() == expected.tobytes()  # signed zeros too
+
+
+def test_knn_rejects_non_finite_weights():
+    W = np.ones((3, 3)) - np.eye(3)
+    W[0, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        knn_sparsify(W, 1)
 
 
 def test_permute_identity(path3_adjacency):

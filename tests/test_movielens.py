@@ -10,6 +10,8 @@ from graphstab import (
 )
 from graphstab.cli import main
 
+from conftest import make_ratings_file
+
 
 def ratings_from_matrix(matrix):
     matrix = np.asarray(matrix, dtype=float)
@@ -56,6 +58,12 @@ def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("1\t10\t5\t100\n\n2\t10\t4\t100\n")
     assert load_ratings(path).rating_count == 2
+
+
+@pytest.mark.parametrize("bad", [2.5, -1.0, 6.0, np.nan])
+def test_ratings_matrix_rejects_non_rating_entries(bad):
+    with pytest.raises(ValueError, match="integers in 0..5"):
+        ratings_from_matrix([[5.0, 0.0], [1.0, bad]])
 
 
 def test_movie_index_missing():
@@ -105,6 +113,35 @@ def test_pearson_restricts_to_subset():
     assert W[0, 1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         pearson_graph(ratings, [])
+
+
+def pearson_oracle(R):
+    """Double-precision Pearson weights, symmetrized by averaging: the
+    reference that pearson_graph must match bit for bit."""
+    B = (R > 0).astype(float)
+    n = B.T @ B
+    sum_i = R.T @ B
+    sum_sq = (R * R).T @ B
+    cross = R.T @ R
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cov = cross - sum_i * sum_i.T / n
+        var_i = sum_sq - sum_i ** 2 / n
+        corr = cov / np.sqrt(var_i * var_i.T)
+    corr = np.nan_to_num(corr, nan=0.0, posinf=0.0, neginf=0.0)
+    corr[n < 2] = 0.0
+    corr = np.clip(corr, 0.0, 1.0)
+    np.fill_diagonal(corr, 0.0)
+    return (corr + corr.T) / 2.0
+
+
+@pytest.mark.parametrize("users", [range(200), range(0, 200, 3), [5, 9]])
+def test_pearson_matches_double_precision_reference(tmp_path, users):
+    path = make_ratings_file(tmp_path / "u.data", users=200, movies=60)
+    ratings = load_ratings(path)
+    W = pearson_graph(ratings, users).weights
+    expected = pearson_oracle(ratings.matrix[list(users)])
+    assert np.count_nonzero(W) > 0
+    assert W.tobytes() == expected.tobytes()
 
 
 def test_build_task_split_invariants(ratings_file):
