@@ -1,15 +1,18 @@
-"""Graph convolutions, shift stacks and filter distances.
+"""Graph convolutions, filter banks and filter distances.
 
-A graph convolution y = sum_k h_k S^k x is evaluated by repeated shifting
-(never by forming matrix powers), matching the distributed K-1-exchange
-semantics of the operation.
+Every polynomial in S is one shift stack [x, Sx, ..., S^(K-1) x], built by
+repeated shifting (never by forming matrix powers, matching the distributed
+K-1-exchange semantics of the operation), and one contraction with the
+taps: a tap vector for a graph convolution, an (F_in, F_out, K) array for a
+filter bank. Since S is symmetric, a bank's adjoint is the same contraction
+with the taps' feature axes transposed.
 """
 
 import itertools
 
 import numpy as np
 
-from .graphs import GSO, graph_shift, permutation_matrix
+from .graphs import GSO, graph_shift, relabel
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -19,13 +22,7 @@ def graph_convolution(S: GSO, h: np.ndarray, x: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("filter taps must be a nonempty 1-D array")
-    x = np.asarray(x, dtype=float)
-    z = x
-    y = h[0] * x
-    for hk in h[1:]:
-        z = graph_shift(S, z)
-        y = y + hk * z
-    return y
+    return np.einsum("k,k...->...", h, shift_stack(S, x, h.size))
 
 
 def shift_stack(S: GSO, x: np.ndarray, K: int) -> np.ndarray:
@@ -38,14 +35,19 @@ def shift_stack(S: GSO, x: np.ndarray, K: int) -> np.ndarray:
     return out
 
 
+def bank_apply(shifts: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Apply an (F_in, F_out, K) filter bank to the (K, N, F_in) shift stack
+    of its input: sum_k S^k X taps[:, :, k], of shape (N, F_out).
+
+    Given the shift stack of an (N, F_out) gradient and the view
+    taps.transpose(1, 0, 2), this is the bank's adjoint.
+    """
+    return np.einsum("knf,fgk->ng", shifts, taps)
+
+
 def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
     """Dense matrix H(S) = sum_k h_k S^k (for analysis, not filtering)."""
-    h = np.asarray(h, dtype=float)
-    M = S.matrix
-    out = h[-1] * np.eye(M.shape[0])
-    for hk in h[-2::-1]:
-        out = out @ M + hk * np.eye(M.shape[0])
-    return out
+    return graph_convolution(S, h, np.eye(S.node_count))
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -77,9 +79,8 @@ def filter_distance(S: GSO, S_hat: GSO, h: np.ndarray,
         raise ValueError(f"unknown mode {mode!r}")
 
     def relabeled_distance(perm):
-        P = permutation_matrix(perm)
         # H built on the relabeled GSO is the relabeled filter matrix
-        return spectral_norm(H - P.T @ H_hat @ P)
+        return spectral_norm(H - relabel(H_hat, perm))
 
     return _brute_force_min(S.node_count, relabeled_distance)
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .filters import shift_stack
+from .filters import bank_apply, shift_stack
 from .graphs import GSO, hop_distances
 from .spectral import bank_response, eigendecompose
 
@@ -163,7 +163,7 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
             shifts = first_layer_shifts
         else:
             shifts = shift_stack(S, feat, K)
-        z = np.einsum("knf,fgk->ng", shifts, layer.taps)
+        z = bank_apply(shifts, layer.taps)
         act = _ACTIVATIONS[layer.activation][0]
         cache.layer_shifts.append(shifts)
         cache.preactivations.append(z)
@@ -175,16 +175,15 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     return cache
 
 
-def smooth_l1_loss(prediction: float, target: float, beta: float = 1.0) -> float:
+def smooth_l1_loss(prediction: float, target: float) -> float:
     r = prediction - target
-    if abs(r) < beta:
-        return 0.5 * r * r / beta
-    return abs(r) - 0.5 * beta
+    if abs(r) < 1.0:
+        return 0.5 * r * r
+    return abs(r) - 0.5
 
 
-def smooth_l1_grad(prediction: float, target: float, beta: float = 1.0) -> float:
-    r = prediction - target
-    return float(np.clip(r / beta, -1.0, 1.0))
+def smooth_l1_grad(prediction: float, target: float) -> float:
+    return float(np.clip(prediction - target, -1.0, 1.0))
 
 
 def penalty(model: GNNModel, config: TrainConfig):
@@ -214,9 +213,9 @@ def penalty(model: GNNModel, config: TrainConfig):
     return value, grads
 
 
-def sample_gradients(model: GNNModel, S: GSO, x, y: float,
-                     cache: ForwardCache):
-    """Analytic gradients of smooth_l1(forward(x), y) w.r.t. all parameters.
+def sample_gradients(model: GNNModel, S: GSO, y: float, cache: ForwardCache):
+    """Analytic gradients of smooth_l1(cache.prediction, y) w.r.t. all
+    parameters.
 
     The readout reads row `model.node` only, so the last layer's upstream
     gradient is zero on every other row and its tap gradient is the exact
@@ -244,9 +243,10 @@ def sample_gradients(model: GNNModel, S: GSO, x, y: float,
         Gp[node] = gp
     for i in range(last, 0, -1):
         taps = model.layers[i].taps
-        # S is symmetric, so the adjoint of shifting is shifting
-        T = shift_stack(S, Gp, taps.shape[2])
-        G = np.einsum("kng,fgk->nf", T, taps)
+        # S is symmetric, so the adjoint of shifting is shifting; the
+        # transposed view (not a copy) keeps the bits of the direct sum
+        G = bank_apply(shift_stack(S, Gp, taps.shape[2]),
+                       taps.transpose(1, 0, 2))
         dact = _ACTIVATIONS[model.layers[i - 1].activation][1]
         Gp = G * dact(cache.preactivations[i - 1])
         tap_grads[i - 1] = np.einsum("knf,ng->fgk",
@@ -309,7 +309,7 @@ def _data_gradients(model: GNNModel, S: GSO, samples, shifts):
     for (x, y), first_layer_shifts in zip(samples, shifts):
         cache = forward(model, S, x, first_layer_shifts=first_layer_shifts)
         losses.append(smooth_l1_loss(cache.prediction, y))
-        tap_grads, g_w, g_b = sample_gradients(model, S, x, y, cache)
+        tap_grads, g_w, g_b = sample_gradients(model, S, y, cache)
         for slot, g in zip(acc, tap_grads + [g_w, np.atleast_1d(g_b)]):
             slot += g
     return acc, losses

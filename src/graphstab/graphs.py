@@ -228,24 +228,23 @@ def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:
     return perm
 
 
-def permutation_matrix(perm: np.ndarray) -> np.ndarray:
-    """0/1 matrix P with P x = x[perm]."""
-    n = len(perm)
-    perm = validate_permutation(perm, n)
-    return np.eye(n)[perm]
+def relabel(M: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Relabeled square matrix P^T M P, where P x = x[perm], gathered as
+    M[inv][:, inv] with inv = argsort(perm)."""
+    M = np.asarray(M, dtype=float)
+    inv = np.argsort(validate_permutation(perm, M.shape[0]))
+    return M[np.ix_(inv, inv)]
 
 
 def permute_gso(S: GSO, perm: np.ndarray) -> GSO:
     """Relabeled shift operator P^T S P."""
-    P = permutation_matrix(validate_permutation(perm, S.node_count))
-    return GSO(P.T @ S.matrix @ P, S.kind)
+    return GSO(relabel(S.matrix, perm), S.kind)
 
 
 def permute_signal(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Relabeled signal P^T x."""
+    """Relabeled signal P^T x, gathered as x[argsort(perm)]."""
     x = np.asarray(x, dtype=float)
-    P = permutation_matrix(validate_permutation(perm, x.shape[0]))
-    return P.T @ x
+    return x[np.argsort(validate_permutation(perm, x.shape[0]))]
 
 
 def random_weighted_graph(n: int, seed: int | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _brute_force_min, spectral_norm
-from .graphs import GSO, permutation_matrix, validate_permutation
+from .graphs import GSO, relabel
 from .spectral import eigendecompose
 
 MEMBERSHIP_TOL = 1e-8
@@ -39,10 +39,9 @@ class PerturbationSpec:
     def membership_residual(self) -> float:
         """||P^T S_hat P - S - (E S + S E)|| (spectral norm)."""
         S = self.original.matrix
-        P = permutation_matrix(self.permutation)
         E = self.error
-        return spectral_norm(P.T @ self.perturbed.matrix @ P - S
-                             - (E @ S + S @ E))
+        return spectral_norm(relabel(self.perturbed.matrix, self.permutation)
+                             - S - (E @ S + S @ E))
 
 
 @dataclass(frozen=True)
@@ -106,16 +105,13 @@ def solve_relative_error(S: GSO, S_hat: GSO,
     Raises SingularEquationError when some eigenvalue pair sums to zero
     relative to ||S||.
     """
-    N = S.node_count
     if perm is None:
-        perm = np.arange(N)
-    perm = validate_permutation(np.asarray(perm), N)
-    P = permutation_matrix(perm)
-    delta = P.T @ S_hat.matrix @ P - S.matrix
+        perm = np.arange(S.node_count)
+    delta = relabel(S_hat.matrix, perm) - S.matrix
     eig = eigendecompose(S)
     lam, V = eig.eigenvalues, eig.eigenvectors
     denom = lam[:, None] + lam[None, :]
-    norm_s = spectral_norm(S.matrix)
+    norm_s = float(np.abs(lam).max())
     small = np.abs(denom) < 1e-10 * max(norm_s, 1e-300)
     if np.any(small):
         i, j = map(int, np.argwhere(small)[0])

@@ -33,24 +33,17 @@ class ILCheck:
     bounded: bool
 
 
-def _as_matrix(S) -> np.ndarray:
-    if isinstance(S, GSO):
-        return S.matrix
-    return np.asarray(S, dtype=float)
-
-
 def eigendecompose(S) -> EigenSystem:
     """Eigendecomposition S = V diag(lam) V^T of a symmetric GSO.
 
-    Sign convention: the largest-magnitude entry of each eigenvector is made
-    positive (first such entry among ties), so decompositions are
-    deterministic up to degeneracy.
+    A matrix that is not a GSO is first validated by the GSO's rule (finite,
+    symmetric to within SYMMETRY_RTOL). Sign convention: the
+    largest-magnitude entry of each eigenvector is made positive (first such
+    entry among ties), so decompositions are deterministic up to degeneracy.
     """
-    M = _as_matrix(S)
-    scale = max(np.abs(M).max(), 1.0)
-    if not np.allclose(M, M.T, atol=1e-12 * scale):
-        raise ValueError("eigendecompose requires a symmetric matrix")
-    lam, V = np.linalg.eigh((M + M.T) / 2.0)
+    if not isinstance(S, GSO):
+        S = GSO(S)
+    lam, V = np.linalg.eigh(S.matrix)
     flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
     V[:, flip] *= -1.0
     return EigenSystem(V, lam)

@@ -112,22 +112,24 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
     return taps
 
 
-def bank_il_constant(taps: np.ndarray, interval,
-                     grid_size: int = 1001) -> float:
-    """Integral Lipschitz constant of an (F_in, F_out, K) bank: the grid
-    maximum of the spectral norm of the matrix lambda H'(lambda)."""
-    grid = np.linspace(interval[0], interval[1], grid_size)
+def bank_il_constant(taps: np.ndarray, interval) -> float:
+    """Integral Lipschitz constant of an (F_in, F_out, K) bank: the maximum
+    of the spectral norm of the matrix lambda H'(lambda) on a 1001-point
+    grid."""
+    grid = np.linspace(interval[0], interval[1], 1001)
     v = bank_response(taps, grid, derivative=True)
     return float(np.linalg.norm(v, 2, axis=(1, 2)).max())
 
 
-def _spectral_interval(*gsos, pad: float = 1e-6):
+def _spectral_interval(*gsos):
+    """Smallest interval holding every eigenvalue of the GSOs, widened on
+    each side by 1e-6 * max(span, 1)."""
     lo, hi = np.inf, -np.inf
     for S in gsos:
         lam = np.linalg.eigvalsh(S.matrix)
         lo, hi = min(lo, lam[0]), max(hi, lam[-1])
-    span = max(hi - lo, 1.0)
-    return (lo - pad * span, hi + pad * span)
+    pad = 1e-6 * max(hi - lo, 1.0)
+    return (lo - pad, hi + pad)
 
 
 def _make_perturbation(S: GSO, kind: str, epsilon: float,
@@ -148,17 +150,6 @@ def quadratic_slack(reports) -> float:
     return max(q, 0.0)
 
 
-def _with_slack(raw) -> list:
-    """Give every report the fitted quadratic slack coefficient q and let
-    `satisfied` allow it: measured <= bound + q eps^2."""
-    q = quadratic_slack(raw)
-    return [
-        replace(r, slack_coefficient=q,
-                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
-        for r in raw
-    ]
-
-
 def linear_fit_r2(xs, ys):
     """Least-squares line fit; returns (slope, intercept, R^2)."""
     xs = np.asarray(xs, dtype=float)
@@ -172,28 +163,45 @@ def linear_fit_r2(xs, ys):
     return float(coef[0]), float(coef[1]), r2
 
 
-def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
-                                    epsilons, seeds) -> list:
-    """Measure filter distances under generated perturbations and compare to
-    the first-order bound. Returns one BoundReport per (epsilon, seed); all
-    reports share the fitted quadratic slack coefficient and `satisfied`
-    allows that slack."""
+def _bound_sweep(S: GSO, kind: str, epsilons, seeds, L: int,
+                 il_constant, distance) -> list:
+    """One BoundReport per (epsilon, seed) for an L-layer map on S, with C
+    = il_constant(spec) and the measured distance(spec, seed) of each drawn
+    perturbation spec. All reports share the fitted quadratic slack q, and
+    `satisfied` allows it: measured <= bound + q eps^2."""
     N = S.node_count
     raw = []
     for epsilon in epsilons:
         for seed in seeds:
             spec = _make_perturbation(S, kind, epsilon, seed)
-            interval = _spectral_interval(S, spec.perturbed)
-            check = integral_lipschitz_check(h, interval)
+            C = il_constant(spec)
             delta = spec_misalignment(spec).delta
-            measured = filter_distance(S, spec.perturbed, h, mode="identity")
-            bound = filter_stability_bound(check.C, delta, N, epsilon)
+            measured = distance(spec, seed)
+            bound = gnn_stability_bound(C, delta, N, epsilon, L)
             raw.append(BoundReport(
                 epsilon=float(epsilon), measured=measured, bound=bound,
-                C=check.C, delta=delta, L=1, N=N, satisfied=measured <= bound,
+                C=C, delta=delta, L=L, N=N, satisfied=measured <= bound,
                 seed=seed,
             ))
-    return _with_slack(raw)
+    q = quadratic_slack(raw)
+    return [
+        replace(r, slack_coefficient=q,
+                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
+        for r in raw
+    ]
+
+
+def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
+                                    epsilons, seeds) -> list:
+    """Measure filter distances under generated perturbations and compare to
+    the first-order bound (the L = 1 case of the GNN bound)."""
+    return _bound_sweep(
+        S, kind, epsilons, seeds, 1,
+        lambda spec: integral_lipschitz_check(
+            h, _spectral_interval(S, spec.perturbed)).C,
+        lambda spec, seed: filter_distance(S, spec.perturbed, h,
+                                           mode="identity"),
+    )
 
 
 def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
@@ -246,27 +254,20 @@ def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
 def empirical_gnn_distance_sweep(model: GNNModel, S: GSO, kind: str,
                                  epsilons, seeds, probe_count: int = 50,
                                  c_interval=None) -> list:
-    """GNN analogue of the filter sweep against the L-scaled bound."""
-    N = S.node_count
-    L = len(model.layers)
-    raw = []
-    for epsilon in epsilons:
-        for seed in seeds:
-            spec = _make_perturbation(S, kind, epsilon, seed)
-            interval = c_interval or _spectral_interval(S, spec.perturbed)
-            C = max(bank_il_constant(layer.taps, interval)
-                    for layer in model.layers)
-            delta = spec_misalignment(spec).delta
-            measured = empirical_gnn_distance(
-                model, S, spec.perturbed, probe_count=probe_count, seed=seed
-            )
-            bound = gnn_stability_bound(C, delta, N, epsilon, L)
-            raw.append(BoundReport(
-                epsilon=float(epsilon), measured=measured, bound=bound,
-                C=C, delta=delta, L=L, N=N, satisfied=measured <= bound,
-                seed=seed,
-            ))
-    return _with_slack(raw)
+    """GNN analogue of the filter sweep against the L-scaled bound; C is the
+    largest bank constant on c_interval (default: the spectra of S and the
+    perturbed S)."""
+
+    def il_constant(spec):
+        interval = c_interval or _spectral_interval(S, spec.perturbed)
+        return max(bank_il_constant(layer.taps, interval)
+                   for layer in model.layers)
+
+    return _bound_sweep(
+        S, kind, epsilons, seeds, len(model.layers), il_constant,
+        lambda spec, seed: empirical_gnn_distance(
+            model, S, spec.perturbed, probe_count=probe_count, seed=seed),
+    )
 
 
 def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
@@ -286,9 +287,7 @@ def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
     )
 
 
-def discriminability_tradeoff_demo(S: GSO, epsilon: float,
-                                   c_target: float = 0.2,
-                                   seed: int = 0,
+def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
                                    train_epochs: int = 400) -> TradeoffReport:
     """Show that sharp filters discriminate but destabilize under dilation,
     integral Lipschitz filters are stable but cannot separate the top two
@@ -320,7 +319,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
         vals = np.abs(frequency_response(taps, grid_points))
         return float(vals[-1] - vals[-2])
 
-    il = design_il_taps(interval, K=5, c_target=c_target)
+    il = design_il_taps(interval, K=5, c_target=0.2)
 
     # 1-layer relu GNN trained to tell the two eigenvectors apart
     node = int(np.argmax(np.abs(V[:, -1])))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphstab import cli
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
 
@@ -58,6 +59,26 @@ def test_verify_detects_injected_fault(capsys):
     assert main(["verify", "--quick", "--inject-fault"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", [["--quick", "--seed", "3"],
+                                  ["--seed", "6"]])
+def test_verify_skips_singular_round_trips(argv, capsys):
+    # these seeds draw a graph with an eigenvalue pair summing to zero, for
+    # which the error-matrix equation is singular
+    assert main(["verify", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "error-matrix round trip (1 singular skipped)" in out
+
+
+def test_verify_fails_when_every_round_trip_is_singular(monkeypatch, capsys):
+    def singular(S, S_hat):
+        raise cli.SingularEquationError("singular")
+
+    monkeypatch.setattr(cli, "solve_relative_error", singular)
+    assert main(["verify", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert "(10 singular skipped)  residual inf" in out
 
 
 def test_invariant_suite_structure():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphstab import (
+    GSO,
     GNNModel,
     LayerSpec,
     build_gso,
@@ -17,9 +18,11 @@ from graphstab import (
     relative_distance,
     spectral_norm,
 )
+from graphstab.filters import bank_apply, shift_stack
+from graphstab.graphs import graph_shift
 
 
-def bank_apply(S, bank, X):
+def bank_features(S, bank, X):
     """Features of a linear one-layer GNN: the bank applied to X."""
     bank = np.asarray(bank, dtype=float)
     model = GNNModel([LayerSpec(bank, "linear")], np.ones(bank.shape[1]),
@@ -60,20 +63,61 @@ def test_bank_degenerates_to_convolution(gso20):
     h = np.array([0.5, -0.3, 0.2])
     x = np.random.default_rng(5).standard_normal(20)
     bank = h[None, None, :]
-    assert np.allclose(bank_apply(gso20, bank, x[:, None])[:, 0],
+    assert np.allclose(bank_features(gso20, bank, x[:, None])[:, 0],
                        graph_convolution(gso20, h, x))
+
+
+def shift_loop_convolution(S, h, x):
+    """Oracle: the filter as a running sum over repeated shifts."""
+    z = np.asarray(x, dtype=float)
+    y = h[0] * z
+    for hk in h[1:]:
+        z = graph_shift(S, z)
+        y = y + hk * z
+    return y
+
+
+def test_convolution_matches_shift_loop_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for trial in range(40):
+        sparse = trial % 2 == 0  # single columns take the sparse shift path
+        n = int(rng.integers(40, 80) if sparse else rng.integers(2, 40))
+        S = build_gso(random_weighted_graph(n, trial, p=0.0 if sparse
+                                            else 0.5))
+        assert (S.nonzero_rows is not None) == sparse
+        h = rng.standard_normal(int(rng.integers(1, 6)))
+        for x in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            assert np.array_equal(graph_convolution(S, h, x),
+                                  shift_loop_convolution(S, h, x))
+
+
+def test_bank_adjoint_is_the_transposed_taps():
+    # <A x, y> = <x, A^T y>, where A^T is the bank with its feature axes
+    # transposed applied to the shift stack of y
+    rng = np.random.default_rng(16)
+    for n, f_in, f_out, K in ((12, 2, 3, 4), (30, 3, 1, 5), (7, 1, 1, 1)):
+        B = rng.standard_normal((n, n))
+        S = GSO((B + B.T) / 2)
+        taps = rng.standard_normal((f_in, f_out, K))
+        x = rng.standard_normal((n, f_in))
+        y = rng.standard_normal((n, f_out))
+        Ax = bank_apply(shift_stack(S, x, K), taps)
+        ATy = bank_apply(shift_stack(S, y, K), taps.transpose(1, 0, 2))
+        assert Ax.shape == y.shape and ATy.shape == x.shape
+        assert (abs(np.sum(Ax * y) - np.sum(x * ATy))
+                <= 1e-12 * np.linalg.norm(Ax) * np.linalg.norm(y))
 
 
 def test_zero_bank(gso20):
     X = np.random.default_rng(6).standard_normal((20, 3))
-    assert np.array_equal(bank_apply(gso20, np.zeros((3, 2, 4)), X),
+    assert np.array_equal(bank_features(gso20, np.zeros((3, 2, 4)), X),
                           np.zeros((20, 2)))
 
 
 def test_bank_sums_input_features(gso20):
     X = np.random.default_rng(7).standard_normal((20, 2))
     bank = np.ones((2, 1, 1))
-    assert np.allclose(bank_apply(gso20, bank, X)[:, 0], X.sum(axis=1))
+    assert np.allclose(bank_features(gso20, bank, X)[:, 0], X.sum(axis=1))
 
 
 def test_filter_matrix_consistent(gso20):

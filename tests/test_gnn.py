@@ -386,7 +386,7 @@ def test_sample_gradients_match_full_n(graph, dims, taps, acts):
     model = init_model(6, dims, taps, acts, node=7)
     for x, y in _sparse_samples(S.node_count, dims[0], count=5, seed=8):
         cache = forward(model, S, x)
-        tap_grads, g_w, g_b = sample_gradients(model, S, x, y, cache)
+        tap_grads, g_w, g_b = sample_gradients(model, S, y, cache)
         want_taps, want_w, want_b = _full_n_sample_gradients(model, S, y, cache)
         assert all(np.array_equal(a, b) for a, b in zip(tap_grads, want_taps))
         assert np.array_equal(g_w, want_w) and g_b == want_b

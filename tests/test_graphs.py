@@ -19,7 +19,7 @@ from graphstab import (
 )
 from graphstab.graphs import (
     hop_distances,
-    permutation_matrix,
+    validate_permutation,
 )
 
 from conftest import PATH3, make_ratings_file
@@ -252,18 +252,32 @@ def test_permute_swap_path(path3_adjacency):
     assert np.array_equal(out.matrix, expected)
 
 
+def dense_relabel(M, perm):
+    """Oracle: P^T M P with the 0/1 matrix P for which P x = x[perm]."""
+    P = np.eye(len(perm))[perm]
+    return P.T @ M @ P
+
+
 def test_permute_roundtrip_exact():
     S = build_gso(random_weighted_graph(9, seed=5))
     perm = np.random.default_rng(6).permutation(9)
     inverse = np.argsort(perm)
-    back = permute_gso(permute_gso(S, perm), inverse)
+    out = permute_gso(S, perm)
+    assert np.array_equal(out.matrix, dense_relabel(S.matrix, perm))
+    back = permute_gso(out, inverse)
     assert np.array_equal(back.matrix, S.matrix)
+    P = np.eye(9)[perm]
+    for x in (np.arange(9.0), np.arange(27.0).reshape(9, 3)):
+        assert np.array_equal(permute_signal(x, perm), P.T @ x)
+        assert np.array_equal(permute_signal(permute_signal(x, perm), inverse),
+                              x)
 
 
 def test_permute_preserves_entry_and_eigenvalue_multisets():
     S = build_gso(random_weighted_graph(12, seed=8))
     perm = np.random.default_rng(9).permutation(12)
     out = permute_gso(S, perm)
+    assert np.array_equal(out.matrix, dense_relabel(S.matrix, perm))
     assert np.allclose(np.sort(out.matrix.ravel()), np.sort(S.matrix.ravel()))
     assert np.allclose(np.sort(np.linalg.eigvalsh(out.matrix)),
                        np.sort(np.linalg.eigvalsh(S.matrix)), atol=1e-10)
@@ -271,9 +285,9 @@ def test_permute_preserves_entry_and_eigenvalue_multisets():
 
 def test_invalid_permutation_rejected():
     with pytest.raises(ValueError):
-        permutation_matrix(np.array([0, 0, 2]))
+        validate_permutation(np.array([0, 0, 2]), 3)
     with pytest.raises(ValueError):
-        permutation_matrix(np.array([0.5, 1.0]))
+        validate_permutation(np.array([0.5, 1.0]), 2)
 
 
 def test_hop_distances_ring_and_unreachable():
