@@ -18,11 +18,8 @@ from .spectral import (
     EigenSystem,
     bank_response,
     eigendecompose,
-    frequency_response,
     gft,
-    igft,
     integral_lipschitz_check,
-    response_derivative_scaled,
 )
 from .filters import (
     filter_distance,

@@ -36,7 +36,7 @@ from .graphs import (
 from .movielens import build_task, load_ratings, rmse
 from .perturbation import (SingularEquationError, random_relative_perturbation,
                            solve_relative_error)
-from .spectral import eigendecompose, frequency_response, gft
+from .spectral import bank_response, eigendecompose, gft
 from .stability import (
     design_il_taps,
     discriminability_tradeoff_demo,
@@ -374,7 +374,7 @@ def cmd_demo(args) -> int:
     h = design_il_taps(interval, K=5, c_target=1.0)
     grid = np.linspace(*interval, 400)
     _write_csv(out / "il_response.csv", header, ["lambda", "response"],
-               list(zip(grid, frequency_response(h, grid))))
+               list(zip(grid, bank_response(h, grid))))
     _write_csv(out / "eigenvalues.csv", header,
                ["index", "lambda", "lambda_dilated"],
                [(i, v, (1 + eps) * v) for i, v in enumerate(lam)])
@@ -412,10 +412,10 @@ def _render_plots(out: Path, lam, eps, grid, h) -> None:
     except ImportError:
         return
     fig, ax = plt.subplots(figsize=(6, 3))
-    ax.plot(grid, frequency_response(h, grid), "k-", label="IL response")
-    ax.stem(lam, np.abs(frequency_response(h, lam)), linefmt="b-",
+    ax.plot(grid, bank_response(h, grid), "k-", label="IL response")
+    ax.stem(lam, np.abs(bank_response(h, lam)), linefmt="b-",
             markerfmt="bo", basefmt=" ", label="eigenvalues")
-    ax.stem((1 + eps) * lam, np.abs(frequency_response(h, (1 + eps) * lam)),
+    ax.stem((1 + eps) * lam, np.abs(bank_response(h, (1 + eps) * lam)),
             linefmt="r-", markerfmt="rx", basefmt=" ",
             label="dilated eigenvalues")
     ax.set_xlabel("lambda")

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .graphs import GSO, graph_shift, relabel
+from .graphs import GSO, SYMMETRY_RTOL, graph_shift, relabel
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -51,11 +51,11 @@ def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Operator 2-norm; max |eigenvalue| for symmetric matrices."""
+    """Operator 2-norm; max |eigenvalue| if symmetric by the GSO's rule."""
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return 0.0
-    if np.allclose(A, A.T, atol=1e-12 * max(1.0, np.abs(A).max())):
+    if np.abs(A - A.T).max() <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
         return float(np.max(np.abs(np.linalg.eigvalsh((A + A.T) / 2.0))))
     return float(np.linalg.norm(A, 2))
 

@@ -114,6 +114,12 @@ class GSO:
         starts = np.flatnonzero(np.diff(r, prepend=-1))
         return r[starts], starts, cols, S[r, cols]
 
+    @cached_property
+    def eigensystem(self):
+        """spectral.eigendecompose of S, computed on first use."""
+        from .spectral import _decompose  # spectral imports this module
+        return _decompose(self.matrix)
+
 
 def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
     """Build a shift operator from a graph: adjacency, Laplacian or Markov.

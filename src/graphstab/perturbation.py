@@ -34,7 +34,6 @@ class PerturbationSpec:
     perturbed: GSO
     error: np.ndarray
     permutation: np.ndarray
-    epsilon: float
 
     def membership_residual(self) -> float:
         """||P^T S_hat P - S - (E S + S E)|| (spectral norm)."""
@@ -65,7 +64,6 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
         perturbed=GSO((1.0 + epsilon) * S.matrix, S.kind),
         error=(epsilon / 2.0) * np.eye(N),
         permutation=np.arange(N),
-        epsilon=float(abs(epsilon)),
     )
 
 
@@ -93,7 +91,6 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         perturbed=GSO(M + (P + P.T), S.kind),
         error=E,
         permutation=np.arange(N),
-        epsilon=float(epsilon),
     )
 
 

@@ -3,7 +3,8 @@ responses of polynomial graph filters.
 
 The frequency response of taps h is the polynomial h(lambda) = sum_k h_k
 lambda^k; its scaled derivative |lambda h'(lambda)| is what the integral
-Lipschitz condition bounds.
+Lipschitz condition bounds. `bank_response` is the one evaluator of both,
+for a tap vector and for an (F_in, F_out, K) filter bank alike.
 """
 
 from dataclasses import dataclass
@@ -40,12 +41,19 @@ def eigendecompose(S) -> EigenSystem:
     symmetric to within SYMMETRY_RTOL). Sign convention: the
     largest-magnitude entry of each eigenvector is made positive (first such
     entry among ties), so decompositions are deterministic up to degeneracy.
+    Each GSO is decomposed once and keeps the result, with read-only arrays.
     """
     if not isinstance(S, GSO):
         S = GSO(S)
-    lam, V = np.linalg.eigh(S.matrix)
+    return S.eigensystem
+
+
+def _decompose(M: np.ndarray) -> EigenSystem:
+    lam, V = np.linalg.eigh(M)
     flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
     V[:, flip] *= -1.0
+    V.setflags(write=False)
+    lam.setflags(write=False)
     return EigenSystem(V, lam)
 
 
@@ -57,67 +65,34 @@ def gft(V: np.ndarray, x: np.ndarray) -> np.ndarray:
     return V.T @ x
 
 
-def igft(V: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform V x~."""
-    xt = np.asarray(xt, dtype=float)
-    if xt.shape[0] != V.shape[1]:
-        raise ValueError("coefficients and eigenbasis sizes differ")
-    return V @ xt
-
-
-def frequency_response(h: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Evaluate h(lambda) = sum_k h_k lambda^k on a grid (Horner)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or h.size < 1:
-        raise ValueError("filter taps must be a nonempty 1-D array")
-    grid = np.asarray(grid, dtype=float)
-    out = np.full_like(grid, h[-1])
-    for hk in h[-2::-1]:
-        out = out * grid + hk
-    return out
-
-
 def bank_response(taps: np.ndarray, grid: np.ndarray,
                   derivative: bool = False) -> np.ndarray:
-    """Matrix response of an (F_in, F_out, K) filter bank on a grid.
+    """Response of taps of shape (..., K) on a grid of G points.
 
-    Returns shape (G, F_in, F_out): H(lambda) = sum_k taps[:, :, k] lambda^k
-    or, with derivative=True, the integral Lipschitz functional's matrix
-    lambda H'(lambda) = sum_k k taps[:, :, k] lambda^k.
+    Returns h(lambda) = sum_k taps[..., k] lambda^k or, with
+    derivative=True, the integral Lipschitz functional lambda h'(lambda) =
+    sum_k k taps[..., k] lambda^k, of shape (G, ...): (G,) for a tap vector
+    and (G, F_in, F_out) for an (F_in, F_out, K) filter bank.
     """
     taps = np.asarray(taps, dtype=float)
-    K = taps.shape[2]
+    K = taps.shape[-1]
     if derivative:
         taps = taps * np.arange(K, dtype=float)
     powers = np.asarray(grid, dtype=float)[:, None] ** np.arange(K)
-    return np.tensordot(powers, taps, axes=([1], [2]))
+    return np.tensordot(powers, taps, axes=([1], [taps.ndim - 1]))
 
 
-def response_derivative_scaled(h: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """|lambda h'(lambda)| on a grid; the integral Lipschitz functional."""
-    h = np.asarray(h, dtype=float)
-    grid = np.asarray(grid, dtype=float)
-    if h.size == 1:
-        return np.zeros_like(grid)
-    dh = h[1:] * np.arange(1, h.size)
-    return np.abs(grid * frequency_response(dh, grid))
-
-
-def integral_lipschitz_check(
-    h: np.ndarray, interval, grid_size: int = 1001
-) -> ILCheck:
+def integral_lipschitz_check(h: np.ndarray, interval) -> ILCheck:
     """Estimate the integral Lipschitz constant of taps h on an interval.
 
-    Uses the derivative form |lambda h'(lambda)| <= C on a uniform grid
+    Uses the derivative form |lambda h'(lambda)| <= C on a 1001-point grid
     rather than the pairwise midpoint form; the two are equivalent in the
     limit and the derivative form is what the training penalty uses.
     """
     lam_a, lam_b = float(interval[0]), float(interval[1])
     if not lam_a < lam_b:
         raise ValueError(f"empty interval [{lam_a}, {lam_b}]")
-    if grid_size < 2:
-        raise ValueError("grid_size must be at least 2")
-    grid = np.linspace(lam_a, lam_b, grid_size)
-    C = float(np.max(response_derivative_scaled(h, grid)))
-    bounded = bool(np.max(np.abs(frequency_response(h, grid))) <= 1.0)
+    grid = np.linspace(lam_a, lam_b, 1001)
+    C = float(np.max(np.abs(bank_response(h, grid, derivative=True))))
+    bounded = bool(np.max(np.abs(bank_response(h, grid))) <= 1.0)
     return ILCheck(C=C, bounded=bounded)

@@ -29,7 +29,6 @@ from .perturbation import (
 from .spectral import (
     bank_response,
     eigendecompose,
-    frequency_response,
     gft,
     integral_lipschitz_check,
 )
@@ -106,7 +105,7 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
     check = integral_lipschitz_check(taps, (a, b))
     if check.C > c_target > 0:
         taps = taps * (c_target / check.C)
-    peak = np.max(np.abs(frequency_response(taps, grid)))
+    peak = np.max(np.abs(bank_response(taps, grid)))
     if peak > 1.0:
         taps = taps / peak
     return taps
@@ -312,11 +311,11 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
     target = np.zeros(N)
     target[-1] = 1.0
     sharp, residual, *_ = np.linalg.lstsq(vand, target, rcond=None)
-    resp = frequency_response(sharp, lam)
+    resp = bank_response(sharp, lam)
     feasible = bool(resp[-1] >= 0.9 and abs(resp[-2]) <= 0.1)
 
     def margin(taps, grid_points):
-        vals = np.abs(frequency_response(taps, grid_points))
+        vals = np.abs(bank_response(taps, grid_points))
         return float(vals[-1] - vals[-2])
 
     il = design_il_taps(interval, K=5, c_target=0.2)

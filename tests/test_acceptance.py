@@ -15,6 +15,7 @@ from graphstab import (
     Graph,
     SingularEquationError,
     TrainConfig,
+    bank_response,
     build_gso,
     build_task,
     edge_dilation,
@@ -23,7 +24,6 @@ from graphstab import (
     empirical_gnn_distance_sweep,
     forward,
     frequency_mixing_demo,
-    frequency_response,
     gft,
     graph_convolution,
     init_model,
@@ -93,7 +93,7 @@ def test_spectral_correctness_50_cases():
         assert abs(np.linalg.norm(gft(V, x)) - np.linalg.norm(x)) <= 1e-10
         h = rng.standard_normal(4)
         lhs = gft(V, graph_convolution(S, h, x))
-        rhs = frequency_response(h, lam) * gft(V, x)
+        rhs = bank_response(h, lam) * gft(V, x)
         assert np.linalg.norm(lhs - rhs) <= 1e-8
 
 

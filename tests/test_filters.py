@@ -5,12 +5,12 @@ from graphstab import (
     GSO,
     GNNModel,
     LayerSpec,
+    bank_response,
     build_gso,
     eigendecompose,
     filter_distance,
     filter_matrix,
     forward,
-    frequency_response,
     graph_convolution,
     permute_gso,
     permute_signal,
@@ -53,7 +53,7 @@ def test_convolution_matches_spectral_form():
     h = np.random.default_rng(3).standard_normal(5)
     x = np.random.default_rng(4).standard_normal(14)
     spectral = eig.eigenvectors @ (
-        frequency_response(h, eig.eigenvalues)
+        bank_response(h, eig.eigenvalues)
         * (eig.eigenvectors.T @ x)
     )
     assert np.allclose(graph_convolution(S, h, x), spectral, atol=1e-8)
@@ -132,6 +132,14 @@ def test_spectral_norm_symmetric_vs_svd():
     sym = (A + A.T) / 2
     assert spectral_norm(sym) == pytest.approx(np.linalg.norm(sym, 2))
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2))
+
+
+def test_spectral_norm_of_slightly_asymmetric_matrix():
+    # 1e-6 relative asymmetry is far above the GSO's symmetry tolerance, so
+    # this is the 2-norm, not the eigenvalue of the symmetrized matrix
+    A = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
+    assert spectral_norm(A) == pytest.approx(1.000001, rel=1e-12)
+    assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
 
 def test_distance_zero_for_equal(gso20):

@@ -29,7 +29,7 @@ def test_dilation_error_matrix(gso20):
     spec = edge_dilation(gso20, 0.08)
     assert np.array_equal(spec.error, 0.04 * np.eye(20))
     assert spectral_norm(spec.error) == pytest.approx(0.04)
-    assert spectral_norm(spec.error) <= spec.epsilon
+    assert spectral_norm(spec.error) <= 0.08
 
 
 def test_dilation_scales_eigenvalues(gso20):

@@ -5,19 +5,26 @@ from hypothesis import strategies as st
 
 from graphstab import (
     GSO,
+    bank_response,
     build_gso,
     eigendecompose,
-    frequency_response,
     gft,
     graph_convolution,
-    igft,
     integral_lipschitz_check,
     permute_gso,
     random_weighted_graph,
-    response_derivative_scaled,
+    relative_distance,
 )
 from graphstab.cli import _write_csv
 from graphstab.stability import design_il_taps
+
+
+def horner(h, grid):
+    """Reference h(lambda) = sum_k h_k lambda^k by Horner's rule."""
+    out = np.full_like(grid, h[-1])
+    for hk in h[-2::-1]:
+        out = out * grid + hk
+    return out
 
 
 def test_eigendecompose_identity():
@@ -52,6 +59,29 @@ def test_eigendecompose_rejects_asymmetric():
         eigendecompose(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
+def test_eigendecompose_runs_once_per_gso(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(M):
+        calls.append(M)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    S = build_gso(random_weighted_graph(6, seed=2))
+    eig = eigendecompose(S)
+    assert eigendecompose(S) is eig and len(calls) == 1
+    with pytest.raises(ValueError):
+        eig.eigenvectors[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        eig.eigenvalues[0] = 0.0
+    # the brute-force search solves against S once per permutation, and
+    # every solve reuses the one decomposition of S
+    S_hat = permute_gso(S, np.array([1, 0, 2, 3, 4, 5]))
+    assert relative_distance(S, S_hat, "brute_force") <= 1e-9
+    assert len(calls) == 1
+
+
 def test_eigendecompose_permutation_consistent():
     S = build_gso(random_weighted_graph(12, seed=4))
     perm = np.random.default_rng(5).permutation(12)
@@ -77,7 +107,7 @@ def test_gft_roundtrip_and_parseval():
     S = build_gso(random_weighted_graph(16, seed=6))
     V = eigendecompose(S).eigenvectors
     x = np.random.default_rng(7).standard_normal(16)
-    assert np.allclose(igft(V, gft(V, x)), x, atol=1e-10)
+    assert np.allclose(V @ gft(V, x), x, atol=1e-10)
     assert abs(np.linalg.norm(gft(V, x)) - np.linalg.norm(x)) < 1e-10
 
 
@@ -92,16 +122,42 @@ def test_parseval_property(seed):
 
 def test_frequency_response_constant():
     grid = np.linspace(-3, 3, 11)
-    assert np.allclose(frequency_response([0.7], grid), 0.7)
+    assert np.allclose(bank_response([0.7], grid), 0.7)
 
 
 def test_frequency_response_pure_shift():
     grid = np.linspace(-3, 3, 11)
-    assert np.allclose(frequency_response([0.0, 1.0], grid), grid)
+    assert np.allclose(bank_response([0.0, 1.0], grid), grid)
 
 
 def test_frequency_response_hand_value():
-    assert frequency_response([1.0, 2.0, 3.0], np.array([2.0]))[0] == 17.0
+    assert bank_response([1.0, 2.0, 3.0], np.array([2.0]))[0] == 17.0
+
+
+def test_bank_response_of_tap_vectors_matches_horner():
+    rng = np.random.default_rng(12)
+    grid = np.linspace(-2.5, 2.5, 101)
+    for K in range(1, 9):
+        h = rng.standard_normal(K)
+        value = bank_response(h, grid)
+        assert value.shape == grid.shape
+        assert np.allclose(value, horner(h, grid), rtol=1e-12, atol=1e-12)
+        dh = np.append(h[1:] * np.arange(1, K), 0.0)  # h' with a zero pad
+        assert np.allclose(bank_response(h, grid, derivative=True),
+                           grid * horner(dh, grid),
+                           rtol=1e-12, atol=1e-12)
+
+
+def test_bank_response_of_a_bank_is_one_tensordot():
+    # the training penalty contracts banks this way; its bits are pinned
+    taps = np.random.default_rng(13).standard_normal((3, 4, 5))
+    grid = np.linspace(-1.7, 2.3, 57)
+    powers = grid[:, None] ** np.arange(5)
+    assert np.array_equal(bank_response(taps, grid),
+                          np.tensordot(powers, taps, axes=([1], [2])))
+    assert np.array_equal(bank_response(taps, grid, derivative=True),
+                          np.tensordot(powers, taps * np.arange(5.0),
+                                       axes=([1], [2])))
 
 
 def test_filter_diagonalization():
@@ -111,33 +167,33 @@ def test_filter_diagonalization():
     h = np.random.default_rng(9).standard_normal(4)
     x = np.random.default_rng(10).standard_normal(12)
     lhs = gft(eig.eigenvectors, graph_convolution(S, h, x))
-    rhs = frequency_response(h, eig.eigenvalues) * gft(eig.eigenvectors, x)
+    rhs = bank_response(h, eig.eigenvalues) * gft(eig.eigenvectors, x)
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
 def test_response_derivative_scaled_constant():
-    assert np.allclose(response_derivative_scaled([0.5], np.linspace(-2, 2, 9)),
-                       0.0)
+    out = bank_response([0.5], np.linspace(-2, 2, 9), derivative=True)
+    assert np.allclose(out, 0.0)
 
 
 def test_response_derivative_scaled_shift():
-    out = response_derivative_scaled([0.0, 1.0], np.array([0.0, 2.0]))
+    out = bank_response([0.0, 1.0], np.array([0.0, 2.0]), derivative=True)
     assert np.allclose(out, [0.0, 2.0])
-    assert out.max() == 2.0
+    assert np.abs(out).max() == 2.0
 
 
 def test_response_derivative_scaled_quadratic():
-    out = response_derivative_scaled([0.0, 0.0, 1.0], np.array([1.0]))
+    out = bank_response([0.0, 0.0, 1.0], np.array([1.0]), derivative=True)
     assert out[0] == pytest.approx(2.0)
 
 
 def test_response_derivative_matches_finite_difference():
     h = np.random.default_rng(11).standard_normal(5)
     grid = np.linspace(-2.0, 2.0, 21)
-    analytic = response_derivative_scaled(h, grid)
+    analytic = bank_response(h, grid, derivative=True)
     delta = 1e-6
-    fd = np.abs(grid * (frequency_response(h, grid + delta)
-                        - frequency_response(h, grid - delta)) / (2 * delta))
+    fd = grid * (bank_response(h, grid + delta)
+                 - bank_response(h, grid - delta)) / (2 * delta)
     assert np.allclose(analytic, fd, rtol=1e-4, atol=1e-10)
 
 
@@ -153,11 +209,12 @@ def test_integral_lipschitz_shift_grows_with_interval():
 
 def test_integral_lipschitz_grid_refinement():
     taps = design_il_taps((-3.0, 3.0), K=5, c_target=1.0)
-    coarse = integral_lipschitz_check(taps, (-3.0, 3.0), grid_size=1001)
-    fine = integral_lipschitz_check(taps, (-3.0, 3.0), grid_size=10001)
+    coarse = integral_lipschitz_check(taps, (-3.0, 3.0))
+    fine = np.abs(bank_response(taps, np.linspace(-3.0, 3.0, 10001),
+                                derivative=True)).max()
     assert coarse.bounded
     assert np.isfinite(coarse.C)
-    assert abs(fine.C - coarse.C) <= 0.05 * fine.C
+    assert abs(fine - coarse.C) <= 0.05 * fine
 
 
 def test_integral_lipschitz_empty_interval():
@@ -169,7 +226,7 @@ def test_response_csv(tmp_path):
     grid = np.linspace(0, 1, 5)
     path = tmp_path / "resp.csv"
     _write_csv(path, [], ["lambda", "value"],
-               list(zip(grid, frequency_response([1.0, 1.0], grid))))
+               list(zip(grid, bank_response([1.0, 1.0], grid))))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,value"
     assert len(lines) == 6

@@ -19,11 +19,7 @@ from graphstab import (
     spectral_norm,
 )
 from graphstab.cli import _write_csv
-from graphstab.spectral import (
-    bank_response,
-    frequency_response,
-    response_derivative_scaled,
-)
+from graphstab.spectral import bank_response
 from graphstab.stability import (
     bank_il_constant,
     design_il_taps,
@@ -60,7 +56,7 @@ def test_design_il_taps_meets_targets():
     check = integral_lipschitz_check(taps, interval)
     assert check.C <= 1.0 + 1e-9
     grid = np.linspace(*interval, 1001)
-    assert np.max(np.abs(frequency_response(taps, grid))) <= 1.0 + 1e-9
+    assert np.max(np.abs(bank_response(taps, grid))) <= 1.0 + 1e-9
 
 
 def test_bank_constants_match_scalar_case():
@@ -71,9 +67,9 @@ def test_bank_constants_match_scalar_case():
     grid = np.linspace(-2.0, 2.0, 1001)
     response = bank_response(bank, grid)
     assert response.shape == (1001, 1, 1)
-    assert np.allclose(response[:, 0, 0], frequency_response(taps, grid))
+    assert np.allclose(response[:, 0, 0], bank_response(taps, grid))
     scaled = bank_response(bank, grid, derivative=True)[:, 0, 0]
-    assert np.allclose(np.abs(scaled), response_derivative_scaled(taps, grid))
+    assert np.allclose(scaled, bank_response(taps, grid, derivative=True))
 
 
 def test_il_layer_respects_constraints():
