@@ -28,7 +28,6 @@ from .filters import (
     spectral_norm,
 )
 from .perturbation import (
-    Misalignment,
     PerturbationSpec,
     SingularEquationError,
     edge_dilation,

@@ -1,11 +1,11 @@
 """Graph convolutions, filter banks and filter distances.
 
-Every polynomial in S is one shift stack [x, Sx, ..., S^(K-1) x], built by
-repeated shifting (never by forming matrix powers, matching the distributed
-K-1-exchange semantics of the operation), and one contraction with the
-taps: a tap vector for a graph convolution, an (F_in, F_out, K) array for a
-filter bank. Since S is symmetric, a bank's adjoint is the same contraction
-with the taps' feature axes transposed.
+Every polynomial in S applied to a signal is one shift stack [x, Sx, ...,
+S^(K-1) x], built by repeated shifting (never by forming matrix powers,
+matching the distributed K-1-exchange semantics of the operation), and one
+contraction with the taps: a tap vector for a graph convolution, an
+(F_in, F_out, K) array for a filter bank. Since S is symmetric, a bank's
+adjoint is the same contraction with the taps' feature axes transposed.
 """
 
 import itertools
@@ -13,15 +13,21 @@ import itertools
 import numpy as np
 
 from .graphs import GSO, SYMMETRY_RTOL, graph_shift, relabel
+from .spectral import bank_response, eigendecompose
 
 BRUTE_FORCE_MAX_NODES = 8
 
 
-def graph_convolution(S: GSO, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the polynomial filter with taps h to signal x."""
+def _tap_vector(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.ndim != 1 or h.size < 1:
         raise ValueError("filter taps must be a nonempty 1-D array")
+    return h
+
+
+def graph_convolution(S: GSO, h: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply the polynomial filter with taps h to signal x."""
+    h = _tap_vector(h)
     return np.einsum("k,k...->...", h, shift_stack(S, x, h.size))
 
 
@@ -46,8 +52,11 @@ def bank_apply(shifts: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
-    """Dense matrix H(S) = sum_k h_k S^k (for analysis, not filtering)."""
-    return graph_convolution(S, h, np.eye(S.node_count))
+    """Dense matrix H(S) = sum_k h_k S^k (for analysis, not filtering),
+    built in the eigenbasis of S as V diag(h(lambda)) V^T."""
+    eig = eigendecompose(S)
+    V = eig.eigenvectors
+    return (V * bank_response(_tap_vector(h), eig.eigenvalues)) @ V.T
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -264,8 +264,7 @@ def random_weighted_graph(n: int, seed: int | None = None,
         W[a, b] = W[b, a] = rng.uniform(0.1, 1.0)
     mask = rng.random((n, n)) < p
     weights = rng.uniform(0.1, 1.0, (n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mask[i, j] and W[i, j] == 0:
-                W[i, j] = W[j, i] = weights[i, j]
+    add = np.triu(mask & (W == 0), 1)
+    W[add] = weights[add]
+    W.T[add] = weights[add]
     return Graph(W)

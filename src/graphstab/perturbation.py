@@ -33,21 +33,12 @@ class PerturbationSpec:
     original: GSO
     perturbed: GSO
     error: np.ndarray
-    permutation: np.ndarray
 
     def membership_residual(self) -> float:
-        """||P^T S_hat P - S - (E S + S E)|| (spectral norm)."""
+        """||S_hat - S - (E S + S E)|| (spectral norm)."""
         S = self.original.matrix
         E = self.error
-        return spectral_norm(relabel(self.perturbed.matrix, self.permutation)
-                             - S - (E @ S + S @ E))
-
-
-@dataclass(frozen=True)
-class Misalignment:
-    """Eigenvector basis misalignment delta = (||U - V|| + 1)^2 - 1."""
-
-    delta: float
+        return spectral_norm(self.perturbed.matrix - S - (E @ S + S @ E))
 
 
 def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
@@ -63,7 +54,6 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
         original=S,
         perturbed=GSO((1.0 + epsilon) * S.matrix, S.kind),
         error=(epsilon / 2.0) * np.eye(N),
-        permutation=np.arange(N),
     )
 
 
@@ -90,7 +80,6 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         original=S,
         perturbed=GSO(M + (P + P.T), S.kind),
         error=E,
-        permutation=np.arange(N),
     )
 
 
@@ -171,7 +160,7 @@ def match_eigenbases(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return matched
 
 
-def misalignment(U: np.ndarray, V: np.ndarray) -> Misalignment:
+def misalignment(U: np.ndarray, V: np.ndarray) -> float:
     """delta = (||U - V|| + 1)^2 - 1 after greedy column matching of U to V."""
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -182,11 +171,11 @@ def misalignment(U: np.ndarray, V: np.ndarray) -> Misalignment:
         if not np.allclose(B.T @ B, eye, atol=1e-8):
             raise ValueError(f"{name} is not orthonormal")
     gap = spectral_norm(match_eigenbases(U, V) - V)
-    return Misalignment(delta=float((gap + 1.0) ** 2 - 1.0))
+    return float((gap + 1.0) ** 2 - 1.0)
 
 
-def spec_misalignment(spec: PerturbationSpec) -> Misalignment:
-    """Misalignment between the eigenbases of a spec's error matrix and GSO.
+def spec_misalignment(spec: PerturbationSpec) -> float:
+    """Eigenbasis misalignment delta of a spec's error matrix against its GSO.
 
     For error matrices proportional to the identity any basis is an
     eigenbasis, so U is taken equal to V and delta is exactly 0.
@@ -196,6 +185,6 @@ def spec_misalignment(spec: PerturbationSpec) -> Misalignment:
     off = E - (np.trace(E) / N) * np.eye(N)
     V = eigendecompose(spec.original).eigenvectors
     if np.abs(off).max() <= 1e-14 * max(1.0, np.abs(E).max()):
-        return Misalignment(delta=0.0)
+        return 0.0
     U = eigendecompose(E).eigenvectors
     return misalignment(U, V)

@@ -7,12 +7,10 @@ The central quantity is the first-order stability bound
 
 where C is the integral Lipschitz constant of the filters and delta the
 misalignment between the eigenbases of the error matrix and the GSO. Sweeps
-compare this bound against measured filter / GNN output distances; the
-second-order residue is reported separately as a fitted quadratic slack
-coefficient, since the bound's O(epsilon^2) constant is unspecified.
+compare this bound against measured filter / GNN output distances.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +43,6 @@ class BoundReport:
     N: int
     satisfied: bool
     seed: int = 0
-    slack_coefficient: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -58,9 +55,6 @@ class MixingReport:
 @dataclass(frozen=True)
 class TradeoffReport:
     feasible: bool
-    sharp_taps: np.ndarray | None
-    il_taps: np.ndarray
-    il_constant: float
     sharp_margin_original: float
     sharp_margin_dilated: float
     il_margin_original: float
@@ -125,7 +119,7 @@ def _spectral_interval(*gsos):
     each side by 1e-6 * max(span, 1)."""
     lo, hi = np.inf, -np.inf
     for S in gsos:
-        lam = np.linalg.eigvalsh(S.matrix)
+        lam = eigendecompose(S).eigenvalues
         lo, hi = min(lo, lam[0]), max(hi, lam[-1])
     pad = 1e-6 * max(hi - lo, 1.0)
     return (lo - pad, hi + pad)
@@ -138,15 +132,6 @@ def _make_perturbation(S: GSO, kind: str, epsilon: float,
     if kind == "relative":
         return random_relative_perturbation(S, epsilon, seed)
     raise ValueError(f"unknown perturbation kind {kind!r}")
-
-
-def quadratic_slack(reports) -> float:
-    """Smallest q >= 0 with measured <= bound + q eps^2 at every point."""
-    q = 0.0
-    for r in reports:
-        if r.epsilon > 0:
-            q = max(q, (r.measured - r.bound) / r.epsilon ** 2)
-    return max(q, 0.0)
 
 
 def linear_fit_r2(xs, ys):
@@ -166,28 +151,22 @@ def _bound_sweep(S: GSO, kind: str, epsilons, seeds, L: int,
                  il_constant, distance) -> list:
     """One BoundReport per (epsilon, seed) for an L-layer map on S, with C
     = il_constant(spec) and the measured distance(spec, seed) of each drawn
-    perturbation spec. All reports share the fitted quadratic slack q, and
-    `satisfied` allows it: measured <= bound + q eps^2."""
+    perturbation spec; `satisfied` is measured <= bound."""
     N = S.node_count
-    raw = []
+    reports = []
     for epsilon in epsilons:
         for seed in seeds:
             spec = _make_perturbation(S, kind, epsilon, seed)
             C = il_constant(spec)
-            delta = spec_misalignment(spec).delta
+            delta = spec_misalignment(spec)
             measured = distance(spec, seed)
             bound = gnn_stability_bound(C, delta, N, epsilon, L)
-            raw.append(BoundReport(
+            reports.append(BoundReport(
                 epsilon=float(epsilon), measured=measured, bound=bound,
                 C=C, delta=delta, L=L, N=N, satisfied=measured <= bound,
                 seed=seed,
             ))
-    q = quadratic_slack(raw)
-    return [
-        replace(r, slack_coefficient=q,
-                satisfied=r.measured <= r.bound + q * r.epsilon ** 2 + 1e-12)
-        for r in raw
-    ]
+    return reports
 
 
 def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
@@ -335,9 +314,6 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
 
     return TradeoffReport(
         feasible=feasible,
-        sharp_taps=sharp if feasible else None,
-        il_taps=il,
-        il_constant=integral_lipschitz_check(il, interval).C,
         sharp_margin_original=margin(sharp, lam),
         sharp_margin_dilated=margin(sharp, dilated),
         il_margin_original=margin(il, lam),

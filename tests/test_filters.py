@@ -127,6 +127,22 @@ def test_filter_matrix_consistent(gso20):
                        graph_convolution(gso20, h, x), atol=1e-10)
 
 
+@pytest.mark.parametrize("p", [1.0, 0.0])
+def test_filter_matrix_matches_shifted_identity(p):
+    # oracle: the filter applied to each column of the identity by shifting
+    S = build_gso(random_weighted_graph(15, seed=4, p=p))
+    h = np.array([0.3, -1.0, 0.5, 0.25, -0.125])
+    oracle = graph_convolution(S, h, np.eye(15))
+    H = filter_matrix(S, h)
+    assert np.abs(H - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("h", [[], np.ones((1, 1, 3))])
+def test_filter_distance_rejects_non_vector_taps(gso20, h):
+    with pytest.raises(ValueError, match="1-D"):
+        filter_distance(gso20, gso20, h)
+
+
 def test_spectral_norm_symmetric_vs_svd():
     A = np.random.default_rng(9).standard_normal((10, 10))
     sym = (A + A.T) / 2

@@ -109,7 +109,7 @@ def test_relative_distance_permuted_brute_force():
 
 def test_misalignment_identity():
     V = eigendecompose(build_gso(random_weighted_graph(8, 3))).eigenvectors
-    assert misalignment(V, V).delta == pytest.approx(0.0, abs=1e-12)
+    assert misalignment(V, V) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_misalignment_rotation_hand_value():
@@ -121,14 +121,14 @@ def test_misalignment_rotation_hand_value():
     U[:2, :2] = [[np.cos(theta), -np.sin(theta)],
                  [np.sin(theta), np.cos(theta)]]
     gap = 2 * np.sin(theta / 2)
-    assert misalignment(U, V).delta == pytest.approx((gap + 1) ** 2 - 1)
+    assert misalignment(U, V) == pytest.approx((gap + 1) ** 2 - 1)
 
 
 def test_misalignment_matching_handles_sign_and_order():
     V = eigendecompose(build_gso(random_weighted_graph(7, 4))).eigenvectors
     U = V[:, ::-1] * np.array([1, -1, 1, -1, 1, -1, 1])
     assert np.allclose(match_eigenbases(U, V), V)
-    assert misalignment(U, V).delta == pytest.approx(0.0, abs=1e-12)
+    assert misalignment(U, V) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_misalignment_rejects_nonorthonormal():
@@ -138,7 +138,7 @@ def test_misalignment_rejects_nonorthonormal():
 
 def test_dilation_misalignment_zero(gso20):
     spec = edge_dilation(gso20, 0.1)
-    assert spec_misalignment(spec).delta == 0.0
+    assert spec_misalignment(spec) == 0.0
 
 
 def test_roundtrip_many_random_specs():

@@ -26,7 +26,6 @@ from graphstab.stability import (
     discriminability_tradeoff_demo,
     il_layer,
     linear_fit_r2,
-    quadratic_slack,
 )
 
 
@@ -80,14 +79,7 @@ def test_il_layer_respects_constraints():
     assert np.linalg.norm(response, 2, axis=(1, 2)).max() <= 1.0 + 1e-9
 
 
-def test_quadratic_slack_and_fit():
-    from graphstab.stability import BoundReport
-
-    reports = [
-        BoundReport(0.1, 0.21, 0.2, 1, 0, 1, 4, False),
-        BoundReport(0.2, 0.1, 0.4, 1, 0, 1, 4, True),
-    ]
-    assert quadratic_slack(reports) == pytest.approx(1.0)
+def test_linear_fit_r2():
     slope, intercept, r2 = linear_fit_r2([0, 1, 2], [1, 3, 5])
     assert slope == pytest.approx(2.0)
     assert intercept == pytest.approx(1.0)
@@ -110,6 +102,24 @@ def test_filter_sweep_relative_satisfied(gso20):
     )
     assert all(r.satisfied for r in reports)
     assert all(r.measured >= 0 for r in reports)
+
+
+def test_filter_sweep_decomposes_each_gso_once(gso20, monkeypatch):
+    # S is decomposed once for the whole sweep; each point decomposes its
+    # S_hat (interval and H(S_hat)) and its E (misalignment), and takes two
+    # norms of symmetric matrices (scaling E, ||H(S) - H(S_hat)||)
+    taps = design_il_taps((-2.5, 2.5), K=5, c_target=1.0)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(np.linalg, name, counted)
+    reports = empirical_filter_distance_sweep(
+        gso20, taps, "relative", [0.02, 0.05, 0.1], range(2)
+    )
+    assert len(reports) == 6
+    assert calls == {"eigh": 1 + 2 * 6, "eigvalsh": 2 * 6}
 
 
 def test_pure_shift_filter_instability(gso20):
@@ -151,6 +161,21 @@ def test_gnn_sweep_satisfied(gso20):
     )
     assert all(r.satisfied for r in reports)
     assert all(r.L == 2 for r in reports)
+
+
+def test_gnn_sweep_fails_with_understated_constant(gso20):
+    # C taken on a tiny interval understates the constant on the spectrum
+    # by orders of magnitude, so the bound falls below the measured distance
+    interval = (-2.5, 2.5)
+    layers = [il_layer(1, 2, 4, interval, 0.8, seed=2),
+              il_layer(2, 1, 4, interval, 0.8, seed=3)]
+    model = GNNModel(layers, np.ones(1), 0.0, 0)
+    for kind in ("dilation", "relative"):
+        reports = empirical_gnn_distance_sweep(
+            model, gso20, kind, [0.02, 0.05, 0.1], range(2),
+            probe_count=30, c_interval=(-1e-3, 1e-3),
+        )
+        assert not any(r.satisfied for r in reports), kind
 
 
 def test_frequency_mixing_relu_on_laplacian():
