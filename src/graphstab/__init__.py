@@ -18,6 +18,7 @@ from .spectral import (
     EigenSystem,
     bank_response,
     eigendecompose,
+    extreme_eigenvalues,
     gft,
     integral_lipschitz_check,
 )

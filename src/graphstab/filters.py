@@ -13,7 +13,8 @@ import itertools
 import numpy as np
 
 from .graphs import GSO, SYMMETRY_RTOL, graph_shift, relabel
-from .spectral import bank_response, eigendecompose
+from .spectral import (LANCZOS_MIN_SIZE, bank_response, eigendecompose,
+                       extreme_eigenvalues)
 
 BRUTE_FORCE_MAX_NODES = 8
 
@@ -60,13 +61,26 @@ def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Operator 2-norm; max |eigenvalue| if symmetric by the GSO's rule."""
+    """Operator 2-norm; max |eigenvalue| if symmetric by the GSO's rule.
+
+    A matrix symmetric to within SYMMETRY_RTOL is averaged with its
+    transpose (an exactly symmetric one is taken as it is, since the
+    average equals it bit for bit). Its eigenvalues come from eigvalsh below LANCZOS_MIN_SIZE rows
+    and from Lanczos (`spectral.extreme_eigenvalues`) from there on; any
+    other matrix takes np.linalg.norm(A, 2).
+    """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return 0.0
-    if np.abs(A - A.T).max() <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
-        return float(np.max(np.abs(np.linalg.eigvalsh((A + A.T) / 2.0))))
-    return float(np.linalg.norm(A, 2))
+    if not np.array_equal(A, A.T):
+        asym = np.abs(A - A.T).max()
+        if not asym <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
+            return float(np.linalg.norm(A, 2))
+        A = (A + A.T) / 2.0
+    if A.shape[0] < LANCZOS_MIN_SIZE:
+        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+    lam_min, lam_max = extreme_eigenvalues(A)
+    return max(-lam_min, lam_max)
 
 
 def filter_distance(S: GSO, S_hat: GSO, h: np.ndarray,

@@ -9,6 +9,7 @@ at the target node as the label, zeroes that entry, and builds the GSO from
 training users only.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +73,39 @@ class TaskSplit:
 def load_ratings(path) -> RatingsMatrix:
     """Parse a MovieLens-100k `u.data` file.
 
-    Layout: tab-separated `user_id item_id rating timestamp`, 1-indexed ids.
-    Duplicate (user, movie) pairs keep the rating with the latest timestamp.
+    Layout: whitespace-separated `user_id item_id rating timestamp`, one
+    rating per line, 1-indexed ids; blank lines are skipped. Duplicate
+    (user, movie) pairs keep the rating with the latest timestamp, and the
+    later line among equal timestamps. The file is read in one pass by
+    np.loadtxt; if that fails, or a rating is outside 1..MAX_RATING, it is
+    read again line by line to name the first bad line.
     """
-    records = {}
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty file
+            data = np.loadtxt(path, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        data = None
+    if (data is None or data.shape[1] != 4
+            or np.any((data[:, 2] < 1) | (data[:, 2] > MAX_RATING))):
+        data = _parse_lines(path)
+    # a stable sort by (user, item, timestamp) puts the rating each pair
+    # keeps last in its run
+    user, item, rating, _ = data[np.lexsort(data[:, [3, 1, 0]].T)].T
+    last = np.ones(user.size, dtype=bool)
+    last[:-1] = (user[1:] != user[:-1]) | (item[1:] != item[:-1])
+    user_ids, u_index = np.unique(user[last], return_inverse=True)
+    movie_ids, m_index = np.unique(item[last], return_inverse=True)
+    matrix = np.zeros((user_ids.size, movie_ids.size))
+    matrix[u_index, m_index] = rating[last]
+    return RatingsMatrix(matrix=matrix, user_ids=tuple(user_ids.tolist()),
+                         movie_ids=tuple(movie_ids.tolist()))
+
+
+def _parse_lines(path) -> np.ndarray:
+    """The four integer fields of each nonblank line of a `u.data` file,
+    read one line at a time; raises ValueError naming the first bad line."""
+    rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -87,27 +117,18 @@ def load_ratings(path) -> RatingsMatrix:
                     f"got {len(parts)}"
                 )
             try:
-                user, item, rating, ts = (int(p) for p in parts)
+                fields = [int(p) for p in parts]
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: non-integer field in {line!r}"
                 )
-            if not 1 <= rating <= MAX_RATING:
+            if not 1 <= fields[2] <= MAX_RATING:
                 raise ValueError(
-                    f"{path}: line {lineno}: rating {rating} outside "
+                    f"{path}: line {lineno}: rating {fields[2]} outside "
                     f"1..{MAX_RATING}"
                 )
-            key = (user, item)
-            if key not in records or ts >= records[key][1]:
-                records[key] = (rating, ts)
-    user_ids = tuple(sorted({u for u, _ in records}))
-    movie_ids = tuple(sorted({m for _, m in records}))
-    u_index = {u: i for i, u in enumerate(user_ids)}
-    m_index = {m: j for j, m in enumerate(movie_ids)}
-    matrix = np.zeros((len(user_ids), len(movie_ids)))
-    for (user, item), (rating, _) in records.items():
-        matrix[u_index[user], m_index[item]] = rating
-    return RatingsMatrix(matrix=matrix, user_ids=user_ids, movie_ids=movie_ids)
+            rows.append(fields)
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
 def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:

@@ -73,9 +73,18 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     else:
         E *= target / spectral_norm(E)
     # E and M are symmetric, so M E = (E M)^T, and adding the symmetric
-    # P + P^T keeps S_hat exactly symmetric
+    # P + P^T keeps S_hat exactly symmetric. On a sparse S the product is
+    # taken as M E instead, row by row over the nonzeros of M rather than by
+    # a dense GEMM; it is the transpose of E M, so the sum is the same.
     M = S.matrix
-    P = E @ M
+    csr = S.nonzero_rows
+    if csr is None:
+        P = E @ M
+    else:
+        rows, starts, cols, vals = csr
+        P = np.zeros((N, N))
+        for i, a, b in zip(rows, starts, np.append(starts[1:], cols.size)):
+            P[i] = vals[a:b] @ E[cols[a:b]]
     return PerturbationSpec(
         original=S,
         perturbed=GSO(M + (P + P.T), S.kind),

@@ -158,6 +158,21 @@ def test_spectral_norm_of_slightly_asymmetric_matrix():
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [512, 900])
+def test_spectral_norm_by_lanczos_matches_the_2_norm(n):
+    A = np.random.default_rng(n).standard_normal((n, n))
+    sym = (A + A.T) / 2
+    assert spectral_norm(sym) == pytest.approx(np.linalg.norm(sym, 2),
+                                               rel=1e-10)
+    # within SYMMETRY_RTOL of symmetric: the norm of the averaged matrix
+    almost = sym.copy()
+    almost[0, 1] += 1e-13 * np.abs(sym).max()
+    assert not np.array_equal(almost, almost.T)
+    assert spectral_norm(almost) == pytest.approx(
+        np.linalg.norm(almost, 2), rel=1e-10)
+    assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+
 def test_distance_zero_for_equal(gso20):
     assert filter_distance(gso20, gso20, [1.0, 0.5]) == 0.0
 

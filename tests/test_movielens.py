@@ -60,6 +60,65 @@ def test_load_skips_blank_lines(tmp_path):
     assert load_ratings(path).rating_count == 2
 
 
+def load_ratings_by_line(path):
+    """Reference parser: one line at a time into a dict keyed by (user,
+    movie), keeping the latest timestamp and the later line on a tie."""
+    records = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 4:
+                raise ValueError(f"line {lineno}: expected 4 fields")
+            user, item, rating, ts = (int(p) for p in parts)
+            if not 1 <= rating <= 5:
+                raise ValueError(f"line {lineno}: rating outside 1..5")
+            key = (user, item)
+            if key not in records or ts >= records[key][1]:
+                records[key] = (rating, ts)
+    user_ids = tuple(sorted({u for u, _ in records}))
+    movie_ids = tuple(sorted({m for _, m in records}))
+    u_index = {u: i for i, u in enumerate(user_ids)}
+    m_index = {m: j for j, m in enumerate(movie_ids)}
+    matrix = np.zeros((len(user_ids), len(movie_ids)))
+    for (user, item), (rating, _) in records.items():
+        matrix[u_index[user], m_index[item]] = rating
+    return RatingsMatrix(matrix=matrix, user_ids=user_ids, movie_ids=movie_ids)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_load_matches_the_line_by_line_parser(tmp_path, seed):
+    # shuffled lines with duplicate pairs, equal timestamps among them,
+    # blank lines and mixed whitespace
+    rng = np.random.default_rng(seed)
+    n = 600
+    fields = np.column_stack([rng.integers(1, 30, n), rng.integers(1, 20, n),
+                              rng.integers(1, 6, n), rng.integers(0, 4, n)])
+    lines = ["\t".join(map(str, row)) for row in fields]
+    lines[::7] = [line.replace("\t", "  ") for line in lines[::7]]
+    for at in rng.integers(0, len(lines), 10):
+        lines.insert(int(at), "" if at % 2 else "   ")
+    path = tmp_path / "u.data"
+    path.write_text("\n".join(lines) + "\n")
+    got, want = load_ratings(path), load_ratings_by_line(path)
+    assert got.user_ids == want.user_ids
+    assert got.movie_ids == want.movie_ids
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("3\t30\t5", "expected 4"),
+    ("3\t30\t5.0\t300", "non-integer"),
+    ("3\t30\t0\t300", "outside 1..5"),
+])
+def test_load_names_the_first_bad_line(tmp_path, bad, message):
+    path = tmp_path / "u.data"
+    path.write_text(f"1\t10\t5\t100\n\n{bad}\n4\t40\t9\t400\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+        load_ratings(path)
+
+
 @pytest.mark.parametrize("bad", [2.5, -1.0, 6.0, np.nan])
 def test_ratings_matrix_rejects_non_rating_entries(bad):
     with pytest.raises(ValueError, match="integers in 0..5"):

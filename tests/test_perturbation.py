@@ -5,8 +5,10 @@ from graphstab import (
     Graph,
     SingularEquationError,
     build_gso,
+    build_task,
     edge_dilation,
     eigendecompose,
+    load_ratings,
     misalignment,
     permute_gso,
     random_relative_perturbation,
@@ -17,6 +19,8 @@ from graphstab import (
 )
 from graphstab.perturbation import match_eigenbases, spec_misalignment
 from graphstab.stability import linear_fit_r2
+
+from conftest import make_ratings_file
 
 
 def test_dilation_zero_epsilon(gso20):
@@ -149,3 +153,21 @@ def test_roundtrip_many_random_specs():
         spec = random_relative_perturbation(S, 0.05, int(rng.integers(2**31)))
         E = solve_relative_error(S, spec.perturbed)
         assert np.abs(E - spec.error).max() <= 1e-8
+
+
+def test_random_perturbation_of_a_sparse_movie_graph(tmp_path):
+    # a k-NN movie graph large enough for the Lanczos norm and sparse
+    # enough for the product over the nonzeros of S
+    path = make_ratings_file(tmp_path / "u.data", users=400, movies=600)
+    S = build_task(load_ratings(path), target_item_id=7).gso
+    assert S.node_count >= 512 and S.nonzero_rows is not None
+    eps = 0.1
+    spec = random_relative_perturbation(S, eps, seed=3)
+    M, E, S_hat = S.matrix, spec.error, spec.perturbed.matrix
+    assert np.abs(S_hat - (M + E @ M + M @ E)).max() <= 1e-13
+    assert np.array_equal(S_hat, S_hat.T)
+    norm = np.abs(np.linalg.eigvalsh(E)).max()
+    assert eps / 2 <= norm <= eps * (1 + 1e-10)
+    again = random_relative_perturbation(S, eps, seed=3)
+    assert again.perturbed.matrix.tobytes() == S_hat.tobytes()
+    assert again.error.tobytes() == E.tobytes()

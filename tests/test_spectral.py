@@ -8,6 +8,7 @@ from graphstab import (
     bank_response,
     build_gso,
     eigendecompose,
+    extreme_eigenvalues,
     gft,
     graph_convolution,
     integral_lipschitz_check,
@@ -80,6 +81,63 @@ def test_eigendecompose_runs_once_per_gso(monkeypatch):
     S_hat = permute_gso(S, np.array([1, 0, 2, 3, 4, 5]))
     assert relative_distance(S, S_hat, "brute_force") <= 1e-9
     assert len(calls) == 1
+
+
+def assert_extremes_match_eigvalsh(A):
+    lam = np.linalg.eigvalsh(A)
+    lam_min, lam_max = extreme_eigenvalues(A)
+    scale = max(np.abs(lam).max(), 1e-300)
+    assert abs(lam_min - lam[0]) <= 1e-10 * scale
+    assert abs(lam_max - lam[-1]) <= 1e-10 * scale
+
+
+def gaussian_symmetric(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return (A + A.T) / 2.0
+
+
+@pytest.mark.parametrize("n", [600, 1682])
+def test_extreme_eigenvalues_of_symmetrized_gaussians(n):
+    assert_extremes_match_eigvalsh(gaussian_symmetric(n, seed=n))
+
+
+def test_extreme_eigenvalues_repeat_for_equal_inputs():
+    A = gaussian_symmetric(600, seed=1)
+    assert extreme_eigenvalues(A) == extreme_eigenvalues(A.copy())
+
+
+def test_extreme_eigenvalues_with_repeated_extremes():
+    # Q diag(lam) Q^T with the smallest and largest eigenvalues each 3-fold
+    n = 200
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(-1.0, 2.0, n)
+    lam[:3], lam[3:6] = -1.5, 2.5
+    A = (Q * lam) @ Q.T
+    assert_extremes_match_eigvalsh((A + A.T) / 2.0)
+
+
+def test_extreme_eigenvalues_of_rank_one_break_down_early():
+    v = np.random.default_rng(4).standard_normal(300)
+    A = np.outer(v, v)
+    assert_extremes_match_eigvalsh(A)
+    lam_min, lam_max = extreme_eigenvalues(A)
+    assert lam_max == pytest.approx(v @ v, rel=1e-12)
+    assert abs(lam_min) <= 1e-12 * (v @ v)
+
+
+def test_extreme_eigenvalues_of_trivial_matrices():
+    assert extreme_eigenvalues(np.zeros((50, 50))) == (0.0, 0.0)
+    assert extreme_eigenvalues(np.array([[-3.5]])) == (-3.5, -3.5)
+    with pytest.raises(ValueError, match="square"):
+        extreme_eigenvalues(np.zeros((2, 3)))
+
+
+def test_extreme_eigenvalues_with_dominant_negative_end():
+    A = gaussian_symmetric(400, seed=6) - 30.0 * np.eye(400)
+    lam_min, lam_max = extreme_eigenvalues(A)
+    assert -lam_min > abs(lam_max)
+    assert_extremes_match_eigvalsh(A)
 
 
 def test_eigendecompose_permutation_consistent():
