@@ -93,6 +93,16 @@ def _evaluate(model, gso, samples):
     return rmse(preds, labels)
 
 
+def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed):
+    """Test RMSE of model on the task built for movie_id, with the model's
+    readout moved to that movie. The task is dropped on return, so a sweep
+    never holds one task while it builds the next."""
+    task = build_task(ratings, target_item_id=movie_id,
+                      train_fraction=train_fraction, seed=split_seed)
+    model.node = task.target_index
+    return _evaluate(model, task.gso, task.test)
+
+
 def _train_one_split(ratings, args, split_seed, mu, out: Path):
     task = build_task(ratings, target_item_id=args.movie_id,
                       train_fraction=args.train_fraction, seed=split_seed)
@@ -151,12 +161,9 @@ def cmd_transfer(args) -> int:
         for movie_id in movie_ids:
             per_split = []
             for split_seed in summary["seeds"]:
-                task = build_task(ratings, target_item_id=movie_id,
-                                  train_fraction=summary["train_fraction"],
-                                  seed=split_seed)
-                model = models[mu_key, split_seed]
-                model.node = task.target_index
-                per_split.append(_evaluate(model, task.gso, task.test))
+                per_split.append(_evaluate_on_task(
+                    models[mu_key, split_seed], ratings, movie_id,
+                    summary["train_fraction"], split_seed))
             mean, std = _mean_std(per_split)
             degradation = 100.0 * (mean - baseline) / baseline
             rows.append((mu_key, movie_id, mean, std, degradation))
@@ -186,12 +193,13 @@ def cmd_perturb_sweep(args) -> int:
         base = _evaluate(model, task.gso, task.test)
         for eps in args.epsilon:
             for draw in range(args.draws):
-                spec = random_relative_perturbation(
+                # only S_hat is kept, and only while it is evaluated
+                perturbed = _evaluate(model, random_relative_perturbation(
                     task.gso, eps, seed=1000 * split_seed + draw
-                )
-                perturbed = _evaluate(model, spec.perturbed, task.test)
+                ).perturbed, task.test)
                 rows.append((mu_key, split_seed, eps, draw,
                              base, perturbed, perturbed - base))
+        del task  # before the next model's task is built
     _write_csv(out / "perturb_sweep.csv", _header_lines(args),
                ["mu", "split_seed", "epsilon", "draw", "rmse_base",
                 "rmse_perturbed", "rmse_difference"], rows)
@@ -203,7 +211,12 @@ def _print_sweep_summary(rows):
     by_mu_eps = {}
     for mu, _, eps, _, _, _, diff in rows:
         by_mu_eps.setdefault((mu, eps), []).append(diff)
-    for (mu, eps), diffs in sorted(by_mu_eps.items()):
+    # mu is a key of train_summary.json, a string: order it as a number
+    def order(item):
+        (mu, eps), _ = item
+        return float(mu), eps
+
+    for (mu, eps), diffs in sorted(by_mu_eps.items(), key=order):
         print(f"mu={mu} eps={eps}: mean RMSE difference "
               f"{statistics.fmean(diffs):+.4f}")
 
@@ -212,16 +225,11 @@ def cmd_split_sweep(args) -> int:
     out, summary, ratings, models = _load_run(args)
     rows = []
     for (mu_key, split_seed), model in models.items():
-        trained_task = build_task(
-            ratings, target_item_id=summary["movie_id"],
-            train_fraction=summary["train_fraction"], seed=split_seed
-        )
-        base = _evaluate(model, trained_task.gso, trained_task.test)
+        base = _evaluate_on_task(model, ratings, summary["movie_id"],
+                                 summary["train_fraction"], split_seed)
         for ratio in args.splits:
-            task = build_task(ratings, target_item_id=summary["movie_id"],
-                              train_fraction=ratio, seed=split_seed)
-            model.node = task.target_index
-            perturbed = _evaluate(model, task.gso, task.test)
+            perturbed = _evaluate_on_task(model, ratings, summary["movie_id"],
+                                          ratio, split_seed)
             rows.append((mu_key, split_seed, ratio, base, perturbed,
                          perturbed - base))
     _write_csv(out / "split_sweep.csv", _header_lines(args),

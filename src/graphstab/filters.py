@@ -65,9 +65,10 @@ def spectral_norm(A: np.ndarray) -> float:
 
     A matrix symmetric to within SYMMETRY_RTOL is averaged with its
     transpose (an exactly symmetric one is taken as it is, since the
-    average equals it bit for bit). Its eigenvalues come from eigvalsh below LANCZOS_MIN_SIZE rows
-    and from Lanczos (`spectral.extreme_eigenvalues`) from there on; any
-    other matrix takes np.linalg.norm(A, 2).
+    average equals it bit for bit). Its eigenvalues come from eigvalsh
+    below LANCZOS_MIN_SIZE rows and from Lanczos
+    (`spectral.extreme_eigenvalues`) from there on; any other matrix takes
+    np.linalg.norm(A, 2).
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:

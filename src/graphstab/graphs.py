@@ -25,6 +25,10 @@ SPARSE_MAX_DENSITY = 1 / 16
 # a GSO must equal its transpose to within this share of max(1, max|S|)
 SYMMETRY_RTOL = 1e-12
 
+# side of the square tiles over which the symmetric N x N element-wise work
+# (Pearson tail, k-NN selection and symmetrization, perturbation draws) runs
+_TILE = 128
+
 
 class DegenerateGraphError(ValueError):
     """Raised when a graph cannot support the requested operation
@@ -193,12 +197,35 @@ def hop_distances(S: GSO, source: int, max_hops: int) -> np.ndarray:
     return dist
 
 
+def _mirror_tiles(out: np.ndarray, tile_of) -> np.ndarray:
+    """Fill the N x N array `out` with a symmetric result, one pair of
+    _TILE-sided tiles (I, J >= I) at a time, and return it.
+
+    The new array tile_of(I, J) is written to out[I, J] and, transposed, to
+    out[J, I]; so each pair of mirrored elements is computed once. tile_of
+    may read out[I, J] and out[J, I], which are written after it returns.
+    The last block of rows and columns may be shorter than _TILE.
+    """
+    N = out.shape[0]
+    blocks = [slice(a, min(a + _TILE, N)) for a in range(0, N, _TILE)]
+    for b, I in enumerate(blocks):
+        for J in blocks[b:]:
+            tile = tile_of(I, J)
+            out[I, J] = tile
+            out[J, I] = tile.T
+    return out
+
+
 def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
     """Keep each row's k largest off-diagonal weights, then symmetrize.
 
     Symmetrization keeps the average edge weight over the two directions,
     treating a dropped direction as 0. Ties on equal weights are broken by
     lower column index for determinism.
+
+    The rows are selected _TILE rows at a time, and the kept weights are
+    symmetrized in place by `_mirror_tiles` as (k_ij + k_ji) * 0.5, so the
+    output is the only N x N array made.
     """
     W = np.asarray(W, dtype=float)
     N = W.shape[0]
@@ -206,23 +233,25 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in (0, {N}), got {k}")
     if not np.isfinite(W).all():
         raise ValueError("weights must be finite")
-    # each row keeps every off-diagonal weight above its k-th largest, then
-    # fills up to k with the lowest-index weights equal to it
-    part = W.copy()
-    np.fill_diagonal(part, -np.inf)
-    part.partition(N - k, axis=1)
-    kth = part[:, N - k, None].copy()
-    del part
-    above = W > kth
-    tie = W == kth
-    np.fill_diagonal(above, False)
-    np.fill_diagonal(tie, False)
-    need = k - np.count_nonzero(above, axis=1)[:, None]
-    keep = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
-    kept = np.where(keep, W, 0.0)
-    out = kept + kept.T
-    out *= 0.5
-    return out
+    kept = np.empty((N, N))
+    for a in range(0, N, _TILE):
+        # each row keeps every off-diagonal weight above its k-th largest,
+        # then fills up to k with the lowest-index weights equal to it
+        rows = W[a:a + _TILE]
+        diag = (np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0]))
+        part = rows.copy()
+        part[diag] = -np.inf
+        part.partition(N - k, axis=1)
+        kth = part[:, N - k, None].copy()
+        del part
+        above = rows > kth
+        tie = rows == kth
+        above[diag] = False
+        tie[diag] = False
+        need = k - np.count_nonzero(above, axis=1)[:, None]
+        keep = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
+        kept[a:a + _TILE] = np.where(keep, rows, 0.0)
+    return _mirror_tiles(kept, lambda I, J: (kept[I, J] + kept[J, I].T) * 0.5)
 
 
 def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:

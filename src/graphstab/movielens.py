@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GSO, Graph, build_gso, knn_sparsify
+from .graphs import GSO, Graph, _mirror_tiles, build_gso, knn_sparsify
 
 MIN_COMMON_RATERS = 2
 DEFAULT_KNN = 10
@@ -139,10 +139,13 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
     per pair to the users that rated both movies (no global mean-centering).
 
     The sums are sums of integer ratings. While U * MAX_RATING**2 stays below
-    2**24 they are computed exactly in single precision (in any order), so
-    the result has the bits of a double-precision computation. corr[i, j]
-    and corr[j, i] come from the same operations on commuted operands, so
-    the result is exactly symmetric.
+    2**24 they are computed exactly in single precision (in any order) and
+    kept so; each tile is widened to double precision on its own, so the
+    result has the bits of a double-precision computation. The element-wise
+    tail runs one tile pair (I, J >= I) at a time in `graphs._mirror_tiles`:
+    tile [I, J] is computed once and written to [I, J] and, transposed, to
+    [J, I]. The mirror is exact, since corr[j, i] is the same operations on
+    commuted operands, so the result is exactly symmetric.
     """
     user_subset = np.asarray(list(user_subset), dtype=int)
     if user_subset.size == 0:
@@ -150,28 +153,45 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
     exact32 = user_subset.size * MAX_RATING ** 2 < _FLOAT32_EXACT
     R = ratings.matrix[user_subset].astype(np.float32 if exact32 else float)
     B = (R > 0).astype(R.dtype)                # (U, M)
-    n = (B.T @ B).astype(float)                # co-rater counts
-    sum_i = (R.T @ B).astype(float)            # sum of movie-i ratings over co-raters with j
-    sum_sq = ((R * R).T @ B).astype(float)
-    cross = (R.T @ R).astype(float)
-    # the elementwise tail works in place; nonfinite ratios and pairs with
-    # too few co-raters become 0
+    # co-rater counts; sums of movie-i ratings (and of their squares) over
+    # the co-raters of movie j; cross products
+    n = B.T @ B
+    sum_i = R.T @ B
+    sum_sq = (R * R).T @ B
+    cross = R.T @ R
+    del R, B
+    corr = _mirror_tiles(np.empty(n.shape), lambda I, J: _pearson_tile(
+        n[I, J], sum_i[I, J], sum_i[J, I].T, sum_sq[I, J], sum_sq[J, I].T,
+        cross[I, J]))
+    del n, sum_i, sum_sq, cross
+    np.fill_diagonal(corr, 0.0)
+    return Graph(corr)
+
+
+def _pearson_tile(n, sum_i, sum_j, sq_i, sq_j, cross) -> np.ndarray:
+    """Pearson weights of one tile from its co-rater sums, each given as a
+    tile of the same shape (sum_j and sq_j are the mirrored tiles of sum_i
+    and sum_sq, transposed); works in double precision and in place.
+    Nonfinite ratios and pairs with too few co-raters become 0."""
+    n, sum_i, sum_j = (a.astype(float) for a in (n, sum_i, sum_j))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cov = sum_i * sum_i.T
+        cov = sum_i * sum_j
         cov /= n
-        corr = np.subtract(cross, cov, out=cov)
-        var_i = np.square(sum_i)
+        corr = np.subtract(cross.astype(float), cov, out=cov)
+        var_i = np.square(sum_i, out=sum_i)
         var_i /= n
-        np.subtract(sum_sq, var_i, out=var_i)
-        scale = var_i * var_i.T
+        np.subtract(sq_i.astype(float), var_i, out=var_i)
+        var_j = np.square(sum_j, out=sum_j)
+        var_j /= n
+        np.subtract(sq_j.astype(float), var_j, out=var_j)
+        scale = np.multiply(var_i, var_j, out=var_i)
         np.sqrt(scale, out=scale)
         corr /= scale
     zero = ~np.isfinite(corr)
     zero |= n < MIN_COMMON_RATERS
     np.copyto(corr, 0.0, where=zero)
     np.clip(corr, 0.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 0.0)
-    return Graph(corr)
+    return corr
 
 
 def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filters import _brute_force_min, spectral_norm
-from .graphs import GSO, relabel
+from .graphs import GSO, _mirror_tiles, relabel
 from .spectral import eigendecompose
 
 MEMBERSHIP_TOL = 1e-8
@@ -60,16 +60,22 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
 def random_relative_perturbation(S: GSO, epsilon: float,
                                  seed: int | None = None) -> PerturbationSpec:
     """Draw a random symmetric E with ||E|| uniform in [eps/2, eps] and set
-    S_hat = S + E S + S E. By construction d(S, S_hat) <= epsilon."""
+    S_hat = S + E S + S E. By construction d(S, S_hat) <= epsilon.
+
+    E = (A + A^T) / 2 is formed in the buffer of the Gaussian draw A, and
+    S_hat = M + (P + P^T) in the buffer of the product P, by
+    `graphs._mirror_tiles`: each mirrored element would be the same sum of
+    commuted operands, so it is copied, and both come out exactly symmetric.
+    """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     N = S.node_count
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((N, N))
-    E = (A + A.T) / 2.0
+    E = rng.standard_normal((N, N))
+    _mirror_tiles(E, lambda I, J: (E[I, J] + E[J, I].T) / 2.0)
     target = rng.uniform(epsilon / 2.0, epsilon)
     if epsilon == 0:
-        E = np.zeros((N, N))
+        E[...] = 0.0
     else:
         E *= target / spectral_norm(E)
     # E and M are symmetric, so M E = (E M)^T, and adding the symmetric
@@ -85,11 +91,8 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         P = np.zeros((N, N))
         for i, a, b in zip(rows, starts, np.append(starts[1:], cols.size)):
             P[i] = vals[a:b] @ E[cols[a:b]]
-    return PerturbationSpec(
-        original=S,
-        perturbed=GSO(M + (P + P.T), S.kind),
-        error=E,
-    )
+    _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
+    return PerturbationSpec(original=S, perturbed=GSO(P, S.kind), error=E)
 
 
 def solve_relative_error(S: GSO, S_hat: GSO,

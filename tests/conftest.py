@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,15 @@ def movielens_data_path():
         if c and Path(c).is_file():
             return Path(c)
     return None
+
+
+def traced_peak(f, *args) -> int:
+    """Peak bytes that f(*args) holds (its result included) beyond what was
+    allocated when it was called, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

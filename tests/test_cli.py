@@ -145,6 +145,17 @@ def test_perturb_sweep(trained_dir, ratings_file, tmp_path):
     assert len(rows) == 1 + 2 * 2 * 1 * 2  # mus x seeds x epsilons x draws
 
 
+def test_sweep_summary_orders_mu_as_numbers(capsys):
+    # mu comes as a string key of train_summary.json; "10.0" < "2.0"
+    rows = [(mu, 0, eps, 0, 1.0, 1.25, 0.25)
+            for mu in ("10.0", "2.0", "0.5") for eps in (0.1, 0.05)]
+    cli._print_sweep_summary(rows)
+    lines = capsys.readouterr().out.splitlines()
+    heads = [line.split(":")[0] for line in lines]
+    assert heads == [f"mu={mu} eps={eps}" for mu in ("0.5", "2.0", "10.0")
+                     for eps in (0.05, 0.1)]
+
+
 def test_split_sweep(trained_dir, ratings_file, tmp_path):
     out = tmp_path / "splits"
     assert main([

@@ -22,7 +22,7 @@ from graphstab.graphs import (
     validate_permutation,
 )
 
-from conftest import PATH3, make_ratings_file
+from conftest import PATH3, make_ratings_file, traced_peak
 
 
 def test_graph_rejects_self_loops_and_negative_weights():
@@ -229,6 +229,29 @@ def test_knn_matches_per_row_sort(tmp_path, k, weights):
     out, expected = knn_sparsify(W, k), knn_oracle(W, k)
     assert np.array_equal(out, expected)
     assert out.tobytes() == expected.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("k", [1, 10, 150, 299])
+@pytest.mark.parametrize("weights", ["ties", "pearson"])
+def test_knn_across_tiles_matches_per_row_sort(tmp_path, k, weights):
+    # 300 nodes: two full 128-row tiles and a ragged third, so selection
+    # blocks and mirrored tiles meet at every kind of boundary
+    if weights == "ties":
+        W = tie_heavy_weights(n=300, seed=12)
+    else:
+        path = make_ratings_file(tmp_path / "u.data", users=400, movies=300)
+        W = pearson_graph(load_ratings(path), range(400)).weights
+        assert np.count_nonzero(W[:128, 128:]) > 0
+    out, expected = knn_sparsify(W, k), knn_oracle(W, k)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_knn_memory_within_budget():
+    # rows are selected a block at a time and symmetrized in place, so the
+    # output is the only N x N array
+    N = 600
+    W = tie_heavy_weights(n=N, seed=13)
+    assert traced_peak(knn_sparsify, W, 10) <= 1.5 * N * N * 8
 
 
 def test_knn_rejects_non_finite_weights():

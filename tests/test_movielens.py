@@ -10,7 +10,7 @@ from graphstab import (
 )
 from graphstab.cli import main
 
-from conftest import make_ratings_file
+from conftest import make_ratings_file, traced_peak
 
 
 def ratings_from_matrix(matrix):
@@ -201,6 +201,38 @@ def test_pearson_matches_double_precision_reference(tmp_path, users):
     expected = pearson_oracle(ratings.matrix[list(users)])
     assert np.count_nonzero(W) > 0
     assert W.tobytes() == expected.tobytes()
+
+
+def random_ratings(users, movies, seed, density=0.3):
+    """Uniform ratings at the given density, with an unrated movie and a
+    movie of one rater on each side of the 128-movie tile boundary."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(1, 6, (users, movies))
+    matrix[rng.random((users, movies)) >= density] = 0
+    matrix[:, [127, 129]] = 0
+    matrix[0, [128, movies - 1]] = 3
+    matrix[1:, [128, movies - 1]] = 0
+    return ratings_from_matrix(matrix)
+
+
+@pytest.mark.parametrize("movies", [256, 300])
+@pytest.mark.parametrize("users", [range(150), range(1, 150, 2)])
+def test_pearson_across_tiles_matches_reference(movies, users):
+    # two full tiles, and at 300 movies a ragged third: a slip at a tile
+    # boundary or in the mirrored half shows against the full reference
+    ratings = random_ratings(150, movies, seed=movies)
+    W = pearson_graph(ratings, users).weights
+    expected = pearson_oracle(ratings.matrix[list(users)])
+    assert np.count_nonzero(W[:128, 128:]) > 0
+    assert W.tobytes() == expected.tobytes()
+
+
+def test_pearson_memory_within_budget():
+    # the co-rater sums stay in single precision and the double-precision
+    # tail runs tile by tile: 4 float32 sums and the output are 3 N^2 doubles
+    N = 600
+    ratings = random_ratings(150, N, seed=1)
+    assert traced_peak(pearson_graph, ratings, range(150)) <= 3.5 * N * N * 8
 
 
 def test_build_task_split_invariants(ratings_file):

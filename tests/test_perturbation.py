@@ -8,6 +8,7 @@ from graphstab import (
     build_task,
     edge_dilation,
     eigendecompose,
+    knn_sparsify,
     load_ratings,
     misalignment,
     permute_gso,
@@ -20,7 +21,7 @@ from graphstab import (
 from graphstab.perturbation import match_eigenbases, spec_misalignment
 from graphstab.stability import linear_fit_r2
 
-from conftest import make_ratings_file
+from conftest import make_ratings_file, traced_peak
 
 
 def test_dilation_zero_epsilon(gso20):
@@ -171,3 +172,44 @@ def test_random_perturbation_of_a_sparse_movie_graph(tmp_path):
     again = random_relative_perturbation(S, eps, seed=3)
     assert again.perturbed.matrix.tobytes() == S_hat.tobytes()
     assert again.error.tobytes() == E.tobytes()
+
+
+def tiled_gso(n, sparse):
+    """A GSO over two full 128-node tiles and a ragged one: a random graph,
+    dense, or its 3-NN pruning, sparse enough for the row-wise product."""
+    W = random_weighted_graph(n, seed=4).weights
+    S = build_gso(Graph(knn_sparsify(W, 3) if sparse else W))
+    assert (S.nonzero_rows is not None) == sparse
+    return S
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_random_perturbation_across_tiles_matches_reference(sparse):
+    N, eps, seed = 300, 0.1, 5
+    S = tiled_gso(N, sparse)
+    spec = random_relative_perturbation(S, eps, seed)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((N, N))
+    E = (A + A.T) / 2.0
+    E *= rng.uniform(eps / 2.0, eps) / spectral_norm(E)
+    assert spec.error.tobytes() == E.tobytes()
+    M = S.matrix
+    if sparse:  # M E row by row over the nonzeros of M
+        P = np.zeros((N, N))
+        for i in range(N):
+            nz = np.flatnonzero(M[i])
+            P[i] = M[i, nz] @ E[nz]
+    else:
+        P = E @ M
+    assert spec.perturbed.matrix.tobytes() == (M + (P + P.T)).tobytes()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_random_perturbation_memory_within_budget(sparse):
+    # E is formed in the draw's buffer and S_hat in the product's, so E, the
+    # product and the GSO's own copy of S_hat are the N x N arrays at the
+    # peak; the Lanczos basis of the norm (N x N, at N >= 512) comes earlier
+    N = 600
+    S = tiled_gso(N, sparse)
+    assert traced_peak(random_relative_perturbation, S, 0.1, 3) \
+        <= 3.5 * N * N * 8
