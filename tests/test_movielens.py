@@ -204,8 +204,9 @@ def test_pearson_matches_double_precision_reference(tmp_path, users):
 
 
 def random_ratings(users, movies, seed, density=0.3):
-    """Uniform ratings at the given density, with an unrated movie and a
-    movie of one rater on each side of the 128-movie tile boundary."""
+    """Uniform ratings at the given density. Movies 127 and 129 are unrated
+    and movies 128 and the last are rated by user 0 alone, so pairs without
+    co-raters sit at the first 128-movie tile boundary and at the edge."""
     rng = np.random.default_rng(seed)
     matrix = rng.integers(1, 6, (users, movies))
     matrix[rng.random((users, movies)) >= density] = 0
