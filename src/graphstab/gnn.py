@@ -155,6 +155,15 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     if not 0 <= model.node < S.node_count:
         raise ValueError(f"readout node {model.node} is not one of the "
                          f"{S.node_count} nodes")
+    if first_layer_shifts is not None:
+        want = (model.layers[0].taps.shape[2], S.node_count,
+                model.input_features)
+        if np.shape(first_layer_shifts) != want:
+            raise ValueError(
+                f"first-layer shift stack of shape "
+                f"{np.shape(first_layer_shifts)} does not match "
+                f"(K, N, F_0) = {want}"
+            )
     cache = ForwardCache(prediction=0.0)
     feat = x
     for i, layer in enumerate(model.layers):

@@ -202,8 +202,12 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     Only users who rated the target participate. The split is a seeded
     shuffle; the graph (Pearson correlations, k-NN pruned, symmetrized) is
     estimated from training users only. Every signal has its target entry
-    zeroed, with the removed rating as the label.
+    zeroed, with the removed rating as the label. train_fraction must lie
+    in (0, 1]; at 1 the test set is empty.
     """
+    if not 0 < train_fraction <= 1:
+        raise ValueError(
+            f"train fraction {train_fraction} is outside (0, 1]")
     n = ratings.movie_index(target_item_id)
     raters = np.flatnonzero(ratings.matrix[:, n] > 0)
     if raters.size < 10:

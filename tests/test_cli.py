@@ -224,3 +224,95 @@ def test_checkpoint_node_outside_graph_exits_2(trained_dir, ratings_file,
         "--draws", "1", "--out", str(tmp_path / "perturb"),
     ]) == 2
     assert "readout node 100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction", ["-0.1", "1.5"])
+@pytest.mark.parametrize("command", ["train", "split-sweep"])
+def test_train_fraction_outside_unit_interval_exits_2(
+        trained_dir, ratings_file, tmp_path, capsys, command, fraction):
+    if command == "train":
+        argv = ["train", "--data", str(ratings_file), "--movie-id", "7",
+                "--seeds", "0", "--epochs", "1", "--features", "2",
+                "--taps", "2", "--train-fraction", fraction]
+    else:
+        argv = ["split-sweep", "--data", str(ratings_file),
+                "--checkpoints", str(trained_dir), "--splits", fraction]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"train fraction {fraction} is outside (0, 1]" in (
+        capsys.readouterr().err)
+    assert not list(out.glob("*.csv"))
+
+
+def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
+                                               monkeypatch, capsys):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--mu", "0.0", "--seeds", "0", "--epochs", "1",
+                 "--features", "2", "--taps", "2", "--train-fraction", "1.0",
+                 "--out", str(run)]) == 0
+    draws = []
+    monkeypatch.setattr(cli, "random_relative_perturbation",
+                        lambda *a, **k: draws.append(a))
+    assert main(["perturb-sweep", "--data", str(ratings_file),
+                 "--checkpoints", str(run), "--epsilon", "0.05",
+                 "--draws", "1", "--out", str(tmp_path / "perturb")]) == 2
+    assert ("movie id 7 has no test users at train fraction 1.0"
+            in capsys.readouterr().err)
+    assert draws == []
+
+
+def test_perturb_sweep_shifts_each_draw_as_one_block(
+        trained_dir, ratings_file, tmp_path, monkeypatch):
+    """Each draw's test signals are shifted by one block `shift_stack` on
+    S_hat and every `forward` on S_hat takes its slice; the block path
+    matches the per-sample path to 1e-12, and rmse_base keeps its bytes."""
+    from graphstab import gnn
+    from graphstab.movielens import build_task, load_ratings
+
+    calls = {"forward": 0, "forward_given_shifts": 0, "block": 0,
+             "per_sample": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "forward" and (len(args) > 3
+                                      or "first_layer_shifts" in kwargs):
+                calls["forward_given_shifts"] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "forward", counted("forward", cli.forward))
+    monkeypatch.setattr(cli, "shift_stack", counted("block", cli.shift_stack))
+    monkeypatch.setattr(gnn, "shift_stack",
+                        counted("per_sample", gnn.shift_stack))
+    out = tmp_path / "perturb"
+    assert main([
+        "perturb-sweep", "--data", str(ratings_file),
+        "--checkpoints", str(trained_dir), "--epsilon", "0.02", "0.05",
+        "--draws", "2", "--out", str(out),
+    ]) == 0
+    monkeypatch.undo()
+    rows = [line.split(",") for line in csv_body(out / "perturb_sweep.csv")]
+    header, rows = rows[0], rows[1:]
+    models, draws = 2 * 2, 2 * 2  # (mu, seed) pairs; epsilons x draws
+    assert len(rows) == models * draws
+
+    ratings = load_ratings(ratings_file)
+    task = build_task(ratings, target_item_id=7, train_fraction=0.9, seed=0)
+    n_test = len(task.test)
+    assert calls == {"forward": models * (1 + draws) * n_test,
+                     "forward_given_shifts": models * draws * n_test,
+                     "block": models * draws,
+                     "per_sample": models * n_test}
+
+    row = dict(zip(header, rows[0]))
+    assert (row["mu"], row["split_seed"], row["draw"]) == ("0.0", "0", "0")
+    model, _ = gnn.load_checkpoint(
+        trained_dir / "checkpoint_mu0.0_split0.json")
+    assert row["rmse_base"] == repr(cli._evaluate(model, task.gso, task.test))
+    S_hat = cli.random_relative_perturbation(
+        task.gso, float(row["epsilon"]), seed=0).perturbed
+    per_sample = cli._evaluate(model, S_hat, task.test)
+    assert float(row["rmse_perturbed"]) == pytest.approx(per_sample,
+                                                         rel=1e-12, abs=0)

@@ -84,6 +84,19 @@ def test_forward_shape_mismatch(gso8):
         forward(identity_network(0), gso8, np.zeros(5))
 
 
+@pytest.mark.parametrize("shape", [(2, 8, 1), (3, 7, 1), (3, 8, 2)],
+                         ids=["wrong K", "wrong N", "wrong F"])
+def test_forward_rejects_first_layer_shifts_of_wrong_shape(gso8, shape):
+    model = init_model(0, [1, 2], [3], ["relu"], node=1)
+    x = np.random.default_rng(0).standard_normal(8)
+    with pytest.raises(ValueError, match=r"\(K, N, F_0\) = \(3, 8, 1\)"):
+        forward(model, gso8, x, first_layer_shifts=np.zeros(shape))
+    # the stack of the right shape is the stack forward builds itself
+    shifts = shift_stack(gso8, x[:, None], 3)
+    assert (forward(model, gso8, x, first_layer_shifts=shifts).prediction
+            == forward(model, gso8, x).prediction)
+
+
 def test_readout_node_and_layers_validated(gso8):
     with pytest.raises(ValueError, match="not one of the 8 nodes"):
         forward(identity_network(8), gso8, np.zeros(8))
