@@ -19,7 +19,6 @@ from .spectral import (
     bank_response,
     eigendecompose,
     extreme_eigenvalues,
-    gft,
     integral_lipschitz_check,
 )
 from .filters import (

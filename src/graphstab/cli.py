@@ -36,7 +36,7 @@ from .graphs import (
 from .movielens import build_task, load_ratings, rmse
 from .perturbation import (SingularEquationError, random_relative_perturbation,
                            solve_relative_error)
-from .spectral import bank_response, eigendecompose, gft
+from .spectral import bank_response, eigendecompose
 from .stability import (
     design_il_taps,
     discriminability_tradeoff_demo,
@@ -152,6 +152,9 @@ def _manifest_hash(path: Path) -> str:
 
 
 def cmd_train(args) -> int:
+    for flag, values in (("--seeds", args.seeds), ("--mu", args.mu)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{flag} repeats a value: {values}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ratings = load_ratings(args.data)
@@ -322,7 +325,7 @@ def invariant_suite(quick: bool = False, seed: int = 0,
                         / max(spectral_norm(S.matrix), 1e-300))
         x = rng.standard_normal(n)
         res_parseval = max(res_parseval,
-                           abs(np.linalg.norm(gft(V, x)) - np.linalg.norm(x)))
+                           abs(np.linalg.norm(V.T @ x) - np.linalg.norm(x)))
     checks.append(_check("eigendecomposition reconstruction", res_recon, 1e-10))
     checks.append(_check("gft parseval", res_parseval, 1e-10))
 
@@ -541,7 +544,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 2
 
 

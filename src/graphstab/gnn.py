@@ -28,6 +28,9 @@ _ACTIVATIONS = {
     "linear": (lambda z: z, lambda z: np.ones_like(z)),
 }
 
+# ADAM's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class LayerSpec:
@@ -38,8 +41,9 @@ class LayerSpec:
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=float)
-        if self.taps.ndim != 3:
-            raise ValueError("layer taps must have shape (F_in, F_out, K)")
+        if self.taps.ndim != 3 or 0 in self.taps.shape:
+            raise ValueError("layer taps must have shape (F_in, F_out, K) "
+                             f"with no empty axis, got {self.taps.shape}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -88,9 +92,6 @@ class TrainConfig:
     lambda_interval: tuple | None = None  # default: eigenvalue range of S
     grid_size: int = 1001
     learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon_adam: float = 1e-8
     epochs: int = 40
     batch_size: int = 5
     rng_seed: int = 0
@@ -98,8 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.mu < 0:
             raise ValueError("mu must be nonnegative")
-        if self.learning_rate <= 0 or self.beta1 <= 0 or self.beta2 <= 0:
-            raise ValueError("rates must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
         if self.lambda_interval is not None:
             a, b = self.lambda_interval
             if not a < b:
@@ -117,6 +118,9 @@ class ForwardCache:
 def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
     """Seeded initialization: taps uniform in +-1/sqrt(F_in * K) per layer,
     readout uniform in +-1/sqrt(F_L). No biases inside convolution layers."""
+    if min(layer_dims) < 1 or min(taps_per_layer) < 1:
+        raise ValueError(f"layer widths {list(layer_dims)} and taps "
+                         f"{list(taps_per_layer)} must all be at least 1")
     rng = np.random.default_rng(seed)
     layers = []
     for (f_in, f_out), K, act in zip(
@@ -287,8 +291,7 @@ def adam_init(params) -> AdamState:
 def adam_step(params, grads, state: AdamState, config: TrainConfig):
     """Standard ADAM update with bias correction, applied in place."""
     state.step += 1
-    b1, b2 = config.beta1, config.beta2
-    lr, eps = config.learning_rate, config.epsilon_adam
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= b1
         m += (1 - b1) * g
@@ -296,7 +299,7 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1 ** state.step)
         v_hat = v / (1 - b2 ** state.step)
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def objective(model: GNNModel, S: GSO, samples, config: TrainConfig) -> float:

@@ -16,8 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-GSO_KINDS = ("adjacency", "laplacian", "markov")
-
 # largest share of nonzero entries of S for which graph_shift shifts a single
 # column over the nonzeros of S rather than by the dense product
 SPARSE_MAX_DENSITY = 1 / 16
@@ -59,10 +57,6 @@ class Graph:
             raise ValueError("diagonal (self-loops) must be zero")
         object.__setattr__(self, "weights", W)
 
-    @property
-    def node_count(self) -> int:
-        return self.weights.shape[0]
-
     def degrees(self) -> np.ndarray:
         return self.weights.sum(axis=1)
 
@@ -78,14 +72,11 @@ class GSO:
     """
 
     matrix: np.ndarray
-    kind: str = "adjacency"
 
     def __post_init__(self):
         S = np.array(self.matrix, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"GSO must be square, got shape {S.shape}")
-        if self.kind not in GSO_KINDS:
-            raise ValueError(f"unknown GSO kind {self.kind!r}")
         if not np.isfinite(S).all():
             raise ValueError("GSO entries must be finite")
         if not np.array_equal(S, S.T):
@@ -147,7 +138,7 @@ def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
         S = (S + S.T) / 2.0
     else:
         raise ValueError(f"unknown GSO kind {kind!r}")
-    return GSO(S, kind)
+    return GSO(S)
 
 
 def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:
@@ -273,7 +264,7 @@ def relabel(M: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def permute_gso(S: GSO, perm: np.ndarray) -> GSO:
     """Relabeled shift operator P^T S P."""
-    return GSO(relabel(S.matrix, perm), S.kind)
+    return GSO(relabel(S.matrix, perm))
 
 
 def permute_signal(x: np.ndarray, perm: np.ndarray) -> np.ndarray:

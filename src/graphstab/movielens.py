@@ -203,7 +203,8 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     shuffle; the graph (Pearson correlations, k-NN pruned, symmetrized) is
     estimated from training users only. Every signal has its target entry
     zeroed, with the removed rating as the label. train_fraction must lie
-    in (0, 1]; at 1 the test set is empty.
+    in (0, 1]; at 1 the test set is empty. Raises ValueError when the
+    training users give a graph without edges.
     """
     if not 0 < train_fraction <= 1:
         raise ValueError(
@@ -219,7 +220,12 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     raters = raters[rng.permutation(raters.size)]
     n_train = int(round(train_fraction * raters.size))
     train_users, test_users = raters[:n_train], raters[n_train:]
-    W = knn_sparsify(pearson_graph(ratings, train_users).weights, knn)
+    W = (knn_sparsify(pearson_graph(ratings, train_users).weights, knn)
+         if n_train else np.zeros(0))
+    if not W.any():
+        raise ValueError(
+            f"movie id {target_item_id} at train fraction {train_fraction} "
+            f"has a training graph without edges ({n_train} training users)")
     gso = build_gso(Graph(W), "adjacency")
 
     def make_samples(users):

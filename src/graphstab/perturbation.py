@@ -52,7 +52,7 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
     N = S.node_count
     return PerturbationSpec(
         original=S,
-        perturbed=GSO((1.0 + epsilon) * S.matrix, S.kind),
+        perturbed=GSO((1.0 + epsilon) * S.matrix),
         error=(epsilon / 2.0) * np.eye(N),
     )
 
@@ -92,7 +92,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         for i, a, b in zip(rows, starts, np.append(starts[1:], cols.size)):
             P[i] = vals[a:b] @ E[cols[a:b]]
     _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
-    return PerturbationSpec(original=S, perturbed=GSO(P, S.kind), error=E)
+    return PerturbationSpec(original=S, perturbed=GSO(P), error=E)
 
 
 def solve_relative_error(S: GSO, S_hat: GSO,

@@ -1,5 +1,5 @@
-"""Symmetric eigendecomposition, extreme eigenvalues, graph Fourier transform
-and frequency responses of polynomial graph filters.
+"""Symmetric eigendecomposition, extreme eigenvalues and frequency responses
+of polynomial graph filters.
 
 A full decomposition (`eigendecompose`) is computed once per GSO and cached
 on it. When only the two extreme eigenvalues are needed, as for the spectral
@@ -39,18 +39,6 @@ class EigenSystem:
 
     eigenvectors: np.ndarray
     eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class ILCheck:
-    """Grid estimate of the integral Lipschitz constant on an interval.
-
-    C is a lower bound of the true supremum of |lambda h'(lambda)| (it is
-    evaluated on a finite grid); bounded reports max |h| <= 1 on the grid.
-    """
-
-    C: float
-    bounded: bool
 
 
 def eigendecompose(S) -> EigenSystem:
@@ -124,14 +112,6 @@ def extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
         q = w / beta[j]
 
 
-def gft(V: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Graph Fourier transform: projection V^T x onto the eigenbasis."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != V.shape[0]:
-        raise ValueError("signal and eigenbasis sizes differ")
-    return V.T @ x
-
-
 def bank_response(taps: np.ndarray, grid: np.ndarray,
                   derivative: bool = False) -> np.ndarray:
     """Response of taps of shape (..., K) on a grid of G points.
@@ -149,10 +129,11 @@ def bank_response(taps: np.ndarray, grid: np.ndarray,
     return np.tensordot(powers, taps, axes=([1], [taps.ndim - 1]))
 
 
-def integral_lipschitz_check(h: np.ndarray, interval) -> ILCheck:
-    """Estimate the integral Lipschitz constant of taps h on an interval.
+def integral_lipschitz_check(h: np.ndarray, interval) -> float:
+    """Grid estimate C of the integral Lipschitz constant of taps h on an
+    interval: the maximum of |lambda h'(lambda)| on a 1001-point grid.
 
-    Uses the derivative form |lambda h'(lambda)| <= C on a 1001-point grid
+    C is a lower bound of the true supremum. The derivative form is used
     rather than the pairwise midpoint form; the two are equivalent in the
     limit and the derivative form is what the training penalty uses.
     """
@@ -160,6 +141,4 @@ def integral_lipschitz_check(h: np.ndarray, interval) -> ILCheck:
     if not lam_a < lam_b:
         raise ValueError(f"empty interval [{lam_a}, {lam_b}]")
     grid = np.linspace(lam_a, lam_b, 1001)
-    C = float(np.max(np.abs(bank_response(h, grid, derivative=True))))
-    bounded = bool(np.max(np.abs(bank_response(h, grid))) <= 1.0)
-    return ILCheck(C=C, bounded=bounded)
+    return float(np.max(np.abs(bank_response(h, grid, derivative=True))))

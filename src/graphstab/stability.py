@@ -24,12 +24,7 @@ from .perturbation import (
     random_relative_perturbation,
     spec_misalignment,
 )
-from .spectral import (
-    bank_response,
-    eigendecompose,
-    gft,
-    integral_lipschitz_check,
-)
+from .spectral import bank_response, eigendecompose, integral_lipschitz_check
 
 
 @dataclass(frozen=True)
@@ -96,9 +91,9 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
     target = np.exp(-(grid ** 2) / (2.0 * width ** 2))
     vand = grid[:, None] ** np.arange(K)[None, :]
     taps, *_ = np.linalg.lstsq(vand, target, rcond=None)
-    check = integral_lipschitz_check(taps, (a, b))
-    if check.C > c_target > 0:
-        taps = taps * (c_target / check.C)
+    C = integral_lipschitz_check(taps, (a, b))
+    if C > c_target > 0:
+        taps = taps * (c_target / C)
     peak = np.max(np.abs(bank_response(taps, grid)))
     if peak > 1.0:
         taps = taps / peak
@@ -176,7 +171,7 @@ def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
     return _bound_sweep(
         S, kind, epsilons, seeds, 1,
         lambda spec: integral_lipschitz_check(
-            h, _spectral_interval(S, spec.perturbed)).C,
+            h, _spectral_interval(S, spec.perturbed)),
         lambda spec, seed: filter_distance(S, spec.perturbed, h,
                                            mode="identity"),
     )
@@ -256,7 +251,7 @@ def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
     x = eig.eigenvectors[:, -1]
     act = _ACTIVATIONS[activation][0]
     y = act(x)
-    yt = gft(eig.eigenvectors, y)
+    yt = eig.eigenvectors.T @ y
     total = float(np.sum(yt ** 2))
     off = 0.0 if total == 0 else 1.0 - yt[-1] ** 2 / total
     return MixingReport(
@@ -281,7 +276,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
     if abs(lam[-1] - lam[-2]) < 1e-9 * max(1.0, abs(lam[-1])):
         raise ValueError("top eigenvalues are degenerate; demo needs a gap")
     dilated = lam * (1.0 + epsilon)
-    S_hat = GSO((1.0 + epsilon) * S.matrix, S.kind)
+    S_hat = GSO((1.0 + epsilon) * S.matrix)
     interval = _spectral_interval(S, S_hat)
 
     # sharp filter: exact polynomial interpolation putting response 1 at the

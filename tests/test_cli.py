@@ -189,7 +189,8 @@ def test_missing_data_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("edit,named", [("unknown", "dropout"),
                                         ("missing", "grid_size"),
                                         ("layer key", "activation"),
-                                        ("no layers", "layer")])
+                                        ("no layers", "layer"),
+                                        ("empty taps", "no empty axis")])
 def test_malformed_checkpoint_exits_2(trained_dir, ratings_file, tmp_path,
                                       capsys, edit, named):
     path = trained_dir / "checkpoint_mu0.5_split1.json"
@@ -200,6 +201,8 @@ def test_malformed_checkpoint_exits_2(trained_dir, ratings_file, tmp_path,
         del payload["config"]["grid_size"]
     elif edit == "layer key":
         del payload["model"]["layers"][0]["activation"]
+    elif edit == "empty taps":
+        payload["model"]["layers"][0]["taps"] = [[[], [], [], []]]
     else:
         payload["model"]["layers"] = []
     path.write_text(json.dumps(payload))
@@ -316,3 +319,62 @@ def test_perturb_sweep_shifts_each_draw_as_one_block(
     per_sample = cli._evaluate(model, S_hat, task.test)
     assert float(row["rmse_perturbed"]) == pytest.approx(per_sample,
                                                          rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("taps,features", [("0", "2"), ("2", "0")])
+def test_train_rejects_an_empty_layer(ratings_file, tmp_path, capsys, taps,
+                                      features):
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--seeds", "0", "--epochs", "1", "--taps", taps,
+                 "--features", features, "--out", str(tmp_path)]) == 2
+    assert "must all be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,seeds,mus", [("--seeds", ["1", "1"], ["0.5"]),
+                                            ("--mu", ["0"], ["0", "0.0"])])
+def test_train_rejects_repeated_values(ratings_file, tmp_path, capsys, flag,
+                                       seeds, mus):
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--epochs", "1", "--features", "2", "--taps", "2",
+                 "--out", str(out), "--seeds", *seeds, "--mu", *mus]) == 2
+    assert f"{flag} repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fraction,users", [("0.03", 1), ("0.01", 0)])
+def test_train_rejects_an_edgeless_training_graph(ratings_file, tmp_path,
+                                                  capsys, fraction, users):
+    # all 40 fixture users rate movie 7: 0.03 keeps one, 0.01 none
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--seeds", "0", "--epochs", "1", "--features", "2",
+                 "--taps", "2", "--train-fraction", fraction,
+                 "--out", str(tmp_path / "run")]) == 2
+    assert (f"movie id 7 at train fraction {fraction} has a training graph "
+            f"without edges ({users} training users)"
+            in capsys.readouterr().err)
+
+
+def test_key_error_prints_without_quotes(ratings_file, tmp_path, capsys):
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "99999",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        "error: movie id 99999 not present in the ratings\n")
+
+
+def test_transfer_defaults_to_the_five_most_rated_other_movies(
+        trained_dir, ratings_file, tmp_path):
+    counts = {}
+    for line in ratings_file.read_text().splitlines():
+        movie = int(line.split()[1])
+        counts[movie] = counts.get(movie, 0) + 1
+    # most raters first, ties by lower movie id (ids are 1..15 in order)
+    expected = sorted((m for m in counts if m != 7),
+                      key=lambda m: (-counts[m], m))[:5]
+    assert len({counts[m] for m in expected}) < 5  # the order meets a tie
+    out = tmp_path / "transfer"
+    assert main(["transfer", "--data", str(ratings_file),
+                 "--checkpoints", str(trained_dir), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in csv_body(out / "transfer.csv")[1:]]
+    for mu in ("0.0", "0.5"):
+        assert [int(r[1]) for r in rows if r[0] == mu] == expected

@@ -107,6 +107,19 @@ def test_readout_node_and_layers_validated(gso8):
                  readout_bias=0.0, node=0)
 
 
+@pytest.mark.parametrize("dims,taps", [([1, 0], [3]), ([0, 2], [3]),
+                                       ([1, 2], [0])])
+def test_init_model_rejects_empty_layers(dims, taps):
+    with pytest.raises(ValueError, match="must all be at least 1"):
+        init_model(0, dims, taps, ["relu"], node=0)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
+def test_layer_spec_rejects_an_empty_axis(shape):
+    with pytest.raises(ValueError, match="no empty axis"):
+        LayerSpec(np.zeros(shape))
+
+
 def test_smooth_l1_values():
     assert smooth_l1_loss(1.0, 1.0) == 0.0
     assert smooth_l1_loss(3.0, 1.0) == pytest.approx(1.5)

@@ -52,8 +52,7 @@ def test_bound_rejects_negative_inputs():
 def test_design_il_taps_meets_targets():
     interval = (-3.0, 3.0)
     taps = design_il_taps(interval, K=5, c_target=1.0)
-    check = integral_lipschitz_check(taps, interval)
-    assert check.C <= 1.0 + 1e-9
+    assert integral_lipschitz_check(taps, interval) <= 1.0 + 1e-9
     grid = np.linspace(*interval, 1001)
     assert np.max(np.abs(bank_response(taps, grid))) <= 1.0 + 1e-9
 
@@ -61,8 +60,8 @@ def test_design_il_taps_meets_targets():
 def test_bank_constants_match_scalar_case():
     taps = design_il_taps((-2.0, 2.0), K=4, c_target=0.5)
     bank = taps[None, None, :]
-    check = integral_lipschitz_check(taps, (-2.0, 2.0))
-    assert bank_il_constant(bank, (-2.0, 2.0)) == pytest.approx(check.C)
+    C = integral_lipschitz_check(taps, (-2.0, 2.0))
+    assert bank_il_constant(bank, (-2.0, 2.0)) == pytest.approx(C)
     grid = np.linspace(-2.0, 2.0, 1001)
     response = bank_response(bank, grid)
     assert response.shape == (1001, 1, 1)
