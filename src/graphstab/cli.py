@@ -213,6 +213,8 @@ def _most_rated(ratings, exclude_item_id, count):
 
 
 def cmd_perturb_sweep(args) -> int:
+    if args.draws < 1:
+        raise ValueError(f"--draws must be at least 1, got {args.draws}")
     out, summary, ratings, models = _load_run(args)
     rows = []
     for (mu_key, split_seed), model in models.items():

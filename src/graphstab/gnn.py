@@ -101,6 +101,11 @@ class TrainConfig:
             raise ValueError("mu must be nonnegative")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(
+                f"batch size must be at least 1, got {self.batch_size}")
         if self.lambda_interval is not None:
             a, b = self.lambda_interval
             if not a < b:
@@ -451,11 +456,11 @@ def save_checkpoint(path, model: GNNModel, config: TrainConfig) -> None:
 
 
 def _check_keys(what, d, expected) -> None:
-    missing = sorted(set(expected) - set(d))
-    unknown = sorted(set(d) - set(expected))
-    if missing or unknown:
-        raise ValueError(f"{what} has missing keys {missing} and unknown "
-                         f"keys {unknown}")
+    wrong = [f"{kind} keys {keys}" for kind, keys in (
+        ("missing", sorted(set(expected) - set(d))),
+        ("unknown", sorted(set(d) - set(expected)))) if keys]
+    if wrong:
+        raise ValueError(f"{what} has {' and '.join(wrong)}")
 
 
 def load_checkpoint(path):

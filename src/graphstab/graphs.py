@@ -23,8 +23,8 @@ SPARSE_MAX_DENSITY = 1 / 16
 # a GSO must equal its transpose to within this share of max(1, max|S|)
 SYMMETRY_RTOL = 1e-12
 
-# side of the square tiles over which the symmetric N x N element-wise work
-# (Pearson tail, k-NN selection and symmetrization, perturbation draws) runs
+# side of the square tiles over which the symmetric N x N work (Pearson sums
+# and tail, k-NN selection and symmetrization, perturbation draws) runs
 _TILE = 128
 
 
@@ -67,14 +67,20 @@ class GSO:
 
     The matrix must be finite and symmetric to within SYMMETRY_RTOL of
     max(1, max|S|); an inexactly symmetric one is averaged with its
-    transpose, so the stored matrix is exactly symmetric. It is stored as a
-    read-only copy, so views derived from it cannot go stale.
+    transpose, so the stored matrix is exactly symmetric. The stored matrix
+    is read-only, so views derived from it cannot go stale: a read-only
+    float64 ndarray that owns its memory is kept as it is (a builder that
+    makes an array only for the GSO hands it over so, and must not make it
+    writable again), and anything else is copied.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        S = np.array(self.matrix, dtype=float)
+        S = self.matrix
+        if not (type(S) is np.ndarray and S.dtype == np.float64
+                and S.flags.owndata and not S.flags.writeable):
+            S = np.array(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"GSO must be square, got shape {S.shape}")
         if not np.isfinite(S).all():
@@ -214,9 +220,12 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
     treating a dropped direction as 0. Ties on equal weights are broken by
     lower column index for determinism.
 
-    The rows are selected _TILE rows at a time, and the kept weights are
-    symmetrized in place by `_mirror_tiles` as (k_ij + k_ji) * 0.5, so the
-    output is the only N x N array made.
+    The result is written into W and W is returned, when W is a float64
+    array (anything else is converted first); bad input is rejected before
+    any write. The rows are selected _TILE rows at a time, each block
+    reading only its own rows before it zeroes their dropped weights, and
+    the kept weights are symmetrized in place by `_mirror_tiles` as
+    (k_ij + k_ji) * 0.5, so no other N x N array is made.
     """
     W = np.asarray(W, dtype=float)
     N = W.shape[0]
@@ -224,7 +233,6 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in (0, {N}), got {k}")
     if not np.isfinite(W).all():
         raise ValueError("weights must be finite")
-    kept = np.empty((N, N))
     for a in range(0, N, _TILE):
         # each row keeps every off-diagonal weight above its k-th largest,
         # then fills up to k with the lowest-index weights equal to it
@@ -241,8 +249,8 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
         tie[diag] = False
         need = k - np.count_nonzero(above, axis=1)[:, None]
         keep = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
-        kept[a:a + _TILE] = np.where(keep, rows, 0.0)
-    return _mirror_tiles(kept, lambda I, J: (kept[I, J] + kept[J, I].T) * 0.5)
+        np.copyto(rows, 0.0, where=~keep)
+    return _mirror_tiles(W, lambda I, J: (W[I, J] + W[J, I].T) * 0.5)
 
 
 def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:

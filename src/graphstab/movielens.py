@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GSO, Graph, _mirror_tiles, build_gso, knn_sparsify
+from .graphs import (GSO, _TILE, Graph, _mirror_tiles, build_gso,
+                     knn_sparsify)
 
 MIN_COMMON_RATERS = 2
 DEFAULT_KNN = 10
@@ -41,7 +42,9 @@ class RatingsMatrix:
         M = np.asarray(self.matrix, dtype=float)
         if M.ndim != 2:
             raise ValueError(f"ratings must be a matrix, got shape {M.shape}")
-        if not np.array_equal(M, np.clip(np.rint(M), 0, MAX_RATING)):
+        # one full-size temporary at most: the ratings may be large
+        if not (((M >= 0) & (M <= MAX_RATING)).all()
+                and (M == np.rint(M)).all()):
             raise ValueError("ratings must be integers in "
                              f"0..{MAX_RATING} (0 = unrated)")
         object.__setattr__(self, "matrix", M)
@@ -139,40 +142,51 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
     per pair to the users that rated both movies (no global mean-centering).
 
     The sums are sums of integer ratings. While U * MAX_RATING**2 stays below
-    2**24 they are computed exactly in single precision (in any order) and
-    kept so; each tile is widened to double precision on its own, so the
-    result has the bits of a double-precision computation. The element-wise
-    tail runs one tile pair (I, J >= I) at a time in `graphs._mirror_tiles`:
-    tile [I, J] is computed once and written to [I, J] and, transposed, to
-    [J, I]. The mirror is exact, since corr[j, i] is the same operations on
-    commuted operands, so the result is exactly symmetric.
+    2**24 they are computed exactly in single precision (in any order); each
+    tile is widened to double precision on its own, so the result has the
+    bits of a double-precision computation. The work runs one tile pair
+    (I, J >= I) at a time in `graphs._mirror_tiles`, from the (3 * _TILE, U)
+    stack [B; R; R*R] of each tile's movies (B marks a rating): the six
+    co-rater sums of tile [I, J] come from three products of row blocks of
+    the stacks of I and J, its weights are computed from them, and the tile
+    is written to [I, J] and, transposed, to [J, I]. So the output is the
+    only N x N array made. The mirror is exact, since corr[j, i] is the same
+    operations on commuted operands, so the result is exactly symmetric.
     """
     user_subset = np.asarray(list(user_subset), dtype=int)
     if user_subset.size == 0:
         raise ValueError("user subset is empty")
     exact32 = user_subset.size * MAX_RATING ** 2 < _FLOAT32_EXACT
-    R = ratings.matrix[user_subset].astype(np.float32 if exact32 else float)
-    B = (R > 0).astype(R.dtype)                # (U, M)
-    # co-rater counts; sums of movie-i ratings (and of their squares) over
-    # the co-raters of movie j; cross products
-    n = B.T @ B
-    sum_i = R.T @ B
-    sum_sq = (R * R).T @ B
-    cross = R.T @ R
-    del R, B
-    corr = _mirror_tiles(np.empty(n.shape), lambda I, J: _pearson_tile(
-        n[I, J], sum_i[I, J], sum_i[J, I].T, sum_sq[I, J], sum_sq[J, I].T,
-        cross[I, J]))
-    del n, sum_i, sum_sq, cross
+    R = ratings.matrix[user_subset].T.astype(
+        np.float32 if exact32 else float, order="C")   # (M, U)
+    N = R.shape[0]
+    stacks = [np.concatenate([(Rt > 0).astype(R.dtype), Rt, Rt * Rt])
+              for Rt in (R[a:a + _TILE] for a in range(0, N, _TILE))]
+    del R
+
+    def tile(I, J):
+        X, Y = stacks[I.start // _TILE], stacks[J.start // _TILE]
+        t, u = I.stop - I.start, J.stop - J.start
+        # over the co-raters of each pair: counts and the sums of movie-i
+        # ratings and of their squares (rows of `own`), the same sums for
+        # movie j (columns of `other`), and the cross products
+        own = X @ Y[:u].T
+        other = X[:t] @ Y[u:].T
+        return _pearson_tile(own[:t], own[t:2 * t], other[:, :u],
+                             own[2 * t:], other[:, u:],
+                             X[t:2 * t] @ Y[u:2 * u].T)
+
+    corr = _mirror_tiles(np.empty((N, N)), tile)
     np.fill_diagonal(corr, 0.0)
     return Graph(corr)
 
 
 def _pearson_tile(n, sum_i, sum_j, sq_i, sq_j, cross) -> np.ndarray:
     """Pearson weights of one tile from its co-rater sums, each given as a
-    tile of the same shape (sum_j and sq_j are the mirrored tiles of sum_i
-    and sum_sq, transposed); works in double precision and in place.
-    Nonfinite ratios and pairs with too few co-raters become 0."""
+    tile of the same shape: the sums over co-raters of the ratings of movie
+    i (of its squares) and of movie j (of its squares), and of their
+    products; works in double precision and in place. Nonfinite ratios and
+    pairs with too few co-raters become 0."""
     n, sum_i, sum_j = (a.astype(float) for a in (n, sum_i, sum_j))
     with np.errstate(divide="ignore", invalid="ignore"):
         cov = sum_i * sum_j
@@ -226,12 +240,13 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
         raise ValueError(
             f"movie id {target_item_id} at train fraction {train_fraction} "
             f"has a training graph without edges ({n_train} training users)")
+    W.setflags(write=False)  # so the GSO keeps W rather than a copy
     gso = build_gso(Graph(W), "adjacency")
 
     def make_samples(users):
         samples = []
         for u in users:
-            x = ratings.matrix[u].astype(float).copy()
+            x = ratings.matrix[u].astype(float)
             y = float(x[n])
             x[n] = 0.0
             samples.append((x, y))

@@ -66,6 +66,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     S_hat = M + (P + P^T) in the buffer of the product P, by
     `graphs._mirror_tiles`: each mirrored element would be the same sum of
     commuted operands, so it is copied, and both come out exactly symmetric.
+    S_hat is handed to its GSO read-only, which keeps it without a copy.
     """
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -92,6 +93,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
         for i, a, b in zip(rows, starts, np.append(starts[1:], cols.size)):
             P[i] = vals[a:b] @ E[cols[a:b]]
     _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
+    P.setflags(write=False)
     return PerturbationSpec(original=S, perturbed=GSO(P), error=E)
 
 

@@ -247,6 +247,26 @@ def test_train_fraction_outside_unit_interval_exits_2(
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "perturb-sweep"])
+def test_fewer_than_one_epoch_or_draw_exits_2(
+        trained_dir, ratings_file, tmp_path, capsys, command, value):
+    if command == "train":
+        argv = ["train", "--data", str(ratings_file), "--movie-id", "7",
+                "--seeds", "0", "--features", "2", "--taps", "2",
+                "--epochs", value]
+        named = f"epochs must be at least 1, got {value}"
+    else:
+        argv = ["perturb-sweep", "--data", str(ratings_file),
+                "--checkpoints", str(trained_dir), "--epsilon", "0.05",
+                "--draws", value]
+        named = f"--draws must be at least 1, got {value}"
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
                                                monkeypatch, capsys):
     run = tmp_path / "run"

@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -303,6 +304,37 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
     )
     assert loaded_config.mu == 0.5
     assert loaded_config.lambda_interval == (-2.0, 2.0)
+
+
+@pytest.mark.parametrize("drop, add, message", [
+    ("mu", None, "config has missing keys ['mu']"),
+    (None, "dropout", "config has unknown keys ['dropout']"),
+    ("mu", "dropout",
+     "config has missing keys ['mu'] and unknown keys ['dropout']"),
+])
+def test_checkpoint_names_only_the_wrong_keys(tmp_path, drop, add, message):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, init_model(3, [1, 2], [2], ["relu"], node=0),
+                    TrainConfig())
+    payload = json.loads(path.read_text())
+    if drop:
+        del payload["config"][drop]
+    if add:
+        payload["config"][add] = 0.1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    assert str(info.value).endswith(f": {message}")
+
+
+@pytest.mark.parametrize("field, name", [("epochs", "epochs"),
+                                         ("batch_size", "batch size")])
+@pytest.mark.parametrize("value", [0, -1])
+def test_train_config_rejects_fewer_than_one_epoch_or_sample(field, name,
+                                                             value):
+    with pytest.raises(ValueError,
+                       match=f"{name} must be at least 1, got {value}"):
+        TrainConfig(**{field: value})
 
 
 # --- exactness of the receptive-field training path --------------------------

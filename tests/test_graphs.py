@@ -77,6 +77,22 @@ def test_gso_matrix_is_read_only_copy():
     assert np.array_equal(S.matrix, PATH3)
 
 
+def test_gso_keeps_a_read_only_array_it_owns():
+    W = PATH3.copy()
+    W.setflags(write=False)
+    assert np.shares_memory(GSO(W).matrix, W)
+
+
+def test_gso_copies_a_read_only_view_of_a_writable_array():
+    base = PATH3.copy()
+    view = base[:]
+    view.setflags(write=False)
+    S = GSO(view)
+    assert not np.shares_memory(S.matrix, base)
+    base[0, 1] = base[1, 0] = 2.0
+    assert np.array_equal(S.matrix, PATH3)
+
+
 def test_build_gso_markov_zero_degree():
     g = Graph(np.zeros((2, 2)))
     with pytest.raises(DegenerateGraphError):
@@ -165,7 +181,27 @@ def test_graph_shift_linearity(seed, a, b):
 
 def test_knn_complete_graph_unchanged():
     W = np.ones((4, 4)) - np.eye(4)
-    assert np.array_equal(knn_sparsify(W, 3), W)
+    assert np.array_equal(knn_sparsify(W.copy(), 3), W)
+
+
+def test_knn_writes_into_its_input():
+    W = tie_heavy_weights()
+    expected = knn_oracle(W, 5)
+    out = knn_sparsify(W, 5)
+    assert np.shares_memory(out, W)
+    assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k, bad", [(0, None), (64, None), (5, np.nan),
+                                    (5, np.inf)])
+def test_knn_rejects_bad_input_before_any_write(k, bad):
+    W = tie_heavy_weights()
+    if bad is not None:
+        W[40, 3] = bad  # in the last block of rows
+    before = W.tobytes()
+    with pytest.raises(ValueError):
+        knn_sparsify(W, k)
+    assert W.tobytes() == before
 
 
 def test_knn_top1_prunes_weak_edge():
@@ -183,7 +219,7 @@ def test_knn_symmetric_and_average_subset():
     rng = np.random.default_rng(3)
     W = rng.uniform(0, 1, (8, 8))
     np.fill_diagonal(W, 0.0)
-    out = knn_sparsify(W, 3)
+    out = knn_sparsify(W.copy(), 3)
     assert np.array_equal(out, out.T)
     # every output weight is 0 or an average of two original directed weights
     candidates = {0.0}
@@ -226,7 +262,7 @@ def test_knn_matches_per_row_sort(tmp_path, k, weights):
     else:
         path = make_ratings_file(tmp_path / "u.data", users=60, movies=64)
         W = pearson_graph(load_ratings(path), range(60)).weights
-    out, expected = knn_sparsify(W, k), knn_oracle(W, k)
+    out, expected = knn_sparsify(W.copy(), k), knn_oracle(W, k)
     assert np.array_equal(out, expected)
     assert out.tobytes() == expected.tobytes()  # signed zeros too
 
@@ -242,16 +278,16 @@ def test_knn_across_tiles_matches_per_row_sort(tmp_path, k, weights):
         path = make_ratings_file(tmp_path / "u.data", users=400, movies=300)
         W = pearson_graph(load_ratings(path), range(400)).weights
         assert np.count_nonzero(W[:128, 128:]) > 0
-    out, expected = knn_sparsify(W, k), knn_oracle(W, k)
+    out, expected = knn_sparsify(W.copy(), k), knn_oracle(W, k)
     assert out.tobytes() == expected.tobytes()
 
 
 def test_knn_memory_within_budget():
-    # rows are selected a block at a time and symmetrized in place, so the
-    # output is the only N x N array
+    # rows are selected a block at a time into W and symmetrized in place,
+    # so beyond W only one block's scratch arrays are made
     N = 600
     W = tie_heavy_weights(n=N, seed=13)
-    assert traced_peak(knn_sparsify, W, 10) <= 1.5 * N * N * 8
+    assert traced_peak(knn_sparsify, W, 10) <= 0.5 * N * N * 8
 
 
 def test_knn_rejects_non_finite_weights():

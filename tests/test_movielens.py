@@ -8,6 +8,7 @@ from graphstab import (
     pearson_graph,
     rmse,
 )
+from graphstab import movielens
 from graphstab.cli import main
 
 from conftest import make_ratings_file, traced_peak
@@ -228,12 +229,35 @@ def test_pearson_across_tiles_matches_reference(movies, users):
     assert W.tobytes() == expected.tobytes()
 
 
+def test_pearson_double_precision_sums_match_reference(monkeypatch):
+    # past 2**24 / 25 users the sums are formed in double precision
+    monkeypatch.setattr(movielens, "_FLOAT32_EXACT", 0)
+    ratings = random_ratings(150, 300, seed=3)
+    W = pearson_graph(ratings, range(150)).weights
+    assert W.tobytes() == pearson_oracle(ratings.matrix).tobytes()
+
+
 def test_pearson_memory_within_budget():
-    # the co-rater sums stay in single precision and the double-precision
-    # tail runs tile by tile: 4 float32 sums and the output are 3 N^2 doubles
+    # the co-rater sums are formed tile by tile from (N, U) single-precision
+    # stacks, so the output is the only N x N array
     N = 600
     ratings = random_ratings(150, N, seed=1)
-    assert traced_peak(pearson_graph, ratings, range(150)) <= 3.5 * N * N * 8
+    assert traced_peak(pearson_graph, ratings, range(150)) <= 2.0 * N * N * 8
+
+
+def test_build_task_memory_within_budget():
+    # the k-NN selection writes into the Pearson weights and the GSO keeps
+    # them, so one N x N array serves the whole build
+    N = 600
+    ratings = random_ratings(150, N, seed=1)
+    assert traced_peak(build_task, ratings, 1, 0.9, 0) <= 2.0 * N * N * 8
+
+
+def test_load_ratings_memory_within_budget(tmp_path):
+    # the matrix and at most one full-size temporary of its checks
+    path = make_ratings_file(tmp_path / "u.data", users=300, movies=1000)
+    size = load_ratings(path).matrix.nbytes
+    assert traced_peak(load_ratings, path) <= 2.5 * size
 
 
 def test_build_task_split_invariants(ratings_file):
@@ -244,6 +268,7 @@ def test_build_task_split_invariants(ratings_file):
     assert len(split.train) == int(round(0.9 * total))
     assert set(split.train_user_ids).isdisjoint(split.test_user_ids)
     for x, y in split.train + split.test:
+        assert not np.shares_memory(x, ratings.matrix)
         assert x[split.target_index] == 0.0
         assert 1.0 <= y <= 5.0
     S = split.gso.matrix

@@ -206,10 +206,11 @@ def test_random_perturbation_across_tiles_matches_reference(sparse):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_random_perturbation_memory_within_budget(sparse):
-    # E is formed in the draw's buffer and S_hat in the product's, so E, the
-    # product and the GSO's own copy of S_hat are the N x N arrays at the
-    # peak; the Lanczos basis of the norm (N x N, at N >= 512) comes earlier
+    # E is formed in the draw's buffer and S_hat in the product's, which
+    # the GSO keeps, so E and S_hat are the N x N arrays at the peak; the
+    # Lanczos basis of the norm (N x N, at N >= 512) comes earlier
     N = 600
     S = tiled_gso(N, sparse)
     assert traced_peak(random_relative_perturbation, S, 0.1, 3) \
-        <= 3.5 * N * N * 8
+        <= 2.5 * N * N * 8
+
