@@ -160,8 +160,8 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
     R = ratings.matrix[user_subset].T.astype(
         np.float32 if exact32 else float, order="C")   # (M, U)
     N = R.shape[0]
-    stacks = [np.concatenate([(Rt > 0).astype(R.dtype), Rt, Rt * Rt])
-              for Rt in (R[a:a + _TILE] for a in range(0, N, _TILE))]
+    stacks = [np.concatenate([(part > 0).astype(R.dtype), part, part * part])
+              for part in (R[a:a + _TILE] for a in range(0, N, _TILE))]
     del R
 
     def tile(I, J):
