@@ -1,12 +1,12 @@
 """Experiment runner: trains the recommendation GNNs, runs the transfer /
 perturbation / split sweeps, verifies the theory invariants on synthetic
-graphs, and regenerates the demonstration figures as CSV (plus PNG when
-matplotlib is available).
+graphs, and regenerates the demonstration figures as CSV.
 
 Exit codes: 0 success, 1 invariant failure, 2 configuration or IO error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -71,11 +71,9 @@ def _mean_std(values):
 
 
 def _load_run(args):
-    """Open the output directory of a sweep over a `train` run and read the
-    run: its summary, the ratings, and the model of every (mu, split seed),
-    keyed by (mu string, split seed) in the order mu, then seed."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Read a `train` run for a sweep over it: its summary, the ratings, and
+    the model of every (mu, split seed), keyed by (mu string, split seed) in
+    the order mu, then seed; then open the sweep's output directory."""
     ckpt_dir = Path(args.checkpoints)
     summary = json.loads((ckpt_dir / "train_summary.json").read_text())
     ratings = load_ratings(args.data)
@@ -84,6 +82,8 @@ def _load_run(args):
             ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json")[0]
         for mu_key in summary["mus"] for seed in summary["seeds"]
     }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     return out, summary, ratings, models
 
 
@@ -129,15 +129,16 @@ def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed):
     return _evaluate(model, task.gso, _test_set(task, train_fraction))
 
 
-def _train_one_split(ratings, args, split_seed, mu, out: Path):
+def _train_one_split(ratings, args, split_seed, config: TrainConfig,
+                     out: Path):
     task = build_task(ratings, target_item_id=args.movie_id,
                       train_fraction=args.train_fraction, seed=split_seed)
     model = init_model(split_seed, [1, args.features], [args.taps], ["relu"],
                        task.target_index)
-    config = TrainConfig(mu=mu, epochs=args.epochs, rng_seed=split_seed)
+    config = dataclasses.replace(config, rng_seed=split_seed)
     trained, trace = train(model, task.gso, task.train, config)
     test_rmse = _evaluate(trained, task.gso, task.test) if task.test else float("nan")
-    tag = f"mu{mu}_split{split_seed}"
+    tag = f"mu{config.mu}_split{split_seed}"
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
     _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
                trace)
@@ -155,17 +156,20 @@ def cmd_train(args) -> int:
     for flag, values in (("--seeds", args.seeds), ("--mu", args.mu)):
         if len(set(values)) < len(values):
             raise ValueError(f"{flag} repeats a value: {values}")
+    # bad settings are rejected before the ratings are read
+    configs = [TrainConfig(mu=mu, epochs=args.epochs) for mu in args.mu]
+    ratings = load_ratings(args.data)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ratings = load_ratings(args.data)
     rows = []
     summary = {"movie_id": args.movie_id, "train_fraction": args.train_fraction,
                "epochs": args.epochs, "features": args.features,
                "taps": args.taps, "seeds": list(args.seeds), "mus": {}}
-    for mu in args.mu:
+    for mu, config in zip(args.mu, configs):
         per_split = []
         for split_seed in args.seeds:
-            test_rmse = _train_one_split(ratings, args, split_seed, mu, out)
+            test_rmse = _train_one_split(ratings, args, split_seed, config,
+                                         out)
             rows.append((mu, split_seed, test_rmse))
             per_split.append(test_rmse)
         mean, std = _mean_std(per_split)
@@ -425,8 +429,7 @@ def cmd_demo(args) -> int:
                [(i, v, (1 + eps) * v) for i, v in enumerate(lam)])
 
     # panel 2: sharp vs IL filter under dilation
-    report = discriminability_tradeoff_demo(S, eps, seed=args.seed,
-                                            train_epochs=150)
+    report = discriminability_tradeoff_demo(S, eps, seed=args.seed)
     _write_csv(out / "tradeoff.csv", header,
                ["filter", "margin_original", "margin_dilated"],
                [("sharp", report.sharp_margin_original,
@@ -443,31 +446,8 @@ def cmd_demo(args) -> int:
                    ["coefficient", "magnitude"],
                    list(enumerate(mix.magnitudes)))
 
-    _render_plots(out, lam, eps, grid, h)
     print(f"demo outputs written to {out}")
     return 0
-
-
-def _render_plots(out: Path, lam, eps, grid, h) -> None:
-    # images are best effort; the CSVs are the contract
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        return
-    fig, ax = plt.subplots(figsize=(6, 3))
-    ax.plot(grid, bank_response(h, grid), "k-", label="IL response")
-    ax.stem(lam, np.abs(bank_response(h, lam)), linefmt="b-",
-            markerfmt="bo", basefmt=" ", label="eigenvalues")
-    ax.stem((1 + eps) * lam, np.abs(bank_response(h, (1 + eps) * lam)),
-            linefmt="r-", markerfmt="rx", basefmt=" ",
-            label="dilated eigenvalues")
-    ax.set_xlabel("lambda")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(out / "il_response.png", dpi=120)
-    plt.close(fig)
 
 
 # --- entry point -------------------------------------------------------------

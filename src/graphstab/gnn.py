@@ -14,7 +14,7 @@ to relative graph perturbations.
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -115,9 +115,9 @@ class TrainConfig:
 @dataclass
 class ForwardCache:
     prediction: float
-    layer_shifts: list = field(default_factory=list)      # (K, N, F_in)
-    preactivations: list = field(default_factory=list)    # H_l(S) x_{l-1}
-    features: np.ndarray | None = None                    # final (N, F_L)
+    layer_shifts: list        # (K, N, F_in)
+    preactivations: list      # H_l(S) x_{l-1}
+    features: np.ndarray      # final (N, F_L)
 
 
 def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
@@ -173,7 +173,7 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
                 f"{np.shape(first_layer_shifts)} does not match "
                 f"(K, N, F_0) = {want}"
             )
-    cache = ForwardCache(prediction=0.0)
+    layer_shifts, preactivations = [], []
     feat = x
     for i, layer in enumerate(model.layers):
         K = layer.taps.shape[2]
@@ -183,14 +183,13 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
             shifts = shift_stack(S, feat, K)
         z = bank_apply(shifts, layer.taps)
         act = _ACTIVATIONS[layer.activation][0]
-        cache.layer_shifts.append(shifts)
-        cache.preactivations.append(z)
+        layer_shifts.append(shifts)
+        preactivations.append(z)
         feat = act(z)
-    cache.features = feat
-    cache.prediction = float(
+    prediction = float(
         feat[model.node] @ model.readout_weights + model.readout_bias[0]
     )
-    return cache
+    return ForwardCache(prediction, layer_shifts, preactivations, feat)
 
 
 def smooth_l1_loss(prediction: float, target: float) -> float:
@@ -244,8 +243,6 @@ def sample_gradients(model: GNNModel, S: GSO, y: float, cache: ForwardCache):
 
     Returns (tap_grads per layer, readout_weight_grad, bias_grad).
     """
-    if cache.features is None:
-        raise ValueError("forward cache is missing")
     node = model.node
     dpred = smooth_l1_grad(cache.prediction, y)
     g_w = dpred * cache.features[node]

@@ -81,7 +81,8 @@ def load_ratings(path) -> RatingsMatrix:
     (user, movie) pairs keep the rating with the latest timestamp, and the
     later line among equal timestamps. The file is read in one pass by
     np.loadtxt; if that fails, or a rating is outside 1..MAX_RATING, it is
-    read again line by line to name the first bad line.
+    read again line by line to name the first bad line. A file without
+    ratings raises ValueError.
     """
     try:
         with warnings.catch_warnings():
@@ -92,6 +93,8 @@ def load_ratings(path) -> RatingsMatrix:
     if (data is None or data.shape[1] != 4
             or np.any((data[:, 2] < 1) | (data[:, 2] > MAX_RATING))):
         data = _parse_lines(path)
+    if not data.size:
+        raise ValueError(f"{path}: no ratings")
     # a stable sort by (user, item, timestamp) puts the rating each pair
     # keeps last in its run
     user, item, rating, _ = data[np.lexsort(data[:, [3, 1, 0]].T)].T
@@ -185,32 +188,19 @@ def _pearson_tile(n, sum_i, sum_j, sq_i, sq_j, cross) -> np.ndarray:
     """Pearson weights of one tile from its co-rater sums, each given as a
     tile of the same shape: the sums over co-raters of the ratings of movie
     i (of its squares) and of movie j (of its squares), and of their
-    products; works in double precision and in place. Nonfinite ratios and
-    pairs with too few co-raters become 0."""
+    products; works in double precision (a single-precision operand meets
+    a double-precision one in each operation, which widens it exactly).
+    Nonfinite ratios and pairs with too few co-raters become 0."""
     n, sum_i, sum_j = (a.astype(float) for a in (n, sum_i, sum_j))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cov = sum_i * sum_j
-        cov /= n
-        corr = np.subtract(cross.astype(float), cov, out=cov)
-        var_i = np.square(sum_i, out=sum_i)
-        var_i /= n
-        np.subtract(sq_i.astype(float), var_i, out=var_i)
-        var_j = np.square(sum_j, out=sum_j)
-        var_j /= n
-        np.subtract(sq_j.astype(float), var_j, out=var_j)
-        scale = np.multiply(var_i, var_j, out=var_i)
-        np.sqrt(scale, out=scale)
-        corr /= scale
-    zero = ~np.isfinite(corr)
-    zero |= n < MIN_COMMON_RATERS
-    np.copyto(corr, 0.0, where=zero)
-    np.clip(corr, 0.0, 1.0, out=corr)
-    return corr
+        corr = ((cross - sum_i * sum_j / n)
+                / np.sqrt((sq_i - sum_i ** 2 / n) * (sq_j - sum_j ** 2 / n)))
+    corr[~np.isfinite(corr) | (n < MIN_COMMON_RATERS)] = 0.0
+    return np.clip(corr, 0.0, 1.0)
 
 
 def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
-               train_fraction: float = 0.9, seed: int = 0,
-               knn: int = DEFAULT_KNN) -> TaskSplit:
+               train_fraction: float = 0.9, seed: int = 0) -> TaskSplit:
     """Assemble the rating-prediction task for one target movie.
 
     Only users who rated the target participate. The split is a seeded
@@ -234,8 +224,8 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     raters = raters[rng.permutation(raters.size)]
     n_train = int(round(train_fraction * raters.size))
     train_users, test_users = raters[:n_train], raters[n_train:]
-    W = (knn_sparsify(pearson_graph(ratings, train_users).weights, knn)
-         if n_train else np.zeros(0))
+    W = (knn_sparsify(pearson_graph(ratings, train_users).weights,
+                      DEFAULT_KNN) if n_train else np.zeros(0))
     if not W.any():
         raise ValueError(
             f"movie id {target_item_id} at train fraction {train_fraction} "

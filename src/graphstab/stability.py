@@ -178,9 +178,9 @@ def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
 
 
 def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
-             seed: int, activation: str = "relu") -> LayerSpec:
-    """Random-ish filter bank whose matrix response is integral Lipschitz
-    with constant at most c_target and spectral norm at most 1."""
+             seed: int) -> LayerSpec:
+    """Random-ish relu filter bank whose matrix response is integral
+    Lipschitz with constant at most c_target and spectral norm at most 1."""
     rng = np.random.default_rng(seed)
     a, b = interval
     taps = np.empty((f_in, f_out, K))
@@ -197,7 +197,7 @@ def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
     peak = np.linalg.norm(bank_response(taps, grid), 2, axis=(1, 2)).max()
     if peak > 1.0:
         taps /= peak
-    return LayerSpec(taps, activation)
+    return LayerSpec(taps, "relu")
 
 
 def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
@@ -260,8 +260,8 @@ def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
     )
 
 
-def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
-                                   train_epochs: int = 400) -> TradeoffReport:
+def discriminability_tradeoff_demo(S: GSO, epsilon: float,
+                                   seed: int = 0) -> TradeoffReport:
     """Show that sharp filters discriminate but destabilize under dilation,
     integral Lipschitz filters are stable but cannot separate the top two
     eigenvectors, while a relu GNN manages both.
@@ -299,7 +299,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float, seed: int = 0,
     model = init_model(seed, [1, 4], [5], ["relu"], node)
     dataset = [(V[:, -1], 1.0), (V[:, -2], 0.0)]
     config = TrainConfig(mu=0.02, lambda_interval=interval,
-                         learning_rate=0.01, epochs=train_epochs,
+                         learning_rate=0.01, epochs=150,
                          batch_size=2, rng_seed=seed)
     trained, _ = train(model, S, dataset, config)
 

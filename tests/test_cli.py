@@ -267,6 +267,52 @@ def test_fewer_than_one_epoch_or_draw_exits_2(
     assert not list(out.glob("*"))
 
 
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--epochs", "0", "epochs must be at least 1, got 0"),
+    ("--mu", "-1", "mu must be nonnegative"),
+])
+def test_train_rejects_settings_before_reading_the_ratings(
+        ratings_file, tmp_path, monkeypatch, capsys, flag, value, named):
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_ratings", unread)
+    out = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--seeds", "0", flag, value, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,bad,named", [
+    ("train", "empty data", "no ratings"),
+    ("train", "missing data", "not found"),
+    ("transfer", "empty data", "no ratings"),
+    ("transfer", "missing data", "not found"),
+    ("transfer", "missing checkpoints", "train_summary.json"),
+])
+def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
+                                            tmp_path, capsys, command, bad,
+                                            named):
+    data, checkpoints = ratings_file, trained_dir
+    if bad == "empty data":
+        data = tmp_path / "empty.data"
+        data.write_text("")
+    elif bad == "missing data":
+        data = tmp_path / "missing.data"
+    else:
+        checkpoints = tmp_path / "missing_run"
+    argv = [command, "--data", str(data)]
+    if command == "train":
+        argv += ["--movie-id", "7", "--seeds", "0", "--epochs", "1"]
+    else:
+        argv += ["--checkpoints", str(checkpoints)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
 def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
                                                monkeypatch, capsys):
     run = tmp_path / "run"

@@ -225,3 +225,13 @@ def test_permutation_equivariance_random():
                                   permute_signal(x, perm))
         assert (np.linalg.norm(y_hat - permute_signal(y, perm))
                 <= 1e-9 * max(np.linalg.norm(y), 1e-300))
+
+
+@pytest.mark.parametrize("sizes,mode,message", [
+    ((4, 5), "identity", "GSOs have different sizes"),
+    ((4, 4), "nearest", "unknown mode 'nearest'"),
+], ids=["sizes", "mode"])
+def test_filter_distance_rejects(sizes, mode, message):
+    S, S_hat = (build_gso(random_weighted_graph(n, seed=0)) for n in sizes)
+    with pytest.raises(ValueError, match=message):
+        filter_distance(S, S_hat, [1.0, 0.5], mode)

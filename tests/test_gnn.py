@@ -468,3 +468,37 @@ def test_train_stops_on_non_finite_loss(gso8):
             np.errstate(over="ignore", invalid="ignore"):
         train(model, gso8, [(np.full(8, 10.0), 1.0)],
               TrainConfig(epochs=3, batch_size=1))
+
+
+def _one_layer_model(bias=0.0, readout=2):
+    return GNNModel([LayerSpec(np.ones((1, 2, 2)))], np.ones(readout), bias, 0)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LayerSpec(np.ones((1, 1, 2)), "softmax"),
+     "unknown activation 'softmax'"),
+    (lambda: _one_layer_model(bias=np.zeros(2)),
+     "readout bias must be a single scalar"),
+    (lambda: GNNModel([LayerSpec(np.ones((1, 2, 2))),
+                       LayerSpec(np.ones((3, 1, 2)))], np.ones(1), 0.0, 0),
+     "layer 1 expects 3 input features, previous layer produces 2"),
+    (lambda: _one_layer_model(readout=3), "readout expects"),
+    (lambda: TrainConfig(mu=-0.1), "mu must be nonnegative"),
+    (lambda: TrainConfig(learning_rate=0.0), "learning rate must be positive"),
+    (lambda: TrainConfig(lambda_interval=(1.0, 1.0)),
+     "lambda interval must satisfy a < b"),
+    (lambda: penalty(_one_layer_model(), TrainConfig()),
+     "penalty needs a configured lambda interval"),
+    (lambda: penalty(_one_layer_model(),
+                     TrainConfig(lambda_interval=(-1.0, 1.0), grid_size=1)),
+     "penalty grid is empty"),
+], ids=["activation", "bias", "layer chain", "readout", "mu",
+        "learning rate", "interval", "no interval", "grid"])
+def test_gnn_rejects(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_lambda_interval_widens_a_degenerate_spectrum():
+    S = build_gso(Graph(np.zeros((3, 3))))
+    assert resolve_lambda_interval(S, TrainConfig()) == (0.0, 1e-6)

@@ -117,7 +117,7 @@ def test_graph_shift_weighted():
 def knn_movie_gso(tmp_path):
     """k-NN movie GSO of a build_task on 300 movies (a few % nonzero)."""
     path = make_ratings_file(tmp_path / "u.data", users=120, movies=300)
-    return build_task(load_ratings(path), 7, knn=5).gso
+    return build_task(load_ratings(path), 7).gso
 
 
 def isolated_nodes_gso(tmp_path):
@@ -360,3 +360,15 @@ def test_hop_distances_ring_and_unreachable():
                                                10, 10]
     with pytest.raises(ValueError, match="node 12"):
         hop_distances(S, 12, 3)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(np.zeros((2, 3))), "weight matrix must be square"),
+    (lambda: Graph(np.zeros((0, 0))), "graph needs at least one node"),
+    (lambda: GSO(np.zeros((2, 3))), "GSO must be square"),
+    (lambda: build_gso(Graph(PATH3), "normalized"),
+     "unknown GSO kind 'normalized'"),
+], ids=["graph shape", "no nodes", "gso shape", "kind"])
+def test_graphs_reject(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

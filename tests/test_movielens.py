@@ -326,3 +326,17 @@ def test_split_manifest(tmp_path, ratings_file):
     assert lines[0] == "user_id,subset"
     assert lines[1:] == ([f"{uid},train" for uid in split.train_user_ids]
                          + [f"{uid},test" for uid in split.test_user_ids])
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank"])
+def test_load_rejects_a_file_without_ratings(tmp_path, text):
+    path = tmp_path / "u.data"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{path}: no ratings"):
+        load_ratings(path)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_ratings_matrix_must_be_2d(shape):
+    with pytest.raises(ValueError, match="ratings must be a matrix"):
+        RatingsMatrix(np.zeros(shape), (1, 2), (1, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graphstab import (
+    GSO,
     Graph,
     SingularEquationError,
     build_gso,
@@ -214,3 +215,34 @@ def test_random_perturbation_memory_within_budget(sparse):
     assert traced_peak(random_relative_perturbation, S, 0.1, 3) \
         <= 2.5 * N * N * 8
 
+
+def _ill_conditioned_pair():
+    """S with an eigenvalue pair summing to 1e-9, above the singularity
+    cutoff of 1e-10 ||S||, and a perturbation whose recovered E misses the
+    membership identity by about 1e-6 (tolerance 1e-8 ||S||)."""
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    S = Q @ np.diag([1.0, -1.0 + 1e-9, 0.5, 2.0]) @ Q.T
+    A = rng.standard_normal((4, 4))
+    return GSO(S), GSO(S + (A + A.T) / 2.0)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda S: edge_dilation(S, -1.0), ValueError,
+     "edge dilation requires epsilon > -1"),
+    (lambda S: random_relative_perturbation(S, -0.1, 0), ValueError,
+     "epsilon must be nonnegative"),
+    (lambda S: relative_distance(S, S, "nearest"), ValueError,
+     "unknown mode 'nearest'"),
+    # every pair sum of path3's spectrum {-sqrt 2, 0, sqrt 2} hits 0 + 0
+    (lambda S: relative_distance(S, S, "brute_force"), SingularEquationError,
+     "no permutation yields a solvable error-matrix equation"),
+    (lambda S: misalignment(np.eye(3), np.eye(4)), ValueError,
+     "U and V must be square matrices of equal shape"),
+    (lambda S: solve_relative_error(*_ill_conditioned_pair()), ValueError,
+     "recovered E fails the membership identity"),
+], ids=["dilation", "random", "mode", "no permutation", "misalignment",
+        "membership"])
+def test_perturbation_rejects(path3_adjacency, call, error, message):
+    with pytest.raises(error, match=message):
+        call(path3_adjacency)

@@ -3,6 +3,7 @@ import pytest
 
 from graphstab import (
     GNNModel,
+    Graph,
     LayerSpec,
     build_gso,
     edge_dilation,
@@ -21,6 +22,7 @@ from graphstab import (
 from graphstab.cli import _write_csv
 from graphstab.spectral import bank_response
 from graphstab.stability import (
+    _make_perturbation,
     bank_il_constant,
     design_il_taps,
     discriminability_tradeoff_demo,
@@ -236,3 +238,31 @@ def test_equivalent_gso_brute_force_gnn_distance():
     assert empirical_gnn_distance(model, S, S_hat) > 0
     # ... while the brute-force filter distance recognizes the relabeling
     assert filter_distance(S, S_hat, layer.taps[0, 0], "brute_force") <= 1e-9
+
+
+def test_il_taps_are_rescaled_to_a_unit_peak():
+    # the degree-1 fit of this Gaussian reaches 1.138 on the interval
+    h = design_il_taps((-1.0, 3.0), K=2)
+    grid = np.linspace(-1.0, 3.0, 501)
+    assert np.abs(bank_response(h, grid)).max() == pytest.approx(1.0,
+                                                                 rel=1e-12)
+
+
+def _two_edges():
+    # two disjoint edges: eigenvalues -1, -1, 1, 1
+    return build_gso(Graph(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda S: _make_perturbation(S, "shear", 0.1, 0),
+     "unknown perturbation kind 'shear'"),
+    (lambda S: empirical_gnn_distance(
+        GNNModel([LayerSpec(np.ones((1, 1, 2)))], np.ones(1), 0.0, 0),
+        S, build_gso(random_weighted_graph(5, seed=0))),
+     "GSOs have different sizes"),
+    (lambda S: discriminability_tradeoff_demo(_two_edges(), 0.1),
+     "top eigenvalues are degenerate"),
+], ids=["kind", "sizes", "degenerate"])
+def test_stability_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(build_gso(random_weighted_graph(4, seed=0)))
