@@ -55,6 +55,7 @@ def _header_lines(args, extra=()):
 
 
 def _write_csv(path, header_lines, columns, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
@@ -71,9 +72,10 @@ def _mean_std(values):
 
 
 def _load_run(args):
-    """Read a `train` run for a sweep over it: its summary, the ratings, and
-    the model of every (mu, split seed), keyed by (mu string, split seed) in
-    the order mu, then seed; then open the sweep's output directory."""
+    """Read a `train` run for a sweep over it: the sweep's output directory
+    (created only when the sweep writes its CSV), the run's summary, the
+    ratings, and the model of every (mu, split seed), keyed by (mu string,
+    split seed) in the order mu, then seed."""
     ckpt_dir = Path(args.checkpoints)
     summary = json.loads((ckpt_dir / "train_summary.json").read_text())
     ratings = load_ratings(args.data)
@@ -82,9 +84,7 @@ def _load_run(args):
             ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json")[0]
         for mu_key in summary["mus"] for seed in summary["seeds"]
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out, summary, ratings, models
+    return Path(args.out), summary, ratings, models
 
 
 def _evaluate(model, gso, samples, shifts=None):
@@ -139,6 +139,7 @@ def _train_one_split(ratings, args, split_seed, config: TrainConfig,
     trained, trace = train(model, task.gso, task.train, config)
     test_rmse = _evaluate(trained, task.gso, task.test) if task.test else float("nan")
     tag = f"mu{config.mu}_split{split_seed}"
+    out.mkdir(parents=True, exist_ok=True)  # a rejected task writes nothing
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
     _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
                trace)
@@ -160,7 +161,6 @@ def cmd_train(args) -> int:
     configs = [TrainConfig(mu=mu, epochs=args.epochs) for mu in args.mu]
     ratings = load_ratings(args.data)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     summary = {"movie_id": args.movie_id, "train_fraction": args.train_fraction,
                "epochs": args.epochs, "features": args.features,
@@ -285,10 +285,9 @@ def _check(name, residual, tolerance):
     return (name, residual, tolerance, residual <= tolerance)
 
 
-def invariant_suite(quick: bool = False, seed: int = 0,
-                    fault_scale: float = 1.0):
+def invariant_suite(quick: bool = False, seed: int = 0):
     """Residuals-vs-tolerance table for the theory invariants on synthetic
-    graphs. fault_scale != 1 perturbs one analytic gradient (test hook)."""
+    graphs."""
     rng = np.random.default_rng(seed)
     checks = []
     draws = 10 if quick else 40
@@ -343,7 +342,6 @@ def invariant_suite(quick: bool = False, seed: int = 0,
     samples = [(rng.standard_normal(8), float(rng.normal())) for _ in range(3)]
     config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0), grid_size=201)
     grads = objective_gradients(model, S, samples, config)
-    grads[0].flat[0] *= fault_scale
     params = _parameters(model)
     res_grad = 0.0
     step = 1e-5
@@ -391,9 +389,7 @@ def invariant_suite(quick: bool = False, seed: int = 0,
 
 
 def cmd_verify(args) -> int:
-    fault = 1.01 if args.inject_fault else 1.0
-    checks = invariant_suite(quick=args.quick, seed=args.seed,
-                             fault_scale=fault)
+    checks = invariant_suite(quick=args.quick, seed=args.seed)
     width = max(len(name) for name, *_ in checks)
     failed = False
     for name, residual, tol, ok in checks:
@@ -412,7 +408,6 @@ def cmd_verify(args) -> int:
 
 def cmd_demo(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     S = build_gso(random_weighted_graph(10, args.seed))
     lam = eigendecompose(S).eigenvalues
     eps = 0.1
@@ -467,6 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_out(p):
         p.add_argument("--out", default="out", help="output directory")
 
+    def add_run(p):
+        p.add_argument("--data", required=True, help="path to u.data")
+        p.add_argument("--checkpoints", required=True,
+                       help="output directory of a previous train run")
+        add_out(p)
+
     p = add_parser("train", help="train the recommendation GNNs")
     p.add_argument("--data", required=True, help="path to u.data")
     p.add_argument("--movie-id", type=int, default=50)
@@ -481,36 +482,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = add_parser("transfer", help="evaluate trained models on other movies")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoints", required=True,
-                   help="output directory of a previous train run")
+    add_run(p)
     p.add_argument("--movie-ids", type=int, nargs="*", default=None)
-    add_out(p)
     p.set_defaults(func=cmd_transfer)
 
     p = add_parser("perturb-sweep",
                    help="evaluate under synthetic GSO perturbations")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoints", required=True)
+    add_run(p)
     p.add_argument("--epsilon", type=float, nargs="+",
                    default=[0.01, 0.02, 0.05, 0.1])
     p.add_argument("--draws", type=int, default=10)
-    add_out(p)
     p.set_defaults(func=cmd_perturb_sweep)
 
     p = add_parser("split-sweep",
                    help="evaluate under changed train/test ratios")
-    p.add_argument("--data", required=True)
-    p.add_argument("--checkpoints", required=True)
+    add_run(p)
     p.add_argument("--splits", type=float, nargs="+",
                    default=[0.5, 0.6, 0.7, 0.8, 0.9])
-    add_out(p)
     p.set_defaults(func=cmd_split_sweep)
 
     p = add_parser("verify", help="run the invariant suite")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="test hook: corrupt one gradient by 1%")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -106,6 +106,8 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(
                 f"batch size must be at least 1, got {self.batch_size}")
+        if self.grid_size < 2:
+            raise ValueError("penalty grid is empty")
         if self.lambda_interval is not None:
             a, b = self.lambda_interval
             if not a < b:
@@ -213,8 +215,6 @@ def penalty(model: GNNModel, config: TrainConfig):
     if config.lambda_interval is None:
         raise ValueError("penalty needs a configured lambda interval")
     a, b = config.lambda_interval
-    if config.grid_size < 2:
-        raise ValueError("penalty grid is empty")
     grid = np.linspace(a, b, config.grid_size)
     value = 0.0
     grads = []

@@ -83,6 +83,8 @@ class GSO:
             S = np.array(S, dtype=float)
         if S.ndim != 2 or S.shape[0] != S.shape[1]:
             raise ValueError(f"GSO must be square, got shape {S.shape}")
+        if S.shape[0] < 1:
+            raise ValueError("GSO needs at least one node")
         if not np.isfinite(S).all():
             raise ValueError("GSO entries must be finite")
         if not np.array_equal(S, S.T):

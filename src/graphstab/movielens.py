@@ -49,10 +49,6 @@ class RatingsMatrix:
                              f"0..{MAX_RATING} (0 = unrated)")
         object.__setattr__(self, "matrix", M)
 
-    @property
-    def rating_count(self) -> int:
-        return int(np.count_nonzero(self.matrix))
-
     def movie_index(self, item_id: int) -> int:
         try:
             return self.movie_ids.index(item_id)

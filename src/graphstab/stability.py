@@ -276,7 +276,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
     if abs(lam[-1] - lam[-2]) < 1e-9 * max(1.0, abs(lam[-1])):
         raise ValueError("top eigenvalues are degenerate; demo needs a gap")
     dilated = lam * (1.0 + epsilon)
-    S_hat = GSO((1.0 + epsilon) * S.matrix)
+    S_hat = edge_dilation(S, epsilon).perturbed
     interval = _spectral_interval(S, S_hat)
 
     # sharp filter: exact polynomial interpolation putting response 1 at the

@@ -55,10 +55,26 @@ def test_verify_quick_passes(capsys):
     assert "residual" in out and "tolerance" in out
 
 
-def test_verify_detects_injected_fault(capsys):
-    assert main(["verify", "--quick", "--inject-fault"]) == 1
+def test_verify_detects_injected_fault(monkeypatch, capsys):
+    exact = cli.objective_gradients
+
+    def corrupted(*args):
+        grads = exact(*args)
+        grads[0].flat[0] *= 1.01
+        return grads
+
+    monkeypatch.setattr(cli, "objective_gradients", corrupted)
+    assert main(["verify", "--quick"]) == 1
     out = capsys.readouterr().out
+    assert "analytic vs finite-difference gradients" in out
     assert "FAIL" in out
+
+
+def test_verify_has_no_fault_injection_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--inject-fault"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["--quick", "--seed", "3"],
@@ -291,23 +307,39 @@ def test_train_rejects_settings_before_reading_the_ratings(
     ("transfer", "empty data", "no ratings"),
     ("transfer", "missing data", "not found"),
     ("transfer", "missing checkpoints", "train_summary.json"),
+    # the input reads, but the task it asks for is rejected
+    ("train", "absent movie", "movie id 99999 not present"),
+    ("transfer", "absent movie", "movie id 99999 not present"),
+    ("split-sweep", "no test users", "no test users at train fraction 1.0"),
+    ("perturb-sweep", "no test users", "no test users at train fraction 1.0"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, capsys, command, bad,
                                             named):
-    data, checkpoints = ratings_file, trained_dir
+    data, checkpoints, movie_id, extra = ratings_file, trained_dir, "7", []
     if bad == "empty data":
         data = tmp_path / "empty.data"
         data.write_text("")
     elif bad == "missing data":
         data = tmp_path / "missing.data"
-    else:
+    elif bad == "missing checkpoints":
         checkpoints = tmp_path / "missing_run"
+    elif bad == "absent movie":
+        movie_id, extra = "99999", ["--movie-ids", "99999"]
+    elif command == "split-sweep":
+        extra = ["--splits", "1.0"]
+    else:
+        checkpoints = tmp_path / "run_without_test_users"
+        assert main(["train", "--data", str(data), "--movie-id", "7",
+                     "--mu", "0.0", "--seeds", "0", "--epochs", "1",
+                     "--features", "2", "--taps", "2",
+                     "--train-fraction", "1.0", "--out", str(checkpoints)]) == 0
+        extra = ["--epsilon", "0.05", "--draws", "1"]
     argv = [command, "--data", str(data)]
     if command == "train":
-        argv += ["--movie-id", "7", "--seeds", "0", "--epochs", "1"]
+        argv += ["--movie-id", movie_id, "--seeds", "0", "--epochs", "1"]
     else:
-        argv += ["--checkpoints", str(checkpoints)]
+        argv += ["--checkpoints", str(checkpoints), *extra]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err

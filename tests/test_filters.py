@@ -150,6 +150,11 @@ def test_spectral_norm_symmetric_vs_svd():
     assert spectral_norm(A) == pytest.approx(np.linalg.norm(A, 2))
 
 
+def test_spectral_norm_of_an_empty_matrix():
+    # a GSO has at least one node, but spectral_norm takes any array
+    assert spectral_norm(np.zeros((0, 0))) == 0.0
+
+
 def test_spectral_norm_of_slightly_asymmetric_matrix():
     # 1e-6 relative asymmetry is far above the GSO's symmetry tolerance, so
     # this is the 2-norm, not the eigenvalue of the symmetrized matrix

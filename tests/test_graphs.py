@@ -366,9 +366,10 @@ def test_hop_distances_ring_and_unreachable():
     (lambda: Graph(np.zeros((2, 3))), "weight matrix must be square"),
     (lambda: Graph(np.zeros((0, 0))), "graph needs at least one node"),
     (lambda: GSO(np.zeros((2, 3))), "GSO must be square"),
+    (lambda: GSO(np.zeros((0, 0))), "GSO needs at least one node"),
     (lambda: build_gso(Graph(PATH3), "normalized"),
      "unknown GSO kind 'normalized'"),
-], ids=["graph shape", "no nodes", "gso shape", "kind"])
+], ids=["graph shape", "no nodes", "gso shape", "gso no nodes", "kind"])
 def test_graphs_reject(build, message):
     with pytest.raises(ValueError, match=message):
         build()

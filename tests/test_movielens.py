@@ -32,7 +32,7 @@ def test_load_two_lines(tmp_path):
     assert ratings.matrix[0, 0] == 5.0
     assert ratings.matrix[1, 1] == 3.0
     assert ratings.matrix[0, 1] == 0.0
-    assert ratings.rating_count == 2
+    assert np.count_nonzero(ratings.matrix) == 2
 
 
 def test_load_duplicate_keeps_latest_timestamp(tmp_path):
@@ -58,7 +58,7 @@ def test_load_rejects_bad_lines(tmp_path):
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("1\t10\t5\t100\n\n2\t10\t4\t100\n")
-    assert load_ratings(path).rating_count == 2
+    assert np.count_nonzero(load_ratings(path).matrix) == 2
 
 
 def load_ratings_by_line(path):

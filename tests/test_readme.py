@@ -1,5 +1,8 @@
 import re
+import shlex
 from pathlib import Path
+
+from graphstab.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -9,3 +12,18 @@ def test_readme_quick_tour_runs():
     tour = text[text.index("## Quick tour"):]
     block = re.search(r"```python\n(.*?)```", tour, re.DOTALL).group(1)
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_cli_lines_without_data_run(tmp_path, monkeypatch, capsys):
+    text = README.read_text()
+    cli = text[text.index("## CLI"):]
+    block = re.search(r"```sh\n(.*?)```", cli, re.DOTALL).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    runnable = [argv for argv in lines
+                if argv[:2] in (["graphstab", "verify"], ["graphstab", "demo"])]
+    assert [argv[1] for argv in runnable] == ["verify", "demo"]
+    monkeypatch.chdir(tmp_path)  # demo writes under its relative --out
+    for argv in runnable:
+        assert main(argv[1:]) == 0, argv
+    assert "all invariants satisfied" in capsys.readouterr().out
+    assert len(list(tmp_path.glob("*/tradeoff.csv"))) == 1
