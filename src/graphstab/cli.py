@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration or IO error.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -19,6 +20,7 @@ from . import __version__
 from .filters import graph_convolution, shift_stack, spectral_norm
 from .gnn import (
     TrainConfig,
+    _parameters,
     forward,
     init_model,
     load_checkpoint,
@@ -219,6 +221,10 @@ def _most_rated(ratings, exclude_item_id, count):
 def cmd_perturb_sweep(args) -> int:
     if args.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {args.draws}")
+    for eps in args.epsilon:
+        if not 0 <= eps < np.inf:
+            raise ValueError(
+                f"--epsilon must be nonnegative and finite, got {eps}")
     out, summary, ratings, models = _load_run(args)
     rows = []
     for (mu_key, split_seed), model in models.items():
@@ -285,6 +291,47 @@ def _check(name, residual, tolerance):
     return (name, residual, tolerance, residual <= tolerance)
 
 
+def equivariance_residual(f, S, perm, x):
+    """||f(P^T S P, P^T x) - P^T f(S, x)|| / ||f(S, x)|| for a map f(S, x)
+    of a GSO and a signal, with P the permutation perm."""
+    y = f(S, x)
+    y_perm = f(permute_gso(S, perm), permute_signal(x, perm))
+    return (np.linalg.norm(y_perm - permute_signal(y, perm))
+            / max(np.linalg.norm(y), 1e-300))
+
+
+def spectral_residuals(S, x):
+    """(reconstruction error, Parseval gap) of the eigendecomposition
+    S = V diag(lam) V^T: ||V diag(lam) V^T - S|| / ||S|| and
+    | ||V^T x|| - ||x|| | for the signal x."""
+    eig = eigendecompose(S)
+    V, lam = eig.eigenvectors, eig.eigenvalues
+    recon = V @ np.diag(lam) @ V.T
+    return (spectral_norm(recon - S.matrix)
+            / max(spectral_norm(S.matrix), 1e-300),
+            abs(np.linalg.norm(V.T @ x) - np.linalg.norm(x)))
+
+
+def gradient_residual(model, S, samples, config):
+    """Largest |g - fd| / max(|fd|, 1e-4) over the model's parameters, with
+    g the analytic gradient of the objective and fd its central difference
+    of step 1e-5. Each parameter is restored after it is moved."""
+    grads = objective_gradients(model, S, samples, config)
+    worst = 0.0
+    step = 1e-5
+    for p, g in zip(_parameters(model), grads):
+        for idx in np.ndindex(p.shape):
+            orig = p[idx]
+            p[idx] = orig + step
+            up = objective(model, S, samples, config)
+            p[idx] = orig - step
+            down = objective(model, S, samples, config)
+            p[idx] = orig
+            fd = (up - down) / (2 * step)
+            worst = max(worst, abs(g[idx] - fd) / max(abs(fd), 1e-4))
+    return worst
+
+
 def invariant_suite(quick: bool = False, seed: int = 0):
     """Residuals-vs-tolerance table for the theory invariants on synthetic
     graphs."""
@@ -301,20 +348,12 @@ def invariant_suite(quick: bool = False, seed: int = 0):
         x = rng.standard_normal(n)
         perm = rng.permutation(n)
         h = rng.standard_normal(4)
-        y = graph_convolution(S, h, x)
-        y_perm = graph_convolution(permute_gso(S, perm), h,
-                                   permute_signal(x, perm))
-        res_filter = max(res_filter,
-                         np.linalg.norm(y_perm - permute_signal(y, perm))
-                         / max(np.linalg.norm(y), 1e-300))
+        res_filter = max(res_filter, equivariance_residual(
+            lambda S, x: graph_convolution(S, h, x), S, perm, x))
         model = init_model(int(rng.integers(2**31)), [1, 3, 2], [3, 3],
                            ["relu", "tanh"], node=0)
-        fa = forward(model, S, x).features
-        fb = forward(model, permute_gso(S, perm),
-                     permute_signal(x, perm)).features
-        res_gnn = max(res_gnn,
-                      np.linalg.norm(fb - permute_signal(fa, perm))
-                      / max(np.linalg.norm(fa), 1e-300))
+        res_gnn = max(res_gnn, equivariance_residual(
+            lambda S, x: forward(model, S, x).features, S, perm, x))
     checks.append(_check("filter permutation equivariance", res_filter, 1e-9))
     checks.append(_check("gnn permutation equivariance", res_gnn, 1e-9))
 
@@ -323,40 +362,19 @@ def invariant_suite(quick: bool = False, seed: int = 0):
     for _ in range(draws):
         n = int(rng.integers(5, max_n + 1))
         S = build_gso(random_weighted_graph(n, int(rng.integers(2**31))))
-        eig = eigendecompose(S)
-        V, lam = eig.eigenvectors, eig.eigenvalues
-        recon = V @ np.diag(lam) @ V.T
-        res_recon = max(res_recon, spectral_norm(recon - S.matrix)
-                        / max(spectral_norm(S.matrix), 1e-300))
-        x = rng.standard_normal(n)
-        res_parseval = max(res_parseval,
-                           abs(np.linalg.norm(V.T @ x) - np.linalg.norm(x)))
+        recon, parseval = spectral_residuals(S, rng.standard_normal(n))
+        res_recon = max(res_recon, recon)
+        res_parseval = max(res_parseval, parseval)
     checks.append(_check("eigendecomposition reconstruction", res_recon, 1e-10))
     checks.append(_check("gft parseval", res_parseval, 1e-10))
 
     # gradient check against finite differences
-    from .gnn import _parameters
-
     model = init_model(seed, [1, 3], [4], ["tanh"], node=2)
     S = build_gso(random_weighted_graph(8, seed))
     samples = [(rng.standard_normal(8), float(rng.normal())) for _ in range(3)]
     config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0), grid_size=201)
-    grads = objective_gradients(model, S, samples, config)
-    params = _parameters(model)
-    res_grad = 0.0
-    step = 1e-5
-    for p, g in zip(params, grads):
-        for idx in np.ndindex(p.shape):
-            orig = p[idx]
-            p[idx] = orig + step
-            up = objective(model, S, samples, config)
-            p[idx] = orig - step
-            down = objective(model, S, samples, config)
-            p[idx] = orig
-            fd = (up - down) / (2 * step)
-            res_grad = max(res_grad, abs(g[idx] - fd) / max(abs(fd), 1e-4))
     checks.append(_check("analytic vs finite-difference gradients",
-                         res_grad, 1e-4))
+                         gradient_residual(model, S, samples, config), 1e-4))
 
     # perturbation round trip; E is undetermined when an eigenvalue pair
     # sums to zero, so such draws are skipped (all skipped fails the check)
@@ -513,7 +531,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameter numbers, and the largest mmap threshold it
+# takes on a 64-bit host
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def fix_mmap_threshold() -> None:
+    """Serve every block under 32 MiB from the heap, from the first on.
+
+    glibc starts its mmap threshold at 128 KiB and raises it to the size of
+    each mapped block freed, up to 32 MiB. Which N x N arrays the heap then
+    serves, and how it fragments, follows the addresses of the small blocks
+    allocated before them, so one `perturb-sweep` peaked at 133 or 148 MB
+    by the length of its working directory's name. A fixed threshold takes
+    that choice away. The heap keeps up to twice the threshold free at its
+    top before it returns memory, as the raised rule does; at glibc's
+    128 KiB default, training gave its pages back and faulted them in again
+    on every sample. A C library without mallopt keeps its own rules.
+    """
+    if sys.platform == "linux":
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+        if mallopt is not None:
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
+            mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
+
+
 def main(argv=None) -> int:
+    fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

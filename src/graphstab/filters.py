@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .graphs import GSO, SYMMETRY_RTOL, graph_shift, relabel
+from .graphs import GSO, graph_shift, relabel, symmetrized
 from .spectral import (LANCZOS_MIN_SIZE, bank_response, eigendecompose,
                        extreme_eigenvalues)
 
@@ -67,17 +67,18 @@ def spectral_norm(A: np.ndarray) -> float:
     transpose (an exactly symmetric one is taken as it is, since the
     average equals it bit for bit). Its eigenvalues come from eigvalsh
     below LANCZOS_MIN_SIZE rows and from Lanczos
-    (`spectral.extreme_eigenvalues`) from there on; any other matrix takes
-    np.linalg.norm(A, 2).
+    (`spectral.extreme_eigenvalues`) from there on; any other matrix, a
+    non-square one included, takes np.linalg.norm(A, 2).
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return 0.0
-    if not np.array_equal(A, A.T):
-        asym = np.abs(A - A.T).max()
-        if not asym <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
-            return float(np.linalg.norm(A, 2))
-        A = (A + A.T) / 2.0
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return float(np.linalg.norm(A, 2))
+    try:
+        A = symmetrized(A)
+    except ValueError:
+        return float(np.linalg.norm(A, 2))
     if A.shape[0] < LANCZOS_MIN_SIZE:
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     lam_min, lam_max = extreme_eigenvalues(A)

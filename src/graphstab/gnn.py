@@ -44,6 +44,8 @@ class LayerSpec:
         if self.taps.ndim != 3 or 0 in self.taps.shape:
             raise ValueError("layer taps must have shape (F_in, F_out, K) "
                              f"with no empty axis, got {self.taps.shape}")
+        if not np.isfinite(self.taps).all():
+            raise ValueError("layer taps must be finite")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -63,6 +65,9 @@ class GNNModel:
                                                      dtype=float))
         if self.readout_bias.shape != (1,):
             raise ValueError("readout bias must be a single scalar")
+        if not (np.isfinite(self.readout_weights).all()
+                and np.isfinite(self.readout_bias).all()):
+            raise ValueError("readout weights and bias must be finite")
         if not self.layers:
             raise ValueError("model needs at least one layer")
         if self.node < 0:
@@ -97,10 +102,13 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        # a chained comparison is False for NaN, so NaN fails it too
+        if not 0 <= self.mu < np.inf:
+            raise ValueError(
+                f"mu must be nonnegative and finite, got {self.mu}")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:

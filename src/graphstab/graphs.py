@@ -87,12 +87,7 @@ class GSO:
             raise ValueError("GSO needs at least one node")
         if not np.isfinite(S).all():
             raise ValueError("GSO entries must be finite")
-        if not np.array_equal(S, S.T):
-            asym = np.abs(S - S.T).max()
-            if asym > SYMMETRY_RTOL * max(1.0, np.abs(S).max()):
-                raise ValueError("GSO must be symmetric, got "
-                                 f"max |S - S^T| = {asym:g}")
-            S = (S + S.T) / 2.0
+        S = symmetrized(S)
         S.setflags(write=False)
         object.__setattr__(self, "matrix", S)
 
@@ -122,6 +117,23 @@ class GSO:
         """spectral.eigendecompose of S, computed on first use."""
         from .spectral import _decompose  # spectral imports this module
         return _decompose(self.matrix)
+
+
+def symmetrized(A: np.ndarray) -> np.ndarray:
+    """The square matrix A itself when it equals its transpose exactly, else
+    (A + A^T) / 2 when max |A - A^T| is at most SYMMETRY_RTOL * max(1,
+    max |A|): the symmetry rule of a GSO.
+
+    Raises ValueError naming max |A - A^T| for any other matrix, a matrix
+    with a NaN entry included.
+    """
+    if np.array_equal(A, A.T):
+        return A
+    asym = np.abs(A - A.T).max()
+    if not asym <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
+        raise ValueError("GSO must be symmetric, got "
+                         f"max |S - S^T| = {asym:g}")
+    return (A + A.T) / 2.0
 
 
 def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:

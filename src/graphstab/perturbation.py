@@ -47,8 +47,9 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
     The error matrix is (epsilon/2) I, which commutes with S, so the
     eigenvectors are unchanged and the eigenvalues scale by (1 + epsilon).
     """
-    if epsilon <= -1:
-        raise ValueError("edge dilation requires epsilon > -1")
+    if not -1 < epsilon < np.inf:
+        raise ValueError("edge dilation requires epsilon > -1 and finite, "
+                         f"got {epsilon}")
     N = S.node_count
     return PerturbationSpec(
         original=S,
@@ -68,8 +69,9 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     commuted operands, so it is copied, and both come out exactly symmetric.
     S_hat is handed to its GSO read-only, which keeps it without a copy.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(
+            f"epsilon must be nonnegative and finite, got {epsilon}")
     N = S.node_count
     rng = np.random.default_rng(seed)
     E = rng.standard_normal((N, N))

@@ -1,9 +1,17 @@
+import ctypes
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphstab import cli
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
+from graphstab.stability import filter_stability_bound
 
 
 def csv_body(path):
@@ -70,6 +78,72 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def _verify_row(out, name):
+    return next(line for line in out.splitlines() if line.startswith(name))
+
+
+@pytest.mark.parametrize("name,check", [
+    ("graph_convolution", "filter permutation equivariance"),
+    ("forward", "gnn permutation equivariance"),
+])
+def test_verify_fails_on_a_map_that_is_not_equivariant(monkeypatch, capsys,
+                                                       name, check):
+    # a ramp over the node index, added to the output, does not move with
+    # the nodes when they are relabeled
+    exact = getattr(cli, name)
+    if name == "graph_convolution":
+        def planted(S, h, x):
+            return exact(S, h, x) + 1e-6 * np.arange(len(x))
+    else:
+        def planted(model, S, x):
+            cache = exact(model, S, x)
+            ramp = 1e-6 * np.arange(len(x))[:, None]
+            return dataclasses.replace(cache, features=cache.features + ramp)
+
+    monkeypatch.setattr(cli, name, planted)
+    assert main(["verify", "--quick"]) == 1
+    assert _verify_row(capsys.readouterr().out, check).endswith("FAIL")
+
+
+@pytest.mark.parametrize("part,check", [
+    ("eigenvalues", "eigendecomposition reconstruction"),
+    ("eigenvectors", "gft parseval"),
+])
+def test_verify_fails_on_a_perturbed_eigensystem(monkeypatch, capsys, part,
+                                                 check):
+    # scaling either part by 1 + 1e-8 moves its residual to about 1e-8, at
+    # least 100 times the tolerance
+    exact = cli.eigendecompose
+
+    def perturbed(S):
+        eig = exact(S)
+        scaled = getattr(eig, part) * (1 + 1e-8)
+        return dataclasses.replace(eig, **{part: scaled})
+
+    monkeypatch.setattr(cli, "eigendecompose", perturbed)
+    assert main(["verify", "--quick"]) == 1
+    assert _verify_row(capsys.readouterr().out, check).endswith("FAIL")
+
+
+def test_verify_fails_on_an_understated_il_constant(monkeypatch, capsys):
+    # the quick sweep measures distances of about 1/50 of the bound, so C
+    # understated by this factor puts some of them above it
+    factor = 100.0
+    exact = cli.empirical_filter_distance_sweep
+
+    def understated(*args):
+        return [dataclasses.replace(
+            r, C=r.C / factor,
+            bound=filter_stability_bound(r.C / factor, r.delta, r.N,
+                                         r.epsilon))
+            for r in exact(*args)]
+
+    monkeypatch.setattr(cli, "empirical_filter_distance_sweep", understated)
+    assert main(["verify", "--quick"]) == 1
+    out = capsys.readouterr().out
+    assert _verify_row(out, "filter stability bound slack").endswith("FAIL")
+
+
 def test_verify_has_no_fault_injection_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--inject-fault"])
@@ -99,8 +173,11 @@ def test_verify_fails_when_every_round_trip_is_singular(monkeypatch, capsys):
 
 def test_invariant_suite_structure():
     checks = invariant_suite(quick=True, seed=1)
-    names = [name for name, *_ in checks]
-    assert len(names) == len(set(names)) >= 6
+    assert [name for name, *_ in checks] == [
+        "filter permutation equivariance", "gnn permutation equivariance",
+        "eigendecomposition reconstruction", "gft parseval",
+        "analytic vs finite-difference gradients", "error-matrix round trip",
+        "filter stability bound slack"]
     for _, residual, tol, ok in checks:
         assert ok == (residual <= tol)
         assert ok
@@ -284,9 +361,24 @@ def test_fewer_than_one_epoch_or_draw_exits_2(
 
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_perturb_sweep_rejects_epsilon_before_reading_input(tmp_path, capsys,
+                                                            value):
+    # neither the ratings nor the train run exists: the flag is checked first
+    out = tmp_path / "out"
+    assert main(["perturb-sweep", "--data", str(tmp_path / "u.data"),
+                 "--checkpoints", str(tmp_path / "run"),
+                 "--epsilon", "0.05", value, "--out", str(out)]) == 2
+    assert (f"--epsilon must be nonnegative and finite, got {float(value)}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value,named", [
     ("--epochs", "0", "epochs must be at least 1, got 0"),
     ("--mu", "-1", "mu must be nonnegative"),
+    # NaN fails `mu < 0` as well; it must not train without the penalty
+    ("--mu", "nan", "mu must be nonnegative and finite, got nan"),
 ])
 def test_train_rejects_settings_before_reading_the_ratings(
         ratings_file, tmp_path, monkeypatch, capsys, flag, value, named):
@@ -312,6 +404,10 @@ def test_train_rejects_settings_before_reading_the_ratings(
     ("transfer", "absent movie", "movie id 99999 not present"),
     ("split-sweep", "no test users", "no test users at train fraction 1.0"),
     ("perturb-sweep", "no test users", "no test users at train fraction 1.0"),
+    # the checkpoint reads, but the model it holds is not finite
+    ("perturb-sweep", "nan tap", "split1.json: layer taps must be finite"),
+    ("transfer", "inf readout", "split1.json: readout weights and bias"),
+    ("split-sweep", "nan bias", "split1.json: readout weights and bias"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, capsys, command, bad,
@@ -326,6 +422,17 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
         checkpoints = tmp_path / "missing_run"
     elif bad == "absent movie":
         movie_id, extra = "99999", ["--movie-ids", "99999"]
+    elif bad in ("nan tap", "inf readout", "nan bias"):
+        path = checkpoints / "checkpoint_mu0.5_split1.json"
+        payload = json.loads(path.read_text())
+        model = payload["model"]
+        if bad == "nan tap":
+            model["layers"][0]["taps"][0][0][0] = float("nan")
+        elif bad == "inf readout":
+            model["readout_weights"][0] = float("inf")
+        else:
+            model["readout_bias"] = float("nan")
+        path.write_text(json.dumps(payload))
     elif command == "split-sweep":
         extra = ["--splits", "1.0"]
     else:
@@ -476,3 +583,41 @@ def test_transfer_defaults_to_the_five_most_rated_other_movies(
     rows = [row.split(",") for row in csv_body(out / "transfer.csv")[1:]]
     for mu in ("0.0", "0.5"):
         assert [int(r[1]) for r in rows if r[0] == mu] == expected
+
+
+MAPPED_BYTES = """
+import ctypes
+import numpy as np
+from graphstab.cli import fix_mmap_threshold
+
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+before = libc.mallinfo2().hblkhd
+a = np.ones(2**19)  # 4 MiB, nothing freed before it
+after_a = libc.mallinfo2().hblkhd
+fix_mmap_threshold()
+b = np.ones(2**19)
+print(after_a - before, libc.mallinfo2().hblkhd - after_a)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux"
+    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
+    reason="needs glibc's mallinfo2")
+def test_fix_mmap_threshold_serves_large_blocks_from_the_heap():
+    # a fresh process: the threshold of this one is whatever earlier tests
+    # left, as main() fixes it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", MAPPED_BYTES], env=env,
+                            capture_output=True, text=True, check=True)
+    mapped_before, mapped_after = map(int, result.stdout.split())
+    assert mapped_before >= 2**22  # the default rule maps the first one
+    assert mapped_after == 0

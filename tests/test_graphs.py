@@ -59,7 +59,8 @@ def test_build_gso_markov_symmetrized(path3_graph):
 
 
 def test_gso_rejects_asymmetric_or_non_finite_matrix():
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(ValueError,
+                       match=r"symmetric, got max \|S - S\^T\| = 1$"):
         GSO(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="finite"):
         GSO(np.array([[0.0, np.inf], [np.inf, 0.0]]))

@@ -232,6 +232,12 @@ def _ill_conditioned_pair():
      "edge dilation requires epsilon > -1"),
     (lambda S: random_relative_perturbation(S, -0.1, 0), ValueError,
      "epsilon must be nonnegative"),
+    (lambda S: edge_dilation(S, np.nan), ValueError,
+     "edge dilation requires epsilon > -1 and finite, got nan"),
+    (lambda S: random_relative_perturbation(S, np.inf, 0), ValueError,
+     "epsilon must be nonnegative and finite, got inf"),
+    (lambda S: random_relative_perturbation(S, np.nan, 0), ValueError,
+     "epsilon must be nonnegative and finite, got nan"),
     (lambda S: relative_distance(S, S, "nearest"), ValueError,
      "unknown mode 'nearest'"),
     # every pair sum of path3's spectrum {-sqrt 2, 0, sqrt 2} hits 0 + 0
@@ -241,8 +247,8 @@ def _ill_conditioned_pair():
      "U and V must be square matrices of equal shape"),
     (lambda S: solve_relative_error(*_ill_conditioned_pair()), ValueError,
      "recovered E fails the membership identity"),
-], ids=["dilation", "random", "mode", "no permutation", "misalignment",
-        "membership"])
+], ids=["dilation", "random", "nan dilation", "inf random", "nan random",
+        "mode", "no permutation", "misalignment", "membership"])
 def test_perturbation_rejects(path3_adjacency, call, error, message):
     with pytest.raises(error, match=message):
         call(path3_adjacency)
