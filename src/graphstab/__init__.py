@@ -45,6 +45,7 @@ from .gnn import (
     forward,
     init_model,
     penalty,
+    predict,
     smooth_l1_grad,
     smooth_l1_loss,
     train,

@@ -10,6 +10,10 @@ where the penalty sums, over every filter in every bank, the grid maximum of
 |lambda h'(lambda)| on a fixed eigenvalue interval. Keeping that quantity
 small keeps the filters integral Lipschitz, hence the trained network stable
 to relative graph perturbations.
+
+The readout reads row `node` of the last layer only, and S is symmetric, so
+row `node` of S^k F is (S^k e_node)^T F. `predict` takes that (K, F) product
+where `forward` shifts all N rows of the features K - 1 times.
 """
 
 import copy
@@ -153,16 +157,8 @@ def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
     )
 
 
-def forward(model: GNNModel, S: GSO, x: np.ndarray,
-            first_layer_shifts: np.ndarray | None = None) -> ForwardCache:
-    """Run the network; caches per-layer shifts and pre-activations.
-
-    first_layer_shifts, when given, is the precomputed (K, N, F_0) shift
-    stack of x (shifts do not depend on the parameters, so training loops
-    reuse them across epochs). `train` passes a stack that is true only
-    inside the readout's receptive field: the prediction is then exact,
-    the features on rows outside it are not.
-    """
+def _check_input(model: GNNModel, S: GSO, x) -> np.ndarray:
+    """x as an (N, F_0) array; raises ValueError on a shape or node misfit."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -174,6 +170,28 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     if not 0 <= model.node < S.node_count:
         raise ValueError(f"readout node {model.node} is not one of the "
                          f"{S.node_count} nodes")
+    return x
+
+
+def _layer(S: GSO, layer: LayerSpec, feat, shifts=None):
+    """A layer's shift stack of feat (unless given), preactivation, output."""
+    if shifts is None:
+        shifts = shift_stack(S, feat, layer.taps.shape[2])
+    z = bank_apply(shifts, layer.taps)
+    return shifts, z, _ACTIVATIONS[layer.activation][0](z)
+
+
+def forward(model: GNNModel, S: GSO, x: np.ndarray,
+            first_layer_shifts: np.ndarray | None = None) -> ForwardCache:
+    """Run the network; caches per-layer shifts and pre-activations.
+
+    first_layer_shifts, when given, is the precomputed (K, N, F_0) shift
+    stack of x (shifts do not depend on the parameters, so training loops
+    reuse them across epochs). `train` passes a stack that is true only
+    inside the readout's receptive field: the prediction is then exact,
+    the features on rows outside it are not.
+    """
+    feat = _check_input(model, S, x)
     if first_layer_shifts is not None:
         want = (model.layers[0].taps.shape[2], S.node_count,
                 model.input_features)
@@ -184,22 +202,33 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
                 f"(K, N, F_0) = {want}"
             )
     layer_shifts, preactivations = [], []
-    feat = x
     for i, layer in enumerate(model.layers):
-        K = layer.taps.shape[2]
-        if i == 0 and first_layer_shifts is not None:
-            shifts = first_layer_shifts
-        else:
-            shifts = shift_stack(S, feat, K)
-        z = bank_apply(shifts, layer.taps)
-        act = _ACTIVATIONS[layer.activation][0]
+        shifts, z, feat = _layer(S, layer, feat,
+                                 first_layer_shifts if i == 0 else None)
         layer_shifts.append(shifts)
         preactivations.append(z)
-        feat = act(z)
     prediction = float(
         feat[model.node] @ model.readout_weights + model.readout_bias[0]
     )
     return ForwardCache(prediction, layer_shifts, preactivations, feat)
+
+
+def predict(model: GNNModel, S: GSO, signals) -> np.ndarray:
+    """`forward`'s prediction, to rounding, for each of a nonempty sequence
+    of signals, with its ValueErrors. The last layer takes the K rows S^k
+    e_node once and a (K, F) product per signal (see the module docstring)."""
+    *lower, last = model.layers
+    # zero rows for a node outside S, which the first signal's check rejects
+    rows = shift_stack(S, np.arange(S.node_count) == model.node,
+                       last.taps.shape[2])  # (K, N)
+    readout_shifts = []
+    for x in signals:
+        feat = _check_input(model, S, x)
+        for layer in lower:
+            feat = _layer(S, layer, feat)[2]
+        readout_shifts.append(rows @ feat)  # (K, F)
+    out = _layer(S, last, None, np.stack(readout_shifts, axis=1))[2]
+    return out @ model.readout_weights + model.readout_bias[0]
 
 
 def smooth_l1_loss(prediction: float, target: float) -> float:

@@ -410,8 +410,8 @@ def test_train_rejects_settings_before_reading_the_ratings(
     ("split-sweep", "nan bias", "split1.json: readout weights and bias"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
-                                            tmp_path, capsys, command, bad,
-                                            named):
+                                            tmp_path, monkeypatch, capsys,
+                                            command, bad, named):
     data, checkpoints, movie_id, extra = ratings_file, trained_dir, "7", []
     if bad == "empty data":
         data = tmp_path / "empty.data"
@@ -433,6 +433,11 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
         else:
             model["readout_bias"] = float("nan")
         path.write_text(json.dumps(payload))
+
+        def unread(path):  # a bad checkpoint stops the sweep before this
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_ratings", unread)
     elif command == "split-sweep":
         extra = ["--splits", "1.0"]
     else:
@@ -545,6 +550,76 @@ def test_train_rejects_repeated_values(ratings_file, tmp_path, capsys, flag,
                  "--out", str(out), "--seeds", *seeds, "--mu", *mus]) == 2
     assert f"{flag} repeats a value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,values", [
+    ("transfer", "--movie-ids", ["3", "5", "3"]),
+    ("split-sweep", "--splits", ["0.5", "0.50"]),
+    ("perturb-sweep", "--epsilon", ["0.05", "0.1", "5e-2"]),
+])
+def test_sweeps_reject_repeated_values(tmp_path, capsys, command, flag,
+                                       values):
+    # neither the ratings nor the train run exists: the flag is checked first
+    out = tmp_path / "out"
+    assert main([command, "--data", str(tmp_path / "u.data"),
+                 "--checkpoints", str(tmp_path / "run"), flag, *values,
+                 "--out", str(out)]) == 2
+    assert f"{flag} repeats a value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_transfer_and_split_sweep_score_without_forward(
+        trained_dir, ratings_file, tmp_path, monkeypatch):
+    """Both sweeps score through `predict`; their RMSE columns match a
+    per-sample `forward` on the same tasks to 1e-12 relative."""
+    from graphstab import gnn
+    from graphstab.movielens import build_task, load_ratings
+
+    def unused(*args, **kwargs):
+        raise AssertionError("forward was called")
+
+    monkeypatch.setattr(cli, "forward", unused)
+    monkeypatch.setattr(gnn, "forward", unused)
+    common = ["--data", str(ratings_file), "--checkpoints", str(trained_dir)]
+    assert main(["transfer", *common, "--movie-ids", "3", "5",
+                 "--out", str(tmp_path / "transfer")]) == 0
+    assert main(["split-sweep", *common, "--splits", "0.5", "0.8",
+                 "--out", str(tmp_path / "splits")]) == 0
+    monkeypatch.undo()
+
+    ratings = load_ratings(ratings_file)
+    models = {(mu, seed): gnn.load_checkpoint(
+        trained_dir / f"checkpoint_mu{mu}_split{seed}.json")[0]
+        for mu in ("0.0", "0.5") for seed in (0, 1)}
+
+    def per_sample(mu, seed, movie_id, fraction):
+        task = build_task(ratings, target_item_id=movie_id,
+                          train_fraction=fraction, seed=seed)
+        model = models[mu, seed]
+        model.node = task.target_index
+        return cli._evaluate(model, task.gso, task.test)
+
+    def close(got, want):
+        return float(got) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def table(path):
+        rows = [line.split(",") for line in csv_body(path)]
+        return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+    rows = table(tmp_path / "transfer" / "transfer.csv")
+    assert len(rows) == 2 * 2  # mus x movies
+    for row in rows:
+        per_split = [per_sample(row["mu"], seed, int(row["movie_id"]), 0.9)
+                     for seed in (0, 1)]
+        mean, std = cli._mean_std(per_split)
+        assert close(row["rmse_mean"], mean) and close(row["rmse_std"], std)
+    rows = table(tmp_path / "splits" / "split_sweep.csv")
+    assert len(rows) == 2 * 2 * 2  # mus x seeds x ratios
+    for row in rows:
+        seed = int(row["split_seed"])
+        assert close(row["rmse_base"], per_sample(row["mu"], seed, 7, 0.9))
+        assert close(row["rmse_at_ratio"], per_sample(
+            row["mu"], seed, 7, float(row["train_fraction"])))
 
 
 @pytest.mark.parametrize("fraction,users", [("0.03", 1), ("0.01", 0)])

@@ -13,9 +13,12 @@ from graphstab import (
     adam_init,
     adam_step,
     build_gso,
+    build_task,
     forward,
     init_model,
+    load_ratings,
     penalty,
+    predict,
     random_weighted_graph,
     smooth_l1_grad,
     smooth_l1_loss,
@@ -33,6 +36,8 @@ from graphstab.gnn import (
     sample_gradients,
     save_checkpoint,
 )
+
+from conftest import make_ratings_file
 
 
 @pytest.fixture
@@ -505,3 +510,48 @@ def test_gnn_rejects(build, message):
 def test_lambda_interval_widens_a_degenerate_spectrum():
     S = build_gso(Graph(np.zeros((3, 3))))
     assert resolve_lambda_interval(S, TrainConfig()) == (0.0, 1e-6)
+
+
+def _assert_predict_matches_forward(model, S, signals):
+    got = predict(model, S, signals)
+    want = [forward(model, S, x).prediction for x in signals]
+    assert got.shape == (len(signals),)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_predict_matches_forward_on_a_task_gso(tmp_path):
+    """The paper's [1, 64] K = 5 model on a k-NN task GSO, which is sparse
+    enough for `graph_shift` to shift single columns over its nonzeros."""
+    ratings = load_ratings(make_ratings_file(tmp_path / "u.data", users=60,
+                                             movies=200))
+    task = build_task(ratings, target_item_id=7, train_fraction=0.8, seed=0)
+    assert task.gso.nonzero_rows is not None
+    model = init_model(3, [1, 64], [5], ["relu"], node=task.target_index)
+    _assert_predict_matches_forward(model, task.gso,
+                                    [x for x, _ in task.test])
+
+
+@pytest.mark.parametrize("graph", ["ring", "dense"])
+@pytest.mark.parametrize("dims,taps,acts", [
+    ([1, 4], [4], ["linear"]),
+    ([2, 3, 2], [3, 4], ["relu", "tanh"]),
+])
+def test_predict_matches_forward(graph, dims, taps, acts):
+    S = _exactness_gso(graph)
+    model = init_model(2, dims, taps, acts, node=7)
+    signals = [x for x, _ in _sparse_samples(S.node_count, dims[0], count=6,
+                                             seed=3)]
+    _assert_predict_matches_forward(model, S, signals)
+
+
+def test_predict_raises_forwards_errors(gso8):
+    model = init_model(0, [1, 2], [3], ["relu"], node=1)
+    x = np.ones(8)
+    with pytest.raises(ValueError, match=r"input of shape \(5, 1\) does not "
+                                         r"match N = 8, F_0 = 1"):
+        predict(model, gso8, [x, np.ones(5)])
+    model.node = 8
+    with pytest.raises(ValueError, match="readout node 8 is not one of the "
+                                         "8 nodes"):
+        predict(model, gso8, [x])
