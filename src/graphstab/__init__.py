@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .graphs import (
     GSO,
     DegenerateGraphError,
-    Graph,
     build_gso,
     graph_shift,
     knn_sparsify,

@@ -279,6 +279,9 @@ def _print_sweep_summary(rows):
 
 def cmd_split_sweep(args) -> int:
     _check_distinct(("--splits", args.splits))
+    for ratio in args.splits:
+        if not 0 < ratio <= 1:
+            raise ValueError(f"train fraction {ratio} is outside (0, 1]")
     out, summary, ratings, models = _load_run(args)
     rows = []
     for (mu_key, split_seed), model in models.items():
@@ -382,7 +385,7 @@ def invariant_suite(quick: bool = False, seed: int = 0):
     model = init_model(seed, [1, 3], [4], ["tanh"], node=2)
     S = build_gso(random_weighted_graph(8, seed))
     samples = [(rng.standard_normal(8), float(rng.normal())) for _ in range(3)]
-    config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0), grid_size=201)
+    config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0))
     checks.append(_check("analytic vs finite-difference gradients",
                          gradient_residual(model, S, samples, config), 1e-4))
 

@@ -6,10 +6,10 @@ The training objective is
 
     sum_T smooth_l1(prediction, label) + mu * penalty
 
-where the penalty sums, over every filter in every bank, the grid maximum of
-|lambda h'(lambda)| on a fixed eigenvalue interval. Keeping that quantity
-small keeps the filters integral Lipschitz, hence the trained network stable
-to relative graph perturbations.
+where the penalty sums, over every filter in every bank, the maximum of
+|lambda h'(lambda)| on the spectral.IL_GRID_POINTS grid of a fixed eigenvalue
+interval. Keeping that quantity small keeps the filters integral Lipschitz,
+hence the trained network stable to relative graph perturbations.
 
 The readout reads row `node` of the last layer only, and S is symmetric, so
 row `node` of S^k F is (S^k e_node)^T F. `predict` takes that (K, F) product
@@ -24,7 +24,7 @@ import numpy as np
 
 from .filters import bank_apply, shift_stack
 from .graphs import GSO, hop_distances
-from .spectral import bank_response, eigendecompose
+from .spectral import IL_GRID_POINTS, bank_response, eigendecompose
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
@@ -99,7 +99,6 @@ class GNNModel:
 class TrainConfig:
     mu: float = 0.0
     lambda_interval: tuple | None = None  # default: eigenvalue range of S
-    grid_size: int = 1001
     learning_rate: float = 0.005
     epochs: int = 40
     batch_size: int = 5
@@ -118,8 +117,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(
                 f"batch size must be at least 1, got {self.batch_size}")
-        if self.grid_size < 2:
-            raise ValueError("penalty grid is empty")
         if self.lambda_interval is not None:
             a, b = self.lambda_interval
             if not a < b:
@@ -243,8 +240,8 @@ def smooth_l1_grad(prediction: float, target: float) -> float:
 
 
 def penalty(model: GNNModel, config: TrainConfig):
-    """Stability penalty: per-filter grid maxima of |lambda h'(lambda)|,
-    summed over every filter of every bank.
+    """Stability penalty: per-filter maxima of |lambda h'(lambda)| on the
+    IL_GRID_POINTS grid, summed over every filter of every bank.
 
     Returns (value, per-layer tap subgradients). The subgradient of each
     filter's max is taken at its (first) argmax grid point.
@@ -252,7 +249,7 @@ def penalty(model: GNNModel, config: TrainConfig):
     if config.lambda_interval is None:
         raise ValueError("penalty needs a configured lambda interval")
     a, b = config.lambda_interval
-    grid = np.linspace(a, b, config.grid_size)
+    grid = np.linspace(a, b, IL_GRID_POINTS)
     value = 0.0
     grads = []
     for layer in model.layers:
@@ -473,12 +470,15 @@ def model_to_dict(model: GNNModel) -> dict:
 
 
 def model_from_dict(d: dict) -> GNNModel:
+    # a JSON integer: int() would cut 3.7, read true as 1, overflow on inf
+    if type(d["node"]) is not int:
+        raise ValueError(f"readout node must be an integer, got {d['node']!r}")
     return GNNModel(
         layers=[LayerSpec(np.array(l["taps"]), l["activation"])
                 for l in d["layers"]],
         readout_weights=np.array(d["readout_weights"]),
         readout_bias=float(d["readout_bias"]),
-        node=int(d["node"]),
+        node=d["node"],
     )
 
 

@@ -1,8 +1,8 @@
-"""Graph and graph-signal representations and the graph shift operation.
+"""Graph shift operators and the graph shift operation.
 
-Graphs are stored as dense N x N weight matrices (the largest graph we care
-about has ~1600 nodes). A graph shift operator (GSO) is any symmetric matrix
-respecting the graph's sparsity; shifting a signal means multiplying by it.
+A graph is its dense N x N weight matrix (at most ~1600 nodes here); a
+graph shift operator (GSO), built from one by `build_gso`, is any symmetric
+matrix respecting the graph's sparsity. Shifting multiplies a signal by it.
 
 The shift takes one of two paths, chosen in `graph_shift` alone: a single
 column (x of shape (N,) or (N, 1)) is shifted over the nonzeros of S when at
@@ -31,34 +31,6 @@ _TILE = 128
 class DegenerateGraphError(ValueError):
     """Raised when a graph cannot support the requested operation
     (e.g. a zero-degree node when building a Markov shift operator)."""
-
-
-@dataclass(frozen=True)
-class Graph:
-    """Weighted undirected-or-directed graph given by its weight matrix.
-
-    weights[i, j] is the weight of edge (j, i); 0 encodes absence.
-    The diagonal must be zero and all weights finite and nonnegative.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        W = np.asarray(self.weights, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {W.shape}")
-        if W.shape[0] < 1:
-            raise ValueError("graph needs at least one node")
-        if not np.isfinite(W).all():
-            raise ValueError("edge weights must be finite")
-        if np.any(W < 0):
-            raise ValueError("edge weights must be nonnegative")
-        if np.any(np.diag(W) != 0):
-            raise ValueError("diagonal (self-loops) must be zero")
-        object.__setattr__(self, "weights", W)
-
-    def degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -136,19 +108,31 @@ def symmetrized(A: np.ndarray) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def build_gso(graph: Graph, kind: str = "adjacency") -> GSO:
-    """Build a shift operator from a graph: adjacency, Laplacian or Markov.
+def build_gso(W: np.ndarray, kind: str = "adjacency") -> GSO:
+    """Build a shift operator from weight matrix W: adjacency, Laplacian or
+    Markov. W[i, j] is the weight of edge (j, i), 0 for none; W must be
+    square, nonempty, finite, nonnegative and zero on the diagonal.
 
     The Markov operator D^-1 W is not symmetric in general; it is symmetrized
     here by averaging with its transpose.
     """
-    W = graph.weights
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError(f"weight matrix must be square, got shape {W.shape}")
+    if W.shape[0] < 1:
+        raise ValueError("graph needs at least one node")
+    if not np.isfinite(W).all():
+        raise ValueError("edge weights must be finite")
+    if np.any(W < 0):
+        raise ValueError("edge weights must be nonnegative")
+    if np.any(np.diag(W) != 0):
+        raise ValueError("diagonal (self-loops) must be zero")
     if kind == "adjacency":
         S = W
     elif kind == "laplacian":
-        S = np.diag(graph.degrees()) - W
+        S = np.diag(W.sum(axis=1)) - W
     elif kind == "markov":
-        d = graph.degrees()
+        d = W.sum(axis=1)
         if np.any(d <= 0):
             bad = int(np.argmin(d))
             raise DegenerateGraphError(
@@ -296,9 +280,9 @@ def permute_signal(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 
 def random_weighted_graph(n: int, seed: int | None = None,
-                          p: float = 0.5) -> Graph:
-    """Erdos-Renyi-style random weighted graph, connected by construction
-    (a random spanning path is always included). Weights uniform in (0, 1]."""
+                          p: float = 0.5) -> np.ndarray:
+    """Weights of an Erdos-Renyi-style random graph, connected by construction
+    (a random spanning path is always included), uniform in [0.1, 1)."""
     rng = np.random.default_rng(seed)
     W = np.zeros((n, n))
     order = rng.permutation(n)
@@ -309,4 +293,4 @@ def random_weighted_graph(n: int, seed: int | None = None,
     add = np.triu(mask & (W == 0), 1)
     W[add] = weights[add]
     W.T[add] = weights[add]
-    return Graph(W)
+    return W

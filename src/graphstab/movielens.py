@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (GSO, _TILE, Graph, _mirror_tiles, build_gso,
-                     knn_sparsify)
+from .graphs import GSO, _TILE, _mirror_tiles, build_gso, knn_sparsify
 
 MIN_COMMON_RATERS = 2
 DEFAULT_KNN = 10
@@ -133,8 +132,8 @@ def _parse_lines(path) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
-def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
-    """Movie graph weighted by pairwise Pearson correlation over co-raters.
+def pearson_graph(ratings: RatingsMatrix, user_subset) -> np.ndarray:
+    """Movie graph weight matrix: pairwise Pearson correlation over co-raters.
 
     Pairs with fewer than MIN_COMMON_RATERS co-raters or zero variance get
     weight 0; negative correlations are clipped to 0. All sums are restricted
@@ -177,7 +176,7 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> Graph:
 
     corr = _mirror_tiles(np.empty((N, N)), tile)
     np.fill_diagonal(corr, 0.0)
-    return Graph(corr)
+    return corr
 
 
 def _pearson_tile(n, sum_i, sum_j, sq_i, sq_j, cross) -> np.ndarray:
@@ -220,14 +219,14 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     raters = raters[rng.permutation(raters.size)]
     n_train = int(round(train_fraction * raters.size))
     train_users, test_users = raters[:n_train], raters[n_train:]
-    W = (knn_sparsify(pearson_graph(ratings, train_users).weights,
-                      DEFAULT_KNN) if n_train else np.zeros(0))
+    W = (knn_sparsify(pearson_graph(ratings, train_users), DEFAULT_KNN)
+         if n_train else np.zeros(0))
     if not W.any():
         raise ValueError(
             f"movie id {target_item_id} at train fraction {train_fraction} "
             f"has a training graph without edges ({n_train} training users)")
     W.setflags(write=False)  # so the GSO keeps W rather than a copy
-    gso = build_gso(Graph(W), "adjacency")
+    gso = build_gso(W, "adjacency")
 
     def make_samples(users):
         samples = []

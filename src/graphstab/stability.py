@@ -24,7 +24,8 @@ from .perturbation import (
     random_relative_perturbation,
     spec_misalignment,
 )
-from .spectral import bank_response, eigendecompose, integral_lipschitz_check
+from .spectral import (IL_GRID_POINTS, bank_response, eigendecompose,
+                       integral_lipschitz_check)
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,9 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
 
 def bank_il_constant(taps: np.ndarray, interval) -> float:
     """Integral Lipschitz constant of an (F_in, F_out, K) bank: the maximum
-    of the spectral norm of the matrix lambda H'(lambda) on a 1001-point
-    grid."""
-    grid = np.linspace(interval[0], interval[1], 1001)
+    of the spectral norm of the matrix lambda H'(lambda) on the
+    IL_GRID_POINTS grid."""
+    grid = np.linspace(interval[0], interval[1], IL_GRID_POINTS)
     v = bank_response(taps, grid, derivative=True)
     return float(np.linalg.norm(v, 2, axis=(1, 2)).max())
 
@@ -193,7 +194,7 @@ def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
     C = bank_il_constant(taps, interval)
     if C > c_target > 0:
         taps *= c_target / C
-    grid = np.linspace(a, b, 1001)
+    grid = np.linspace(a, b, IL_GRID_POINTS)
     peak = np.linalg.norm(bank_response(taps, grid), 2, axis=(1, 2)).max()
     if peak > 1.0:
         taps /= peak

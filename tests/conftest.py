@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstab import Graph, build_gso, random_weighted_graph
+from graphstab import build_gso, random_weighted_graph
 
 PATH3 = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 1.0],
@@ -13,13 +13,8 @@ PATH3 = np.array([[0.0, 1.0, 0.0],
 
 
 @pytest.fixture
-def path3_graph():
-    return Graph(PATH3)
-
-
-@pytest.fixture
-def path3_adjacency(path3_graph):
-    return build_gso(path3_graph, "adjacency")
+def path3_adjacency():
+    return build_gso(PATH3, "adjacency")
 
 
 @pytest.fixture

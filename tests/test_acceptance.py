@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from graphstab import (
-    Graph,
     SingularEquationError,
     TrainConfig,
     bank_response,
@@ -144,7 +143,7 @@ def test_gradient_oracle_five_models():
     start = time.perf_counter()
     S = build_gso(random_weighted_graph(8, seed=2))
     rng = np.random.default_rng(3)
-    config = TrainConfig(mu=0.2, lambda_interval=(-2.0, 2.0), grid_size=201)
+    config = TrainConfig(mu=0.2, lambda_interval=(-2.0, 2.0))
     for trial in range(5):
         model = init_model(trial, [1, 3], [4],
                            ["relu" if trial % 2 else "tanh"], node=1)
@@ -172,10 +171,10 @@ def _connected_and_nonbipartite(W):
 
 
 def test_frequency_mixing():
-    graph = random_weighted_graph(10, seed=4, p=0.5)
-    connected, nonbipartite = _connected_and_nonbipartite(graph.weights)
+    W = random_weighted_graph(10, seed=4, p=0.5)
+    connected, nonbipartite = _connected_and_nonbipartite(W)
     assert connected and nonbipartite
-    S = build_gso(graph, "laplacian")
+    S = build_gso(W, "laplacian")
     relu_report = frequency_mixing_demo(S, "relu")
     others = np.delete(relu_report.magnitudes, relu_report.input_coefficient)
     assert np.count_nonzero(others > 1e-10) >= 2
@@ -250,6 +249,6 @@ def test_error_recovery_roundtrip_100_specs():
             continue
         assert np.max(np.abs(E - spec.error)) <= 1e-8
         solved += 1
-    two_path = build_gso(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    two_path = build_gso(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SingularEquationError):
         solve_relative_error(two_path, two_path)

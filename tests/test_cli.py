@@ -280,7 +280,7 @@ def test_missing_data_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,named", [("unknown", "dropout"),
-                                        ("missing", "grid_size"),
+                                        ("missing", "learning_rate"),
                                         ("layer key", "activation"),
                                         ("no layers", "layer"),
                                         ("empty taps", "no empty axis")])
@@ -291,7 +291,7 @@ def test_malformed_checkpoint_exits_2(trained_dir, ratings_file, tmp_path,
     if edit == "unknown":
         payload["config"]["dropout"] = 0.1
     elif edit == "missing":
-        del payload["config"]["grid_size"]
+        del payload["config"]["learning_rate"]
     elif edit == "layer key":
         del payload["model"]["layers"][0]["activation"]
     elif edit == "empty taps":
@@ -325,14 +325,20 @@ def test_checkpoint_node_outside_graph_exits_2(trained_dir, ratings_file,
 @pytest.mark.parametrize("fraction", ["-0.1", "1.5"])
 @pytest.mark.parametrize("command", ["train", "split-sweep"])
 def test_train_fraction_outside_unit_interval_exits_2(
-        trained_dir, ratings_file, tmp_path, capsys, command, fraction):
+        trained_dir, ratings_file, tmp_path, monkeypatch, capsys, command,
+        fraction):
     if command == "train":
         argv = ["train", "--data", str(ratings_file), "--movie-id", "7",
                 "--seeds", "0", "--epochs", "1", "--features", "2",
                 "--taps", "2", "--train-fraction", fraction]
     else:
+        def unread(path):  # split-sweep checks --splits before any input
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_ratings", unread)
         argv = ["split-sweep", "--data", str(ratings_file),
-                "--checkpoints", str(trained_dir), "--splits", fraction]
+                "--checkpoints", str(trained_dir), "--splits", "0.5",
+                fraction]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     assert f"train fraction {fraction} is outside (0, 1]" in (
@@ -408,6 +414,13 @@ def test_train_rejects_settings_before_reading_the_ratings(
     ("perturb-sweep", "nan tap", "split1.json: layer taps must be finite"),
     ("transfer", "inf readout", "split1.json: readout weights and bias"),
     ("split-sweep", "nan bias", "split1.json: readout weights and bias"),
+    # the readout node must be a JSON integer, not cut or overflowed to one
+    ("split-sweep", "inf node",
+     "split1.json: readout node must be an integer, got inf"),
+    ("transfer", "fractional node",
+     "split1.json: readout node must be an integer, got 3.7"),
+    ("perturb-sweep", "boolean node",
+     "split1.json: readout node must be an integer, got True"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,
@@ -422,7 +435,8 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
         checkpoints = tmp_path / "missing_run"
     elif bad == "absent movie":
         movie_id, extra = "99999", ["--movie-ids", "99999"]
-    elif bad in ("nan tap", "inf readout", "nan bias"):
+    elif bad in ("nan tap", "inf readout", "nan bias", "inf node",
+                 "fractional node", "boolean node"):
         path = checkpoints / "checkpoint_mu0.5_split1.json"
         payload = json.loads(path.read_text())
         model = payload["model"]
@@ -430,8 +444,12 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
             model["layers"][0]["taps"][0][0][0] = float("nan")
         elif bad == "inf readout":
             model["readout_weights"][0] = float("inf")
-        else:
+        elif bad == "nan bias":
             model["readout_bias"] = float("nan")
+        else:
+            model["node"] = {"inf node": float("inf"),
+                             "fractional node": 3.7,
+                             "boolean node": True}[bad]
         path.write_text(json.dumps(payload))
 
         def unread(path):  # a bad checkpoint stops the sweep before this

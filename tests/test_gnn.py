@@ -7,7 +7,6 @@ import pytest
 
 from graphstab import (
     GNNModel,
-    Graph,
     LayerSpec,
     TrainConfig,
     adam_init,
@@ -36,6 +35,7 @@ from graphstab.gnn import (
     sample_gradients,
     save_checkpoint,
 )
+from graphstab.spectral import IL_GRID_POINTS
 
 from conftest import make_ratings_file
 
@@ -149,7 +149,7 @@ def test_penalty_zero_taps():
 def test_penalty_pure_shift_filter():
     model = GNNModel([LayerSpec(np.array([[[0.0, 1.0]]]), "linear")],
                      np.ones(1), 0.0, 0)
-    config = TrainConfig(lambda_interval=(0.0, 2.0), grid_size=101)
+    config = TrainConfig(lambda_interval=(0.0, 2.0))
     value, grads = penalty(model, config)
     assert value == pytest.approx(2.0)
     # |lambda h'| = |lambda| peaks at 2; d/dh_1 there is lambda = 2
@@ -168,9 +168,9 @@ def test_penalty_matches_response_derivative_max():
     rng = np.random.default_rng(3)
     taps = rng.standard_normal((2, 3, 4))
     model = GNNModel([LayerSpec(taps, "relu")], np.zeros(3), 0.0, 0)
-    config = TrainConfig(lambda_interval=(-1.5, 1.5), grid_size=501)
+    config = TrainConfig(lambda_interval=(-1.5, 1.5))
     value, _ = penalty(model, config)
-    grid = np.linspace(-1.5, 1.5, 501)
+    grid = np.linspace(-1.5, 1.5, IL_GRID_POINTS)
     # |lambda h'(lambda)| of each tap polynomial, from numpy's polynomials
     expected = sum(
         np.abs(grid * P.polyval(grid, P.polyder(taps[f, g]))).max()
@@ -194,8 +194,7 @@ def test_gradient_matches_finite_differences(gso8):
                            ["tanh" if trial % 2 else "relu"], node=3)
         samples = [(rng.standard_normal(8), float(rng.normal()))
                    for _ in range(3)]
-        config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0),
-                             grid_size=201)
+        config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0))
         assert gradient_residual(model, gso8, samples, config) <= 1e-4
 
 
@@ -305,6 +304,8 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
 @pytest.mark.parametrize("drop, add, message", [
     ("mu", None, "config has missing keys ['mu']"),
     (None, "dropout", "config has unknown keys ['dropout']"),
+    # the penalty grid is fixed, so an older checkpoint's setting is refused
+    (None, "grid_size", "config has unknown keys ['grid_size']"),
     ("mu", "dropout",
      "config has missing keys ['mu'] and unknown keys ['dropout']"),
 ])
@@ -401,7 +402,7 @@ def _exactness_gso(kind):
         w = rng.uniform(0.2, 1.0, n)
         for i in range(n):
             W[i, (i + 1) % n] = W[(i + 1) % n, i] = w[i]
-        return build_gso(Graph(W))
+        return build_gso(W)
     return build_gso(random_weighted_graph(30, seed=12, p=0.9))
 
 
@@ -485,7 +486,6 @@ def _one_layer_model(bias=0.0, readout=2):
      "lambda interval must satisfy a < b"),
     (lambda: penalty(_one_layer_model(), TrainConfig()),
      "penalty needs a configured lambda interval"),
-    (lambda: TrainConfig(grid_size=1), "penalty grid is empty"),
     (lambda: LayerSpec(np.array([[[1.0, np.nan]]])),
      "layer taps must be finite"),
     (lambda: GNNModel([LayerSpec(np.ones((1, 2, 2)))], [1.0, np.inf], 0.0, 0),
@@ -499,7 +499,7 @@ def _one_layer_model(bias=0.0, readout=2):
     (lambda: TrainConfig(learning_rate=np.inf),
      "learning rate must be positive and finite"),
 ], ids=["activation", "bias", "layer chain", "readout", "mu",
-        "learning rate", "interval", "no interval", "grid", "nan tap",
+        "learning rate", "interval", "no interval", "nan tap",
         "inf readout", "nan bias", "nan mu", "inf mu", "nan learning rate",
         "inf learning rate"])
 def test_gnn_rejects(build, message):
@@ -508,7 +508,7 @@ def test_gnn_rejects(build, message):
 
 
 def test_lambda_interval_widens_a_degenerate_spectrum():
-    S = build_gso(Graph(np.zeros((3, 3))))
+    S = build_gso(np.zeros((3, 3)))
     assert resolve_lambda_interval(S, TrainConfig()) == (0.0, 1e-6)
 
 

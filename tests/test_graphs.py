@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from graphstab import (
     GSO,
     DegenerateGraphError,
-    Graph,
     build_gso,
     build_task,
     graph_shift,
@@ -25,33 +24,20 @@ from graphstab.graphs import (
 from conftest import PATH3, make_ratings_file, traced_peak
 
 
-def test_graph_rejects_self_loops_and_negative_weights():
-    with pytest.raises(ValueError):
-        Graph(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        Graph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_graph_rejects_non_finite_weights(bad):
-    with pytest.raises(ValueError, match="finite"):
-        Graph(np.array([[0.0, bad], [bad, 0.0]]))
-
-
-def test_build_gso_adjacency(path3_graph):
-    S = build_gso(path3_graph, "adjacency")
+def test_build_gso_adjacency():
+    S = build_gso(PATH3, "adjacency")
     assert np.array_equal(S.matrix, PATH3)
 
 
-def test_build_gso_laplacian(path3_graph):
-    S = build_gso(path3_graph, "laplacian")
+def test_build_gso_laplacian():
+    S = build_gso(PATH3, "laplacian")
     assert np.array_equal(S.matrix, np.diag([1.0, 2.0, 1.0]) - PATH3)
 
 
-def test_build_gso_markov_symmetrized(path3_graph):
+def test_build_gso_markov_symmetrized():
     # D^-1 W rows are [0,1,0], [1/2,0,1/2], [0,1,0]; averaging with the
     # transpose gives 0.75 on the path edges
-    S = build_gso(path3_graph, "markov")
+    S = build_gso(PATH3, "markov")
     expected = np.array([[0.0, 0.75, 0.0],
                          [0.75, 0.0, 0.75],
                          [0.0, 0.75, 0.0]])
@@ -82,6 +68,7 @@ def test_gso_keeps_a_read_only_array_it_owns():
     W = PATH3.copy()
     W.setflags(write=False)
     assert np.shares_memory(GSO(W).matrix, W)
+    assert np.shares_memory(build_gso(W).matrix, W)  # as build_task relies on
 
 
 def test_gso_copies_a_read_only_view_of_a_writable_array():
@@ -95,9 +82,8 @@ def test_gso_copies_a_read_only_view_of_a_writable_array():
 
 
 def test_build_gso_markov_zero_degree():
-    g = Graph(np.zeros((2, 2)))
     with pytest.raises(DegenerateGraphError):
-        build_gso(g, "markov")
+        build_gso(np.zeros((2, 2)), "markov")
 
 
 def test_graph_shift_path(path3_adjacency):
@@ -110,8 +96,8 @@ def test_graph_shift_zero(path3_adjacency):
 
 
 def test_graph_shift_weighted():
-    g = Graph(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]]))
-    S = build_gso(g)
+    S = build_gso(np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0],
+                            [0.0, 1.0, 0.0]]))
     assert np.allclose(graph_shift(S, np.array([1.0, 0, 0])), [0.0, 2.0, 0.0])
 
 
@@ -126,7 +112,7 @@ def isolated_nodes_gso(tmp_path):
     W = np.zeros((48, 48))
     for i in range(40):
         W[i, (i + 1) % 40] = W[(i + 1) % 40, i] = 1.0 + i / 40
-    return build_gso(Graph(W))
+    return build_gso(W)
 
 
 def dense_gso(tmp_path):
@@ -262,7 +248,7 @@ def test_knn_matches_per_row_sort(tmp_path, k, weights):
             np.fill_diagonal(W, 1.0)
     else:
         path = make_ratings_file(tmp_path / "u.data", users=60, movies=64)
-        W = pearson_graph(load_ratings(path), range(60)).weights
+        W = pearson_graph(load_ratings(path), range(60))
     out, expected = knn_sparsify(W.copy(), k), knn_oracle(W, k)
     assert np.array_equal(out, expected)
     assert out.tobytes() == expected.tobytes()  # signed zeros too
@@ -277,7 +263,7 @@ def test_knn_across_tiles_matches_per_row_sort(tmp_path, k, weights):
         W = tie_heavy_weights(n=300, seed=12)
     else:
         path = make_ratings_file(tmp_path / "u.data", users=400, movies=300)
-        W = pearson_graph(load_ratings(path), range(400)).weights
+        W = pearson_graph(load_ratings(path), range(400))
         assert np.count_nonzero(W[:128, 128:]) > 0
     out, expected = knn_sparsify(W.copy(), k), knn_oracle(W, k)
     assert out.tobytes() == expected.tobytes()
@@ -354,7 +340,7 @@ def test_hop_distances_ring_and_unreachable():
     W = np.zeros((12, 12))
     for i in range(10):  # ring on nodes 0..9; nodes 10 and 11 isolated
         W[i, (i + 1) % 10] = W[(i + 1) % 10, i] = 1.0
-    S = build_gso(Graph(W))
+    S = build_gso(W)
     assert hop_distances(S, 0, 3).tolist() == [0, 1, 2, 3, 4, 4, 4, 3, 2, 1,
                                                4, 4]
     assert hop_distances(S, 0, 9).tolist() == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1,
@@ -363,14 +349,34 @@ def test_hop_distances_ring_and_unreachable():
         hop_distances(S, 12, 3)
 
 
+def with_entry(i, j, value):
+    """PATH3 with W[i, j] (and W[j, i]) set to value."""
+    W = PATH3.copy()
+    W[i, j] = W[j, i] = value
+    return W
+
+
 @pytest.mark.parametrize("build,message", [
-    (lambda: Graph(np.zeros((2, 3))), "weight matrix must be square"),
-    (lambda: Graph(np.zeros((0, 0))), "graph needs at least one node"),
+    (lambda: build_gso(np.zeros((2, 3))),
+     r"weight matrix must be square, got shape \(2, 3\)"),
+    (lambda: build_gso(np.zeros((0, 0))), "graph needs at least one node"),
+    (lambda: build_gso(with_entry(0, 1, np.nan)),
+     "edge weights must be finite"),
+    (lambda: build_gso(with_entry(0, 1, np.inf)),
+     "edge weights must be finite"),
+    (lambda: build_gso(with_entry(0, 1, -1.0)),
+     "edge weights must be nonnegative"),
+    (lambda: build_gso(with_entry(1, 1, 1.0)),
+     r"diagonal \(self-loops\) must be zero"),
+    (lambda: build_gso(PATH3, "normalized"),
+     "unknown GSO kind 'normalized'"),
+    (lambda: build_gso(with_entry(0, 1, 0.0), "markov"),
+     "markov GSO undefined: node 0 has zero degree"),
     (lambda: GSO(np.zeros((2, 3))), "GSO must be square"),
     (lambda: GSO(np.zeros((0, 0))), "GSO needs at least one node"),
-    (lambda: build_gso(Graph(PATH3), "normalized"),
-     "unknown GSO kind 'normalized'"),
-], ids=["graph shape", "no nodes", "gso shape", "gso no nodes", "kind"])
+], ids=["graph shape", "no nodes", "nan weight", "inf weight",
+        "negative weight", "self-loop", "kind", "markov zero degree",
+        "gso shape", "gso no nodes"])
 def test_graphs_reject(build, message):
     with pytest.raises(ValueError, match=message):
         build()

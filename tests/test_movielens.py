@@ -135,26 +135,26 @@ def test_movie_index_missing():
 def test_pearson_identical_columns():
     # columns move together over every co-rater -> correlation 1
     ratings = ratings_from_matrix([[1, 1], [2, 2], [3, 3]])
-    W = pearson_graph(ratings, range(3)).weights
+    W = pearson_graph(ratings, range(3))
     assert W[0, 1] == pytest.approx(1.0)
     assert W[0, 0] == 0.0
 
 
 def test_pearson_negative_clipped_to_zero():
     ratings = ratings_from_matrix([[1, 3], [2, 2], [3, 1]])
-    W = pearson_graph(ratings, range(3)).weights
+    W = pearson_graph(ratings, range(3))
     assert W[0, 1] == 0.0
 
 
 def test_pearson_no_corater_overlap():
     ratings = ratings_from_matrix([[1, 0], [2, 0], [0, 3], [0, 4]])
-    W = pearson_graph(ratings, range(4)).weights
+    W = pearson_graph(ratings, range(4))
     assert W[0, 1] == 0.0
 
 
 def test_pearson_single_corater_below_minimum():
     ratings = ratings_from_matrix([[1, 2], [3, 0]])
-    W = pearson_graph(ratings, range(2)).weights
+    W = pearson_graph(ratings, range(2))
     assert W[0, 1] == 0.0
 
 
@@ -162,14 +162,14 @@ def test_pearson_hand_value():
     # co-raters of both movies: users 0..2 with columns (1,2,3) and (1,3,2);
     # Pearson correlation is 0.5
     ratings = ratings_from_matrix([[1, 1], [2, 3], [3, 2], [4, 0]])
-    W = pearson_graph(ratings, range(4)).weights
+    W = pearson_graph(ratings, range(4))
     assert W[0, 1] == pytest.approx(0.5)
 
 
 def test_pearson_restricts_to_subset():
     ratings = ratings_from_matrix([[1, 3], [2, 2], [3, 1], [1, 1], [3, 3]])
     # over users 3..4 the movies agree perfectly
-    W = pearson_graph(ratings, [3, 4]).weights
+    W = pearson_graph(ratings, [3, 4])
     assert W[0, 1] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         pearson_graph(ratings, [])
@@ -194,11 +194,23 @@ def pearson_oracle(R):
     return (corr + corr.T) / 2.0
 
 
+def assert_weight_matrix(W, n):
+    """W is what build_gso takes, and nothing re-checks it on the way: an
+    n x n float64 array that is finite, in [0, 1], zero on the diagonal and
+    exactly symmetric."""
+    assert type(W) is np.ndarray and W.shape == (n, n)
+    assert W.dtype == np.float64
+    assert np.isfinite(W).all() and W.min() >= 0.0 and W.max() <= 1.0
+    assert not np.diag(W).any()
+    assert np.array_equal(W, W.T)
+
+
 @pytest.mark.parametrize("users", [range(200), range(0, 200, 3), [5, 9]])
 def test_pearson_matches_double_precision_reference(tmp_path, users):
     path = make_ratings_file(tmp_path / "u.data", users=200, movies=60)
     ratings = load_ratings(path)
-    W = pearson_graph(ratings, users).weights
+    W = pearson_graph(ratings, users)
+    assert_weight_matrix(W, 60)
     expected = pearson_oracle(ratings.matrix[list(users)])
     assert np.count_nonzero(W) > 0
     assert W.tobytes() == expected.tobytes()
@@ -223,7 +235,8 @@ def test_pearson_across_tiles_matches_reference(movies, users):
     # two full tiles, and at 300 movies a ragged third: a slip at a tile
     # boundary or in the mirrored half shows against the full reference
     ratings = random_ratings(150, movies, seed=movies)
-    W = pearson_graph(ratings, users).weights
+    W = pearson_graph(ratings, users)
+    assert_weight_matrix(W, movies)
     expected = pearson_oracle(ratings.matrix[list(users)])
     assert np.count_nonzero(W[:128, 128:]) > 0
     assert W.tobytes() == expected.tobytes()
@@ -233,7 +246,8 @@ def test_pearson_double_precision_sums_match_reference(monkeypatch):
     # past 2**24 / 25 users the sums are formed in double precision
     monkeypatch.setattr(movielens, "_FLOAT32_EXACT", 0)
     ratings = random_ratings(150, 300, seed=3)
-    W = pearson_graph(ratings, range(150)).weights
+    W = pearson_graph(ratings, range(150))
+    assert_weight_matrix(W, 300)
     assert W.tobytes() == pearson_oracle(ratings.matrix).tobytes()
 
 

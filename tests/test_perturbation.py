@@ -3,7 +3,6 @@ import pytest
 
 from graphstab import (
     GSO,
-    Graph,
     SingularEquationError,
     build_gso,
     build_task,
@@ -79,7 +78,7 @@ def test_solve_roundtrip(gso20):
 
 
 def test_solve_singular_on_two_node_path():
-    S = build_gso(Graph(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    S = build_gso(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(SingularEquationError):
         solve_relative_error(S, S)
 
@@ -178,8 +177,8 @@ def test_random_perturbation_of_a_sparse_movie_graph(tmp_path):
 def tiled_gso(n, sparse):
     """A GSO over two full 128-node tiles and a ragged one: a random graph,
     dense, or its 3-NN pruning, sparse enough for the row-wise product."""
-    W = random_weighted_graph(n, seed=4).weights
-    S = build_gso(Graph(knn_sparsify(W, 3) if sparse else W))
+    W = random_weighted_graph(n, seed=4)
+    S = build_gso(knn_sparsify(W, 3) if sparse else W)
     assert (S.nonzero_rows is not None) == sparse
     return S
 

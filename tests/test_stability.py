@@ -3,7 +3,6 @@ import pytest
 
 from graphstab import (
     GNNModel,
-    Graph,
     LayerSpec,
     build_gso,
     edge_dilation,
@@ -250,7 +249,7 @@ def test_il_taps_are_rescaled_to_a_unit_peak():
 
 def _two_edges():
     # two disjoint edges: eigenvalues -1, -1, 1, 1
-    return build_gso(Graph(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])))
+    return build_gso(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
 
 
 @pytest.mark.parametrize("call,message", [
