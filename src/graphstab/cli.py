@@ -36,7 +36,7 @@ from .graphs import (
     permute_signal,
     random_weighted_graph,
 )
-from .movielens import build_task, load_ratings, rmse
+from .movielens import build_task, check_train_fraction, load_ratings, rmse
 from .perturbation import (SingularEquationError, random_relative_perturbation,
                            solve_relative_error)
 from .spectral import bank_response, eigendecompose
@@ -49,6 +49,10 @@ from .stability import (
 
 PAPER_FEATURES = 64
 PAPER_TAPS = 5
+
+# perturb-sweep draws split s, draw d from seed DRAW_SEEDS_PER_SPLIT * s + d,
+# so each draw has its own E only while --draws stays within this stride
+DRAW_SEEDS_PER_SPLIT = 1000
 
 
 def _header_lines(args, extra=()):
@@ -168,6 +172,7 @@ def cmd_train(args) -> int:
     _check_distinct(("--seeds", args.seeds), ("--mu", args.mu))
     # bad settings are rejected before the ratings are read
     configs = [TrainConfig(mu=mu, epochs=args.epochs) for mu in args.mu]
+    check_train_fraction(args.train_fraction)
     ratings = load_ratings(args.data)
     out = Path(args.out)
     rows = []
@@ -229,6 +234,9 @@ def _most_rated(ratings, exclude_item_id, count):
 def cmd_perturb_sweep(args) -> int:
     if args.draws < 1:
         raise ValueError(f"--draws must be at least 1, got {args.draws}")
+    if args.draws > DRAW_SEEDS_PER_SPLIT:
+        raise ValueError(f"--draws must be at most {DRAW_SEEDS_PER_SPLIT}, "
+                         f"got {args.draws}")
     _check_distinct(("--epsilon", args.epsilon))
     for eps in args.epsilon:
         if not 0 <= eps < np.inf:
@@ -248,7 +256,8 @@ def cmd_perturb_sweep(args) -> int:
                 # only S_hat is kept, and only while it is evaluated; the
                 # test block is built after the draw, not held through it
                 S_hat = random_relative_perturbation(
-                    task.gso, eps, seed=1000 * split_seed + draw).perturbed
+                    task.gso, eps,
+                    seed=DRAW_SEEDS_PER_SPLIT * split_seed + draw).perturbed
                 X = np.stack([x for x, _ in test], axis=1)
                 perturbed = _evaluate(model, S_hat, test,
                                       shift_stack(S_hat, X, K))
@@ -280,8 +289,7 @@ def _print_sweep_summary(rows):
 def cmd_split_sweep(args) -> int:
     _check_distinct(("--splits", args.splits))
     for ratio in args.splits:
-        if not 0 < ratio <= 1:
-            raise ValueError(f"train fraction {ratio} is outside (0, 1]")
+        check_train_fraction(ratio)
     out, summary, ratings, models = _load_run(args)
     rows = []
     for (mu_key, split_seed), model in models.items():

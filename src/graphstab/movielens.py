@@ -194,6 +194,13 @@ def _pearson_tile(n, sum_i, sum_j, sq_i, sq_j, cross) -> np.ndarray:
     return np.clip(corr, 0.0, 1.0)
 
 
+def check_train_fraction(train_fraction: float) -> None:
+    """Raise ValueError unless train_fraction lies in (0, 1]."""
+    if not 0 < train_fraction <= 1:
+        raise ValueError(
+            f"train fraction {train_fraction} is outside (0, 1]")
+
+
 def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
                train_fraction: float = 0.9, seed: int = 0) -> TaskSplit:
     """Assemble the rating-prediction task for one target movie.
@@ -205,9 +212,7 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     in (0, 1]; at 1 the test set is empty. Raises ValueError when the
     training users give a graph without edges.
     """
-    if not 0 < train_fraction <= 1:
-        raise ValueError(
-            f"train fraction {train_fraction} is outside (0, 1]")
+    check_train_fraction(train_fraction)
     n = ratings.movie_index(target_item_id)
     raters = np.flatnonzero(ratings.matrix[:, n] > 0)
     if raters.size < 10:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstab import build_gso, random_weighted_graph
+from graphstab import build_gso, random_weighted_graph, spectral
 
 PATH3 = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 1.0],
@@ -67,3 +67,20 @@ def traced_peak(f, *args) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def lanczos_runs(monkeypatch):
+    """Give `extreme_eigenvalues` an empty memo for the test and list the
+    shapes of the matrices Lanczos then runs on, so a test sees real runs
+    and can count them. The module's own memo is back after the test."""
+    runs = []
+    run = spectral._lanczos_extremes
+
+    def counted(A):
+        runs.append(A.shape)
+        return run(A)
+
+    monkeypatch.setattr(spectral, "_lanczos_extremes", counted)
+    monkeypatch.setattr(spectral, "_extremes_memo", {})
+    return runs

@@ -327,15 +327,15 @@ def test_checkpoint_node_outside_graph_exits_2(trained_dir, ratings_file,
 def test_train_fraction_outside_unit_interval_exits_2(
         trained_dir, ratings_file, tmp_path, monkeypatch, capsys, command,
         fraction):
+    def unread(path):  # each command checks its fractions before any input
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_ratings", unread)
     if command == "train":
         argv = ["train", "--data", str(ratings_file), "--movie-id", "7",
                 "--seeds", "0", "--epochs", "1", "--features", "2",
                 "--taps", "2", "--train-fraction", fraction]
     else:
-        def unread(path):  # split-sweep checks --splits before any input
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(cli, "load_ratings", unread)
         argv = ["split-sweep", "--data", str(ratings_file),
                 "--checkpoints", str(trained_dir), "--splits", "0.5",
                 fraction]
@@ -343,7 +343,7 @@ def test_train_fraction_outside_unit_interval_exits_2(
     assert main(argv + ["--out", str(out)]) == 2
     assert f"train fraction {fraction} is outside (0, 1]" in (
         capsys.readouterr().err)
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -377,6 +377,23 @@ def test_perturb_sweep_rejects_epsilon_before_reading_input(tmp_path, capsys,
                  "--epsilon", "0.05", value, "--out", str(out)]) == 2
     assert (f"--epsilon must be nonnegative and finite, got {float(value)}"
             in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("draws,named", [
+    # draw 1000 of split s would be draw 0 of split s + 1 (seed 1000 s + d)
+    ("1001", "--draws must be at most 1000, got 1001"),
+    # 1000 passes the check and fails on the missing train run
+    ("1000", "train_summary.json"),
+])
+def test_perturb_sweep_rejects_more_draws_than_seeds_per_split(
+        tmp_path, capsys, draws, named):
+    out = tmp_path / "out"
+    assert main(["perturb-sweep", "--data", str(tmp_path / "u.data"),
+                 "--checkpoints", str(tmp_path / "run"),
+                 "--epsilon", "0.05", "--draws", draws,
+                 "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -205,14 +205,32 @@ def test_random_perturbation_across_tiles_matches_reference(sparse):
 
 
 @pytest.mark.parametrize("sparse", [False, True])
-def test_random_perturbation_memory_within_budget(sparse):
+def test_random_perturbation_memory_within_budget(sparse, lanczos_runs):
     # E is formed in the draw's buffer and S_hat in the product's, which
     # the GSO keeps, so E and S_hat are the N x N arrays at the peak; the
-    # Lanczos basis of the norm (N x N, at N >= 512) comes earlier
+    # Lanczos basis of the norm (at N >= 512) comes earlier. The memo
+    # starts empty, so the norm is a real run in both cases.
     N = 600
     S = tiled_gso(N, sparse)
     assert traced_peak(random_relative_perturbation, S, 0.1, 3) \
         <= 2.5 * N * N * 8
+    assert len(lanczos_runs) == 1
+
+
+def test_random_perturbation_runs_lanczos_once_per_seed(lanczos_runs):
+    # one seed draws one unscaled E at every epsilon, so its norm is
+    # computed once and each draw is scaled to its own target
+    N, seed = 600, 11
+    S = tiled_gso(N, sparse=True)
+    specs = {eps: random_relative_perturbation(S, eps, seed)
+             for eps in (0.01, 0.05, 0.1)}
+    assert len(lanczos_runs) == 1
+    for eps, spec in specs.items():
+        rng = np.random.default_rng(seed)
+        rng.standard_normal((N, N))
+        target = rng.uniform(eps / 2.0, eps)
+        norm = np.abs(np.linalg.eigvalsh(spec.error)).max()
+        assert abs(norm - target) <= 1e-10 * target
 
 
 def _ill_conditioned_pair():
