@@ -99,30 +99,21 @@ def _load_run(args):
     return Path(args.out), summary, load_ratings(args.data), models
 
 
-def _evaluate(model, gso, samples, shifts=None):
+def _evaluate(model, gso, samples):
     """RMSE of model's predictions on samples, one `forward` per sample.
 
-    Only `train` and `perturb-sweep` score here, not by `predict` (equal
-    to rounding, not bit for bit): the benchmark pins `train`'s chaotic
-    RMSE and both commands' `forward` and shift counts.
-
-    shifts, when given, is the (K, N, n) first-layer shift stack of the n
-    signals as one block; each `forward` takes a contiguous copy of its
-    sample's slice, on which `bank_apply` runs about 3x faster than on the
-    strided view.
-
-    Only the dense perturbed Ŝ of `perturb-sweep` takes this path: there a
-    block shift is one GEMM per tap, which reads Ŝ once for all signals
-    instead of once per signal. On the 1%-dense k-NN GSO a block is no
-    faster than the per-column shifts over the nonzeros.
+    The signals are shifted as one (K, N, n) block, a GEMM per tap that
+    reads the GSO once for all of them; each `forward` takes a contiguous
+    copy of its sample's slice (`bank_apply` runs 3x slower on the strided
+    view). `perturb-sweep` scores S and every S_hat here, so at epsilon = 0
+    both arms have the same bits. It does not score by `predict` (equal to
+    rounding, not bit for bit): the benchmark pins its `forward` count.
     """
-    if shifts is None:
-        preds = [forward(model, gso, x).prediction for x, _ in samples]
-    else:
-        preds = [forward(model, gso, x, shifts[:, :, j:j + 1].copy())
-                 .prediction for j, (x, _) in enumerate(samples)]
-    labels = [y for _, y in samples]
-    return rmse(preds, labels)
+    X = np.stack([x for x, _ in samples], axis=1)
+    shifts = shift_stack(gso, X, model.layers[0].taps.shape[2])
+    preds = [forward(model, gso, x, shifts[:, :, j:j + 1].copy()).prediction
+             for j, (x, _) in enumerate(samples)]
+    return rmse(preds, [y for _, y in samples])
 
 
 def _test_set(task, train_fraction):
@@ -152,7 +143,11 @@ def _train_one_split(ratings, args, split_seed, config: TrainConfig,
                        task.target_index)
     config = dataclasses.replace(config, rng_seed=split_seed)
     trained, trace = train(model, task.gso, task.train, config)
-    test_rmse = _evaluate(trained, task.gso, task.test) if task.test else float("nan")
+    # a plain `forward` per test user: the benchmark pins the RMSE's bits
+    # and each user's shift counts
+    preds = [forward(trained, task.gso, x).prediction for x, _ in task.test]
+    test_rmse = (rmse(preds, [y for _, y in task.test]) if task.test
+                 else float("nan"))
     tag = f"mu{config.mu}_split{split_seed}"
     out.mkdir(parents=True, exist_ok=True)  # a rejected task writes nothing
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
@@ -250,18 +245,14 @@ def cmd_perturb_sweep(args) -> int:
                           seed=split_seed)
         test = _test_set(task, summary["train_fraction"])
         base = _evaluate(model, task.gso, test)
-        K = model.layers[0].taps.shape[2]
         for eps in args.epsilon:
             for draw in range(args.draws):
-                # only S_hat is kept, and only while it is evaluated; the
-                # test block is built after the draw, not held through it
+                # only S_hat is kept, and only while it is evaluated
                 S_hat = random_relative_perturbation(
                     task.gso, eps,
                     seed=DRAW_SEEDS_PER_SPLIT * split_seed + draw).perturbed
-                X = np.stack([x for x, _ in test], axis=1)
-                perturbed = _evaluate(model, S_hat, test,
-                                      shift_stack(S_hat, X, K))
-                del S_hat, X
+                perturbed = _evaluate(model, S_hat, test)
+                del S_hat
                 rows.append((mu_key, split_seed, eps, draw,
                              base, perturbed, perturbed - base))
         del task, test  # before the next model's task is built

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .filters import bank_apply, shift_stack
-from .graphs import GSO, hop_distances
+from .graphs import GSO
 from .spectral import IL_GRID_POINTS, bank_response, eigendecompose
 
 _ACTIVATIONS = {
@@ -183,10 +183,11 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     """Run the network; caches per-layer shifts and pre-activations.
 
     first_layer_shifts, when given, is the precomputed (K, N, F_0) shift
-    stack of x (shifts do not depend on the parameters, so training loops
-    reuse them across epochs). `train` passes a stack that is true only
-    inside the readout's receptive field: the prediction is then exact,
-    the features on rows outside it are not.
+    stack of x; shifts do not depend on the parameters, so each caller
+    builds its stacks once. `train` passes a stack that is true only
+    inside the readout's receptive field, so the prediction is exact and
+    the features on rows outside it are not; `cli._evaluate` passes one
+    sample's slice of a stack shifted for all samples as one block.
     """
     feat = _check_input(model, S, x)
     if first_layer_shifts is not None:
@@ -401,7 +402,8 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     The readout reads one node, and a network whose layers have K_l taps
     sees only the H = sum_l (K_l - 1) hops around it. So the first layer's
     parameter-free shift stack holds power k only on the nodes within H - k
-    hops of `model.node`, and zeros elsewhere. Each kept row is a full row
+    hops of `model.node` along the nonzeros of S, and zeros elsewhere,
+    unreachable nodes included. Each kept row is a full row
     of S times the previous power, and a dropped entry only ever meets a
     zero of S, so every value the loss reads has the same bits as with the
     full stack.
@@ -423,13 +425,18 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     n = len(train_set)
     K0 = model.layers[0].taps.shape[2]
     # Layer-1 shifts are parameter-free: compute them once for every sample,
-    # on the rows inside the readout's receptive field.
+    # on the rows inside the readout's receptive field. near[j] holds the
+    # nodes within j hops of the readout node (none for a node outside S,
+    # which the first `forward` rejects).
     H = sum(layer.taps.shape[2] - 1 for layer in model.layers)
-    hops = hop_distances(S, model.node, H)
+    adjacent = S.matrix != 0
+    near = [np.arange(S.node_count) == model.node]
+    for _ in range(H):
+        near.append(near[-1] | adjacent[near[-1]].any(axis=0))
     shifts_all = np.zeros((K0,) + X0.shape)
     shifts_all[0] = X0
     for k in range(1, K0):
-        rows = np.flatnonzero(hops <= H - k)
+        rows = np.flatnonzero(near[H - k])
         shifts_all[k][:, rows] = np.einsum("ij,sjf->sif", S.matrix[rows],
                                            shifts_all[k - 1])
     trace = []

@@ -168,30 +168,6 @@ def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:
     return S.matrix @ x
 
 
-def hop_distances(S: GSO, source: int, max_hops: int) -> np.ndarray:
-    """Hops from `source` to every node along the nonzeros of S.
-
-    Nodes farther than max_hops (or unreachable) get max_hops + 1. Since S
-    is symmetric, S[i, j] != 0 implies the distances of i and j differ by at
-    most one.
-    """
-    if not 0 <= source < S.node_count:
-        raise ValueError(f"node {source} is not one of the {S.node_count} "
-                         "nodes")
-    adjacent = S.matrix != 0
-    dist = np.full(S.node_count, max_hops + 1)
-    dist[source] = 0
-    reached = dist == 0
-    frontier = reached
-    for hop in range(1, max_hops + 1):
-        frontier = adjacent[frontier].any(axis=0) & ~reached
-        if not frontier.any():
-            break
-        dist[frontier] = hop
-        reached = reached | frontier
-    return dist
-
-
 def _mirror_tiles(out: np.ndarray, tile_of) -> np.ndarray:
     """Fill the N x N array `out` with a symmetric result, one pair of
     _TILE-sided tiles (I, J >= I) at a time, and return it.

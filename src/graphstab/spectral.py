@@ -172,6 +172,15 @@ def bank_response(taps: np.ndarray, grid: np.ndarray,
     return np.tensordot(powers, taps, axes=([1], [taps.ndim - 1]))
 
 
+def check_interval(interval) -> tuple:
+    """The endpoints (a, b) of an eigenvalue interval as floats; raises
+    ValueError unless a < b, which a NaN endpoint fails too."""
+    a, b = float(interval[0]), float(interval[1])
+    if not a < b:
+        raise ValueError(f"empty interval [{a}, {b}]")
+    return a, b
+
+
 def integral_lipschitz_check(h: np.ndarray, interval) -> float:
     """Grid estimate C of the integral Lipschitz constant of taps h on an
     interval: the maximum of |lambda h'(lambda)| on the IL_GRID_POINTS grid.
@@ -180,8 +189,5 @@ def integral_lipschitz_check(h: np.ndarray, interval) -> float:
     rather than the pairwise midpoint form; the two are equivalent in the
     limit and the derivative form is what the training penalty uses.
     """
-    lam_a, lam_b = float(interval[0]), float(interval[1])
-    if not lam_a < lam_b:
-        raise ValueError(f"empty interval [{lam_a}, {lam_b}]")
-    grid = np.linspace(lam_a, lam_b, IL_GRID_POINTS)
+    grid = np.linspace(*check_interval(interval), IL_GRID_POINTS)
     return float(np.max(np.abs(bank_response(h, grid, derivative=True))))

@@ -24,8 +24,8 @@ from .perturbation import (
     random_relative_perturbation,
     spec_misalignment,
 )
-from .spectral import (IL_GRID_POINTS, bank_response, eigendecompose,
-                       integral_lipschitz_check)
+from .spectral import (IL_GRID_POINTS, bank_response, check_interval,
+                       eigendecompose, integral_lipschitz_check)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
     fit inherits it on the interval. Rescaling the taps scales both h and
     lambda h'(lambda) linearly, so |h| <= 1 is preserved as well.
     """
-    a, b = float(interval[0]), float(interval[1])
+    a, b = check_interval(interval)
     if width is None:
         width = (b - a) / 3.0
     grid = np.linspace(a, b, 501)
@@ -105,7 +105,7 @@ def bank_il_constant(taps: np.ndarray, interval) -> float:
     """Integral Lipschitz constant of an (F_in, F_out, K) bank: the maximum
     of the spectral norm of the matrix lambda H'(lambda) on the
     IL_GRID_POINTS grid."""
-    grid = np.linspace(interval[0], interval[1], IL_GRID_POINTS)
+    grid = np.linspace(*check_interval(interval), IL_GRID_POINTS)
     v = bank_response(taps, grid, derivative=True)
     return float(np.linalg.norm(v, 2, axis=(1, 2)).max())
 
@@ -183,7 +183,7 @@ def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
     """Random-ish relu filter bank whose matrix response is integral
     Lipschitz with constant at most c_target and spectral norm at most 1."""
     rng = np.random.default_rng(seed)
-    a, b = interval
+    a, b = check_interval(interval)
     taps = np.empty((f_in, f_out, K))
     for f in range(f_in):
         for g in range(f_out):

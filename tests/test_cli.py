@@ -226,16 +226,27 @@ def test_transfer(trained_dir, ratings_file, tmp_path, capsys):
     assert "degradation" in capsys.readouterr().out
 
 
-def test_perturb_sweep(trained_dir, ratings_file, tmp_path):
+def test_perturb_sweep(trained_dir, ratings_file, tmp_path, capsys):
     out = tmp_path / "perturb"
     assert main([
         "perturb-sweep", "--data", str(ratings_file),
-        "--checkpoints", str(trained_dir), "--epsilon", "0.05",
+        "--checkpoints", str(trained_dir), "--epsilon", "0", "0.05",
         "--draws", "2", "--out", str(out),
     ]) == 0
     rows = csv_body(out / "perturb_sweep.csv")
     assert rows[0].startswith("mu,split_seed,epsilon,draw")
-    assert len(rows) == 1 + 2 * 2 * 1 * 2  # mus x seeds x epsilons x draws
+    assert len(rows) == 1 + 2 * 2 * 2 * 2  # mus x seeds x epsilons x draws
+    # at epsilon = 0, S_hat is S and both arms take the same arithmetic
+    # path: every difference is exactly 0 and none prints as -0.0000
+    rows = [dict(zip(rows[0].split(","), row.split(","))) for row in rows[1:]]
+    zero = [row for row in rows if row["epsilon"] == "0.0"]
+    assert len(zero) == 2 * 2 * 2
+    for row in zero:
+        assert row["rmse_perturbed"] == row["rmse_base"]
+        assert row["rmse_difference"] == "0.0"
+    summary = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[1] for line in summary
+            if "eps=0.0:" in line] == ["mean RMSE difference +0.0000"] * 2
 
 
 def test_sweep_summary_orders_mu_as_numbers(capsys):
@@ -512,11 +523,11 @@ def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
 
 def test_perturb_sweep_shifts_each_draw_as_one_block(
         trained_dir, ratings_file, tmp_path, monkeypatch):
-    """Each draw's test signals are shifted by one block `shift_stack` on
-    S_hat and every `forward` on S_hat takes its slice; the block path
-    matches the per-sample path to 1e-12, and rmse_base keeps its bytes."""
+    """The test signals on S and on each S_hat are shifted by one block
+    `shift_stack`, and every `forward` takes its slice; both columns match
+    one plain `forward` per user to 1e-12."""
     from graphstab import gnn
-    from graphstab.movielens import build_task, load_ratings
+    from graphstab.movielens import build_task, load_ratings, rmse
 
     calls = {"forward": 0, "forward_given_shifts": 0, "block": 0,
              "per_sample": 0}
@@ -550,20 +561,24 @@ def test_perturb_sweep_shifts_each_draw_as_one_block(
     task = build_task(ratings, target_item_id=7, train_fraction=0.9, seed=0)
     n_test = len(task.test)
     assert calls == {"forward": models * (1 + draws) * n_test,
-                     "forward_given_shifts": models * draws * n_test,
-                     "block": models * draws,
-                     "per_sample": models * n_test}
+                     "forward_given_shifts": models * (1 + draws) * n_test,
+                     "block": models * (1 + draws),
+                     "per_sample": 0}
 
     row = dict(zip(header, rows[0]))
     assert (row["mu"], row["split_seed"], row["draw"]) == ("0.0", "0", "0")
     model, _ = gnn.load_checkpoint(
         trained_dir / "checkpoint_mu0.0_split0.json")
-    assert row["rmse_base"] == repr(cli._evaluate(model, task.gso, task.test))
+
+    def per_user(S):
+        return rmse([gnn.forward(model, S, x).prediction
+                     for x, _ in task.test], [y for _, y in task.test])
+
     S_hat = cli.random_relative_perturbation(
         task.gso, float(row["epsilon"]), seed=0).perturbed
-    per_sample = cli._evaluate(model, S_hat, task.test)
-    assert float(row["rmse_perturbed"]) == pytest.approx(per_sample,
-                                                         rel=1e-12, abs=0)
+    for column, S in (("rmse_base", task.gso), ("rmse_perturbed", S_hat)):
+        assert float(row[column]) == pytest.approx(per_user(S), rel=1e-12,
+                                                   abs=0)
 
 
 @pytest.mark.parametrize("taps,features", [("0", "2"), ("2", "0")])
@@ -608,7 +623,7 @@ def test_transfer_and_split_sweep_score_without_forward(
     """Both sweeps score through `predict`; their RMSE columns match a
     per-sample `forward` on the same tasks to 1e-12 relative."""
     from graphstab import gnn
-    from graphstab.movielens import build_task, load_ratings
+    from graphstab.movielens import build_task, load_ratings, rmse
 
     def unused(*args, **kwargs):
         raise AssertionError("forward was called")
@@ -632,7 +647,8 @@ def test_transfer_and_split_sweep_score_without_forward(
                           train_fraction=fraction, seed=seed)
         model = models[mu, seed]
         model.node = task.target_index
-        return cli._evaluate(model, task.gso, task.test)
+        return rmse([gnn.forward(model, task.gso, x).prediction
+                     for x, _ in task.test], [y for _, y in task.test])
 
     def close(got, want):
         return float(got) == pytest.approx(want, rel=1e-12, abs=0)

@@ -104,6 +104,9 @@ def test_forward_rejects_first_layer_shifts_of_wrong_shape(gso8, shape):
 def test_readout_node_and_layers_validated(gso8):
     with pytest.raises(ValueError, match="not one of the 8 nodes"):
         forward(identity_network(8), gso8, np.zeros(8))
+    with pytest.raises(ValueError, match="not one of the 8 nodes"):
+        train(init_model(0, [1, 2], [3], ["relu"], node=8), gso8,
+              [(np.ones(8), 1.0)], TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="negative"):
         identity_network(-1)
     with pytest.raises(ValueError, match="at least one layer"):
@@ -394,14 +397,23 @@ def _full_n_train(model, S, train_set, config):
     return model, trace
 
 
-def _exactness_gso(kind):
+def _ring(n):
     rng = np.random.default_rng(11)
+    W = np.zeros((n, n))
+    w = rng.uniform(0.2, 1.0, n)
+    for i in range(n):
+        W[i, (i + 1) % n] = W[(i + 1) % n, i] = w[i]
+    return W
+
+
+def _exactness_gso(kind):
     if kind == "ring":  # sparse: the readout sees a few nodes of 60
-        n = 60
-        W = np.zeros((n, n))
-        w = rng.uniform(0.2, 1.0, n)
-        for i in range(n):
-            W[i, (i + 1) % n] = W[(i + 1) % n, i] = w[i]
+        return build_gso(_ring(60))
+    if kind == "split":  # node 7 is on the ring: the readout cannot reach
+        # the dense component or the isolated last node
+        W = np.zeros((33, 33))
+        W[:20, :20] = _ring(20)
+        W[20:32, 20:32] = random_weighted_graph(12, seed=12, p=0.9)
         return build_gso(W)
     return build_gso(random_weighted_graph(30, seed=12, p=0.9))
 
@@ -420,7 +432,7 @@ EXACTNESS_NETS = [
 ]
 
 
-@pytest.mark.parametrize("graph", ["ring", "dense"])
+@pytest.mark.parametrize("graph", ["ring", "dense", "split"])
 @pytest.mark.parametrize("dims,taps,acts", EXACTNESS_NETS)
 @pytest.mark.parametrize("mu", [0.0, 0.3])
 def test_train_matches_full_n_oracle(graph, dims, taps, acts, mu):

@@ -16,10 +16,7 @@ from graphstab import (
     permute_signal,
     random_weighted_graph,
 )
-from graphstab.graphs import (
-    hop_distances,
-    validate_permutation,
-)
+from graphstab.graphs import validate_permutation
 
 from conftest import PATH3, make_ratings_file, traced_peak
 
@@ -334,19 +331,6 @@ def test_invalid_permutation_rejected():
         validate_permutation(np.array([0, 0, 2]), 3)
     with pytest.raises(ValueError):
         validate_permutation(np.array([0.5, 1.0]), 2)
-
-
-def test_hop_distances_ring_and_unreachable():
-    W = np.zeros((12, 12))
-    for i in range(10):  # ring on nodes 0..9; nodes 10 and 11 isolated
-        W[i, (i + 1) % 10] = W[(i + 1) % 10, i] = 1.0
-    S = build_gso(W)
-    assert hop_distances(S, 0, 3).tolist() == [0, 1, 2, 3, 4, 4, 4, 3, 2, 1,
-                                               4, 4]
-    assert hop_distances(S, 0, 9).tolist() == [0, 1, 2, 3, 4, 5, 4, 3, 2, 1,
-                                               10, 10]
-    with pytest.raises(ValueError, match="node 12"):
-        hop_distances(S, 12, 3)
 
 
 def with_entry(i, j, value):

@@ -261,7 +261,18 @@ def _two_edges():
      "GSOs have different sizes"),
     (lambda S: discriminability_tradeoff_demo(_two_edges(), 0.1),
      "top eigenvalues are degenerate"),
-], ids=["kind", "sizes", "degenerate"])
+    (lambda S: bank_il_constant(np.ones((1, 2, 3)), (1.0, 1.0)),
+     r"empty interval \[1.0, 1.0\]"),
+    (lambda S: bank_il_constant(np.ones((1, 2, 3)), (2.0, -2.0)),
+     r"empty interval \[2.0, -2.0\]"),
+    (lambda S: bank_il_constant(np.ones((1, 2, 3)), (np.nan, 1.0)),
+     r"empty interval \[nan, 1.0\]"),
+    (lambda S: design_il_taps((-1.0, np.nan)), "empty interval"),
+    (lambda S: il_layer(1, 1, 3, (1.0, 1.0), c_target=1.0, seed=0),
+     "empty interval"),
+], ids=["kind", "sizes", "degenerate", "bank point interval",
+        "bank reversed interval", "bank nan interval", "taps nan interval",
+        "layer point interval"])
 def test_stability_rejects(call, message):
     with pytest.raises(ValueError, match=message):
         call(build_gso(random_weighted_graph(4, seed=0)))
