@@ -124,15 +124,18 @@ def _test_set(task, train_fraction):
     return task.test
 
 
-def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed):
-    """Test RMSE of model on the task built for movie_id, with the model's
-    readout moved to that movie. The task is dropped on return, so a sweep
-    never holds one task while it builds the next."""
+def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed,
+                      samples=None):
+    """RMSE of `predict` on samples (default: the task's test set) over the
+    GSO of the task built for movie_id, by a copy of model whose readout is
+    moved to that movie; and the samples. The task is dropped on return, so
+    a sweep never holds one task while it builds the next."""
     task = build_task(ratings, target_item_id=movie_id,
                       train_fraction=train_fraction, seed=split_seed)
-    model.node = task.target_index
-    signals, labels = zip(*_test_set(task, train_fraction))
-    return rmse(predict(model, task.gso, signals), labels)
+    samples = samples or _test_set(task, train_fraction)
+    signals, labels = zip(*samples)
+    model = dataclasses.replace(model, node=task.target_index)
+    return rmse(predict(model, task.gso, signals), labels), samples
 
 
 def _train_one_split(ratings, args, split_seed, config: TrainConfig,
@@ -168,6 +171,9 @@ def cmd_train(args) -> int:
     # bad settings are rejected before the ratings are read
     configs = [TrainConfig(mu=mu, epochs=args.epochs) for mu in args.mu]
     check_train_fraction(args.train_fraction)
+    init_model(0, [1, args.features], [args.taps], ["relu"], 0)
+    if min(args.seeds) < 0:
+        raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
     ratings = load_ratings(args.data)
     out = Path(args.out)
     rows = []
@@ -206,7 +212,7 @@ def cmd_transfer(args) -> int:
             for split_seed in summary["seeds"]:
                 per_split.append(_evaluate_on_task(
                     models[mu_key, split_seed], ratings, movie_id,
-                    summary["train_fraction"], split_seed))
+                    summary["train_fraction"], split_seed)[0])
             mean, std = _mean_std(per_split)
             degradation = 100.0 * (mean - baseline) / baseline
             rows.append((mu_key, movie_id, mean, std, degradation))
@@ -278,17 +284,23 @@ def _print_sweep_summary(rows):
 
 
 def cmd_split_sweep(args) -> int:
+    # every ratio scores the checkpoint's own test users; a ratio above the
+    # run's train fraction would build its graph from their ratings
     _check_distinct(("--splits", args.splits))
     for ratio in args.splits:
         check_train_fraction(ratio)
     out, summary, ratings, models = _load_run(args)
+    fraction = summary["train_fraction"]
+    if max(args.splits) > fraction:
+        raise ValueError(f"--splits {max(args.splits)} exceeds the run's "
+                         f"train fraction {fraction}")
     rows = []
     for (mu_key, split_seed), model in models.items():
-        base = _evaluate_on_task(model, ratings, summary["movie_id"],
-                                 summary["train_fraction"], split_seed)
+        base, test = _evaluate_on_task(model, ratings, summary["movie_id"],
+                                       fraction, split_seed)
         for ratio in args.splits:
-            perturbed = _evaluate_on_task(model, ratings, summary["movie_id"],
-                                          ratio, split_seed)
+            perturbed, _ = _evaluate_on_task(
+                model, ratings, summary["movie_id"], ratio, split_seed, test)
             rows.append((mu_key, split_seed, ratio, base, perturbed,
                          perturbed - base))
     _write_csv(out / "split_sweep.csv", _header_lines(args),

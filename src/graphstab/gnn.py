@@ -7,7 +7,7 @@ The training objective is
     sum_T smooth_l1(prediction, label) + mu * penalty
 
 where the penalty sums, over every filter in every bank, the maximum of
-|lambda h'(lambda)| on the spectral.IL_GRID_POINTS grid of a fixed eigenvalue
+|lambda h'(lambda)| on the `spectral.il_grid` of a fixed eigenvalue
 interval. Keeping that quantity small keeps the filters integral Lipschitz,
 hence the trained network stable to relative graph perturbations.
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .filters import bank_apply, shift_stack
 from .graphs import GSO
-from .spectral import IL_GRID_POINTS, bank_response, eigendecompose
+from .spectral import bank_response, eigendecompose, il_grid
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
@@ -242,15 +242,15 @@ def smooth_l1_grad(prediction: float, target: float) -> float:
 
 def penalty(model: GNNModel, config: TrainConfig):
     """Stability penalty: per-filter maxima of |lambda h'(lambda)| on the
-    IL_GRID_POINTS grid, summed over every filter of every bank.
+    `il_grid` of the lambda interval, summed over every filter of every
+    bank.
 
     Returns (value, per-layer tap subgradients). The subgradient of each
     filter's max is taken at its (first) argmax grid point.
     """
     if config.lambda_interval is None:
         raise ValueError("penalty needs a configured lambda interval")
-    a, b = config.lambda_interval
-    grid = np.linspace(a, b, IL_GRID_POINTS)
+    grid = il_grid(config.lambda_interval)
     value = 0.0
     grads = []
     for layer in model.layers:

@@ -1,8 +1,9 @@
-"""Graph shift operators and the graph shift operation.
+"""Graph shift operators, their eigensystems and the graph shift operation.
 
 A graph is its dense N x N weight matrix (at most ~1600 nodes here); a
 graph shift operator (GSO), built from one by `build_gso`, is any symmetric
-matrix respecting the graph's sparsity. Shifting multiplies a signal by it.
+matrix respecting the graph's sparsity. `GSO` checks it and decomposes it
+(once, on first use). Shifting multiplies a signal by it.
 
 The shift takes one of two paths, chosen in `graph_shift` alone: a single
 column (x of shape (N,) or (N, 1)) is shifted over the nonzeros of S when at
@@ -31,6 +32,14 @@ _TILE = 128
 class DegenerateGraphError(ValueError):
     """Raised when a graph cannot support the requested operation
     (e.g. a zero-degree node when building a Markov shift operator)."""
+
+
+@dataclass(frozen=True)
+class EigenSystem:
+    """Orthonormal eigenvectors (columns) and ascending eigenvalues."""
+
+    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,10 +94,19 @@ class GSO:
         return r[starts], starts, cols, S[r, cols]
 
     @cached_property
-    def eigensystem(self):
-        """spectral.eigendecompose of S, computed on first use."""
-        from .spectral import _decompose  # spectral imports this module
-        return _decompose(self.matrix)
+    def eigensystem(self) -> EigenSystem:
+        """Eigendecomposition S = V diag(lam) V^T, computed on first use.
+
+        Sign convention: the largest-magnitude entry of each eigenvector is
+        made positive (first such entry among ties), so decompositions are
+        deterministic up to degeneracy. Both arrays are read-only.
+        """
+        lam, V = np.linalg.eigh(self.matrix)
+        flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
+        V[:, flip] *= -1.0
+        V.setflags(write=False)
+        lam.setflags(write=False)
+        return EigenSystem(V, lam)
 
 
 def symmetrized(A: np.ndarray) -> np.ndarray:
@@ -110,39 +128,30 @@ def symmetrized(A: np.ndarray) -> np.ndarray:
 
 def build_gso(W: np.ndarray, kind: str = "adjacency") -> GSO:
     """Build a shift operator from weight matrix W: adjacency, Laplacian or
-    Markov. W[i, j] is the weight of edge (j, i), 0 for none; W must be
-    square, nonempty, finite, nonnegative and zero on the diagonal.
-
-    The Markov operator D^-1 W is not symmetric in general; it is symmetrized
-    here by averaging with its transpose.
+    Markov. W[i, j] is the weight of edge (j, i), 0 for none. W must pass
+    GSO's checks (square, nonempty, finite, symmetric) and be nonnegative
+    with a zero diagonal; Markov needs positive degrees. Adjacency returns
+    GSO(W), which keeps a read-only float64 W without a copy; the Markov
+    operator D^-1 W is averaged with its transpose.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError(f"weight matrix must be square, got shape {W.shape}")
-    if W.shape[0] < 1:
-        raise ValueError("graph needs at least one node")
-    if not np.isfinite(W).all():
-        raise ValueError("edge weights must be finite")
+    adjacency = GSO(W)
+    W = adjacency.matrix
     if np.any(W < 0):
         raise ValueError("edge weights must be nonnegative")
     if np.any(np.diag(W) != 0):
         raise ValueError("diagonal (self-loops) must be zero")
     if kind == "adjacency":
-        S = W
-    elif kind == "laplacian":
-        S = np.diag(W.sum(axis=1)) - W
-    elif kind == "markov":
-        d = W.sum(axis=1)
-        if np.any(d <= 0):
-            bad = int(np.argmin(d))
-            raise DegenerateGraphError(
-                f"markov GSO undefined: node {bad} has zero degree"
-            )
-        S = W / d[:, None]
-        S = (S + S.T) / 2.0
-    else:
+        return adjacency
+    if kind == "laplacian":
+        return GSO(np.diag(W.sum(axis=1)) - W)
+    if kind != "markov":
         raise ValueError(f"unknown GSO kind {kind!r}")
-    return GSO(S)
+    d = W.sum(axis=1)
+    if np.any(d <= 0):
+        raise DegenerateGraphError(
+            f"markov GSO undefined: node {int(np.argmin(d))} has zero degree")
+    S = W / d[:, None]
+    return GSO((S + S.T) / 2.0)
 
 
 def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:

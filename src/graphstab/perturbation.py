@@ -34,12 +34,6 @@ class PerturbationSpec:
     perturbed: GSO
     error: np.ndarray
 
-    def membership_residual(self) -> float:
-        """||S_hat - S - (E S + S E)|| (spectral norm)."""
-        S = self.original.matrix
-        E = self.error
-        return spectral_norm(self.perturbed.matrix - S - (E @ S + S @ E))
-
 
 def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
     """Scale every edge by (1 + epsilon): S_hat = (1 + epsilon) S.
@@ -68,6 +62,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     `graphs._mirror_tiles`: each mirrored element would be the same sum of
     commuted operands, so it is copied, and both come out exactly symmetric.
     S_hat is handed to its GSO read-only, which keeps it without a copy.
+    At epsilon = 0, E is scaled to zero and S_hat has the bits of S.
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(
@@ -76,11 +71,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     rng = np.random.default_rng(seed)
     E = rng.standard_normal((N, N))
     _mirror_tiles(E, lambda I, J: (E[I, J] + E[J, I].T) / 2.0)
-    target = rng.uniform(epsilon / 2.0, epsilon)
-    if epsilon == 0:
-        E[...] = 0.0
-    else:
-        E *= target / spectral_norm(E)
+    E *= rng.uniform(epsilon / 2.0, epsilon) / spectral_norm(E)
     # E and M are symmetric, so M E = (E M)^T, and adding the symmetric
     # P + P^T keeps S_hat exactly symmetric. On a sparse S the product is
     # taken as M E instead, row by row over the nonzeros of M rather than by

@@ -1,7 +1,7 @@
 """Symmetric eigendecomposition, extreme eigenvalues and frequency responses
 of polynomial graph filters.
 
-A full decomposition (`eigendecompose`) is computed once per GSO and cached
+`eigendecompose` returns a GSO's `eigensystem`, computed once and kept
 on it. When only the two extreme eigenvalues are needed, as for the spectral
 norm of a symmetric matrix, `extreme_eigenvalues` runs Lanczos instead. On
 symmetrized Gaussian matrices of size 512 to 1682 it stops after 96 to 144
@@ -16,15 +16,15 @@ pairs of the last EXTREMES_MEMO_SIZE distinct inputs and no arrays.
 The frequency response of taps h is the polynomial h(lambda) = sum_k h_k
 lambda^k; its scaled derivative |lambda h'(lambda)| is what the integral
 Lipschitz condition bounds. `bank_response` is the one evaluator of both,
-for a tap vector and for an (F_in, F_out, K) filter bank alike.
+for a tap vector and for an (F_in, F_out, K) filter bank alike; both are
+maximized on the one grid `il_grid`.
 """
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GSO
+from .graphs import GSO, EigenSystem  # EigenSystem is re-exported here
 
 # extreme_eigenvalues: residual bound on both extreme Ritz pairs, relative to
 # max |theta|, at which the iteration stops; Ritz values are computed every
@@ -52,35 +52,13 @@ LANCZOS_MIN_SIZE = 512
 IL_GRID_POINTS = 1001
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Orthonormal eigenvectors (columns) and ascending eigenvalues."""
-
-    eigenvectors: np.ndarray
-    eigenvalues: np.ndarray
-
-
 def eigendecompose(S) -> EigenSystem:
-    """Eigendecomposition S = V diag(lam) V^T of a symmetric GSO.
-
-    A matrix that is not a GSO is first validated by the GSO's rule (finite,
-    symmetric to within SYMMETRY_RTOL). Sign convention: the
-    largest-magnitude entry of each eigenvector is made positive (first such
-    entry among ties), so decompositions are deterministic up to degeneracy.
-    Each GSO is decomposed once and keeps the result, with read-only arrays.
-    """
+    """Eigendecomposition S = V diag(lam) V^T of a symmetric GSO, as
+    `GSO.eigensystem` gives it; a matrix that is not a GSO is first made
+    one, which checks it (finite, symmetric to within SYMMETRY_RTOL)."""
     if not isinstance(S, GSO):
         S = GSO(S)
     return S.eigensystem
-
-
-def _decompose(M: np.ndarray) -> EigenSystem:
-    lam, V = np.linalg.eigh(M)
-    flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
-    V[:, flip] *= -1.0
-    V.setflags(write=False)
-    lam.setflags(write=False)
-    return EigenSystem(V, lam)
 
 
 def extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
@@ -181,13 +159,19 @@ def check_interval(interval) -> tuple:
     return a, b
 
 
+def il_grid(interval) -> np.ndarray:
+    """The IL_GRID_POINTS evenly spaced points of an eigenvalue interval,
+    endpoints included (checked by `check_interval`)."""
+    return np.linspace(*check_interval(interval), IL_GRID_POINTS)
+
+
 def integral_lipschitz_check(h: np.ndarray, interval) -> float:
     """Grid estimate C of the integral Lipschitz constant of taps h on an
-    interval: the maximum of |lambda h'(lambda)| on the IL_GRID_POINTS grid.
+    interval: the maximum of |lambda h'(lambda)| on its `il_grid`.
 
     C is a lower bound of the true supremum. The derivative form is used
     rather than the pairwise midpoint form; the two are equivalent in the
     limit and the derivative form is what the training penalty uses.
     """
-    grid = np.linspace(*check_interval(interval), IL_GRID_POINTS)
+    grid = il_grid(interval)
     return float(np.max(np.abs(bank_response(h, grid, derivative=True))))

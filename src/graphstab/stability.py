@@ -24,8 +24,8 @@ from .perturbation import (
     random_relative_perturbation,
     spec_misalignment,
 )
-from .spectral import (IL_GRID_POINTS, bank_response, check_interval,
-                       eigendecompose, integral_lipschitz_check)
+from .spectral import (bank_response, check_interval, eigendecompose,
+                       il_grid, integral_lipschitz_check)
 
 
 @dataclass(frozen=True)
@@ -35,22 +35,18 @@ class BoundReport:
     bound: float
     C: float
     delta: float
-    L: int
-    N: int
     satisfied: bool
     seed: int = 0
 
 
 @dataclass(frozen=True)
 class MixingReport:
-    magnitudes: np.ndarray
+    magnitudes: np.ndarray  # |output| in the eigenbasis; input is the last
     off_energy_fraction: float
-    input_coefficient: int
 
 
 @dataclass(frozen=True)
 class TradeoffReport:
-    feasible: bool
     sharp_margin_original: float
     sharp_margin_dilated: float
     il_margin_original: float
@@ -103,10 +99,9 @@ def design_il_taps(interval, K: int = 5, c_target: float = 1.0,
 
 def bank_il_constant(taps: np.ndarray, interval) -> float:
     """Integral Lipschitz constant of an (F_in, F_out, K) bank: the maximum
-    of the spectral norm of the matrix lambda H'(lambda) on the
-    IL_GRID_POINTS grid."""
-    grid = np.linspace(*check_interval(interval), IL_GRID_POINTS)
-    v = bank_response(taps, grid, derivative=True)
+    of the spectral norm of the matrix lambda H'(lambda) on the interval's
+    `il_grid`."""
+    v = bank_response(taps, il_grid(interval), derivative=True)
     return float(np.linalg.norm(v, 2, axis=(1, 2)).max())
 
 
@@ -159,7 +154,7 @@ def _bound_sweep(S: GSO, kind: str, epsilons, seeds, L: int,
             bound = gnn_stability_bound(C, delta, N, epsilon, L)
             reports.append(BoundReport(
                 epsilon=float(epsilon), measured=measured, bound=bound,
-                C=C, delta=delta, L=L, N=N, satisfied=measured <= bound,
+                C=C, delta=delta, satisfied=measured <= bound,
                 seed=seed,
             ))
     return reports
@@ -194,8 +189,8 @@ def il_layer(f_in: int, f_out: int, K: int, interval, c_target: float,
     C = bank_il_constant(taps, interval)
     if C > c_target > 0:
         taps *= c_target / C
-    grid = np.linspace(a, b, IL_GRID_POINTS)
-    peak = np.linalg.norm(bank_response(taps, grid), 2, axis=(1, 2)).max()
+    peak = np.linalg.norm(bank_response(taps, il_grid(interval)), 2,
+                          axis=(1, 2)).max()
     if peak > 1.0:
         taps /= peak
     return LayerSpec(taps, "relu")
@@ -248,17 +243,14 @@ def frequency_mixing_demo(S: GSO, activation: str = "relu") -> MixingReport:
     """Feed the top eigenvector through a pointwise nonlinearity and report
     how much spectral energy leaks away from the top coefficient."""
     eig = eigendecompose(S)
-    N = S.node_count
     x = eig.eigenvectors[:, -1]
     act = _ACTIVATIONS[activation][0]
     y = act(x)
     yt = eig.eigenvectors.T @ y
     total = float(np.sum(yt ** 2))
     off = 0.0 if total == 0 else 1.0 - yt[-1] ** 2 / total
-    return MixingReport(
-        magnitudes=np.abs(yt), off_energy_fraction=float(off),
-        input_coefficient=N - 1,
-    )
+    return MixingReport(magnitudes=np.abs(yt),
+                        off_energy_fraction=float(off))
 
 
 def discriminability_tradeoff_demo(S: GSO, epsilon: float,
@@ -285,9 +277,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
     vand = lam[:, None] ** np.arange(N)[None, :]
     target = np.zeros(N)
     target[-1] = 1.0
-    sharp, residual, *_ = np.linalg.lstsq(vand, target, rcond=None)
-    resp = bank_response(sharp, lam)
-    feasible = bool(resp[-1] >= 0.9 and abs(resp[-2]) <= 0.1)
+    sharp, *_ = np.linalg.lstsq(vand, target, rcond=None)
 
     def margin(taps, grid_points):
         vals = np.abs(bank_response(taps, grid_points))
@@ -309,7 +299,6 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
                 - forward(trained, op, V[:, -2]).prediction)
 
     return TradeoffReport(
-        feasible=feasible,
         sharp_margin_original=margin(sharp, lam),
         sharp_margin_dilated=margin(sharp, dilated),
         il_margin_original=margin(il, lam),

@@ -23,6 +23,7 @@ from graphstab import (
     empirical_gnn_distance_sweep,
     forward,
     frequency_mixing_demo,
+    gnn_stability_bound,
     graph_convolution,
     init_model,
     integral_lipschitz_check,
@@ -136,7 +137,8 @@ def test_gnn_stability_bound_sweeps(gso20):
         # the Monte-Carlo estimate sits below the depth-scaled bound without
         # needing any quadratic slack
         assert all(r.measured <= r.bound for r in reports), kind
-        assert all(r.L == 2 for r in reports)
+        assert all(r.bound == gnn_stability_bound(
+            r.C, r.delta, gso20.node_count, r.epsilon, 2) for r in reports)
 
 
 def test_gradient_oracle_five_models():
@@ -176,12 +178,12 @@ def test_frequency_mixing():
     assert connected and nonbipartite
     S = build_gso(W, "laplacian")
     relu_report = frequency_mixing_demo(S, "relu")
-    others = np.delete(relu_report.magnitudes, relu_report.input_coefficient)
+    # the input is the top eigenvector, the last coefficient
+    others = relu_report.magnitudes[:-1]
     assert np.count_nonzero(others > 1e-10) >= 2
     assert relu_report.off_energy_fraction > 0.0
     linear_report = frequency_mixing_demo(S, "linear")
-    others = np.delete(linear_report.magnitudes,
-                       linear_report.input_coefficient)
+    others = linear_report.magnitudes[:-1]
     assert np.max(others) <= 1e-12
 
 

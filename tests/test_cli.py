@@ -11,7 +11,6 @@ import pytest
 
 from graphstab import cli
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
-from graphstab.stability import filter_stability_bound
 
 
 def csv_body(path):
@@ -132,11 +131,9 @@ def test_verify_fails_on_an_understated_il_constant(monkeypatch, capsys):
     exact = cli.empirical_filter_distance_sweep
 
     def understated(*args):
-        return [dataclasses.replace(
-            r, C=r.C / factor,
-            bound=filter_stability_bound(r.C / factor, r.delta, r.N,
-                                         r.epsilon))
-            for r in exact(*args)]
+        # the bound is linear in C
+        return [dataclasses.replace(r, C=r.C / factor, bound=r.bound / factor)
+                for r in exact(*args)]
 
     monkeypatch.setattr(cli, "empirical_filter_distance_sweep", understated)
     assert main(["verify", "--quick"]) == 1
@@ -269,6 +266,29 @@ def test_split_sweep(trained_dir, ratings_file, tmp_path):
     ]) == 0
     rows = csv_body(out / "split_sweep.csv")
     assert len(rows) == 1 + 2 * 2 * 2
+
+
+def test_split_sweep_scores_the_checkpoints_test_users_at_every_ratio(
+        trained_dir, ratings_file, tmp_path, monkeypatch):
+    # only the graph changes with the ratio: every `predict` call, the base
+    # and each ratio, scores the test users of the checkpoint's own split
+    exact, scored = cli.predict, []
+
+    def recording(model, S, signals):
+        scored.append(len(signals))
+        return exact(model, S, signals)
+
+    monkeypatch.setattr(cli, "predict", recording)
+    assert main(["split-sweep", "--data", str(ratings_file),
+                 "--checkpoints", str(trained_dir),
+                 "--splits", "0.5", "0.7", "0.9",
+                 "--out", str(tmp_path / "splits")]) == 0
+    test_users = {seed: sum(line.endswith(",test") for line in
+                            csv_body(trained_dir / f"split_{seed}.csv"))
+                  for seed in (0, 1)}
+    # models in the order mu, then seed; the base task, then three ratios
+    assert scored == [test_users[seed] for _ in ("0.0", "0.5")
+                      for seed in (0, 1) for _ in range(4)]
 
 
 def test_demo_outputs(tmp_path):
@@ -413,6 +433,12 @@ def test_perturb_sweep_rejects_more_draws_than_seeds_per_split(
     ("--mu", "-1", "mu must be nonnegative"),
     # NaN fails `mu < 0` as well; it must not train without the penalty
     ("--mu", "nan", "mu must be nonnegative and finite, got nan"),
+    ("--features", "0", "layer widths [1, 0] and taps [5] must all be at "
+                        "least 1"),
+    ("--taps", "0", "layer widths [1, 64] and taps [0] must all be at "
+                    "least 1"),
+    # numpy's own message would name no flag
+    ("--seeds", "-1", "--seeds must be nonnegative, got [-1]"),
 ])
 def test_train_rejects_settings_before_reading_the_ratings(
         ratings_file, tmp_path, monkeypatch, capsys, flag, value, named):
@@ -437,6 +463,9 @@ def test_train_rejects_settings_before_reading_the_ratings(
     ("train", "absent movie", "movie id 99999 not present"),
     ("transfer", "absent movie", "movie id 99999 not present"),
     ("split-sweep", "no test users", "no test users at train fraction 1.0"),
+    # the ratio's graph would be estimated from the scored users' ratings
+    ("split-sweep", "ratio above train fraction",
+     "--splits 1.0 exceeds the run's train fraction 0.9"),
     ("perturb-sweep", "no test users", "no test users at train fraction 1.0"),
     # the checkpoint reads, but the model it holds is not finite
     ("perturb-sweep", "nan tap", "split1.json: layer taps must be finite"),
@@ -484,15 +513,21 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
             raise AssertionError(f"{path} was read")
 
         monkeypatch.setattr(cli, "load_ratings", unread)
-    elif command == "split-sweep":
-        extra = ["--splits", "1.0"]
+    elif bad == "ratio above train fraction":
+        extra = ["--splits", "0.5", "1.0"]
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("a task was built")
+
+        monkeypatch.setattr(cli, "build_task", unbuilt)
     else:
         checkpoints = tmp_path / "run_without_test_users"
         assert main(["train", "--data", str(data), "--movie-id", "7",
                      "--mu", "0.0", "--seeds", "0", "--epochs", "1",
                      "--features", "2", "--taps", "2",
                      "--train-fraction", "1.0", "--out", str(checkpoints)]) == 0
-        extra = ["--epsilon", "0.05", "--draws", "1"]
+        if command == "perturb-sweep":
+            extra = ["--epsilon", "0.05", "--draws", "1"]
     argv = [command, "--data", str(data)]
     if command == "train":
         argv += ["--movie-id", movie_id, "--seeds", "0", "--epochs", "1"]
@@ -643,12 +678,14 @@ def test_transfer_and_split_sweep_score_without_forward(
         for mu in ("0.0", "0.5") for seed in (0, 1)}
 
     def per_sample(mu, seed, movie_id, fraction):
+        """RMSE of `forward` on the test users of the run's split (train
+        fraction 0.9), over the GSO of the task at fraction."""
+        test = build_task(ratings, target_item_id=movie_id, seed=seed).test
         task = build_task(ratings, target_item_id=movie_id,
                           train_fraction=fraction, seed=seed)
-        model = models[mu, seed]
-        model.node = task.target_index
+        model = dataclasses.replace(models[mu, seed], node=task.target_index)
         return rmse([gnn.forward(model, task.gso, x).prediction
-                     for x, _ in task.test], [y for _, y in task.test])
+                     for x, _ in test], [y for _, y in test])
 
     def close(got, want):
         return float(got) == pytest.approx(want, rel=1e-12, abs=0)

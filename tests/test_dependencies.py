@@ -19,3 +19,15 @@ def test_imports_only_stdlib_numpy_and_graphstab(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
     assert [n for n in names if n.split(".")[0] not in allowed] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_imports(path):
+    # every import sits at module level, so the import graph is what the
+    # module headers say and an import cycle cannot hide inside a function
+    inner = [f"{path.name}:{node.lineno}"
+             for func in ast.walk(ast.parse(path.read_text()))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inner == []

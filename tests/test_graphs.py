@@ -341,13 +341,14 @@ def with_entry(i, j, value):
 
 
 @pytest.mark.parametrize("build,message", [
+    # build_gso checks shape, size and finiteness through GSO
     (lambda: build_gso(np.zeros((2, 3))),
-     r"weight matrix must be square, got shape \(2, 3\)"),
-    (lambda: build_gso(np.zeros((0, 0))), "graph needs at least one node"),
+     r"GSO must be square, got shape \(2, 3\)"),
+    (lambda: build_gso(np.zeros((0, 0))), "GSO needs at least one node"),
     (lambda: build_gso(with_entry(0, 1, np.nan)),
-     "edge weights must be finite"),
+     "GSO entries must be finite"),
     (lambda: build_gso(with_entry(0, 1, np.inf)),
-     "edge weights must be finite"),
+     "GSO entries must be finite"),
     (lambda: build_gso(with_entry(0, 1, -1.0)),
      "edge weights must be nonnegative"),
     (lambda: build_gso(with_entry(1, 1, 1.0)),

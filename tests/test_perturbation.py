@@ -62,7 +62,8 @@ def test_random_perturbation_norm_in_range(gso20):
 
 def test_random_perturbation_membership_exact(gso20):
     spec = random_relative_perturbation(gso20, 0.1, seed=1)
-    assert spec.membership_residual() <= 1e-12
+    S, E = gso20.matrix, spec.error
+    assert spectral_norm(spec.perturbed.matrix - S - (E @ S + S @ E)) <= 1e-12
 
 
 def test_solve_recovers_dilation_error(gso20):
