@@ -186,7 +186,9 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     stack of x; shifts do not depend on the parameters, so each caller
     builds its stacks once. `train` passes a stack that is true only
     inside the readout's receptive field, so the prediction is exact and
-    the features on rows outside it are not; `cli._evaluate` passes one
+    the features on rows outside it are not. `cli._evaluate` passes a
+    one-layer model a stack that is exact at row `node` and zero elsewhere,
+    which such a model's prediction alone reads; a deeper model gets one
     sample's slice of a stack shifted for all samples as one block.
     """
     feat = _check_input(model, S, x)

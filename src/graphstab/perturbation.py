@@ -10,12 +10,12 @@ and the relative distance d(S, S_hat) is the smallest ||E|| over admissible
 solved spectrally.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .filters import _brute_force_min, spectral_norm
-from .graphs import GSO, _mirror_tiles, relabel
+from .graphs import GSO, _mirror_tiles, graph_shift, relabel
 from .spectral import eigendecompose
 
 MEMBERSHIP_TOL = 1e-8
@@ -28,11 +28,56 @@ class SingularEquationError(ValueError):
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A perturbed GSO together with its relative error certificate."""
+    """A perturbation S_hat = S + E S + S E of the GSO S (`original`) by the
+    symmetric relative error matrix E (`error`).
+
+    `shift` applies S_hat without forming it. `perturbed` is S_hat as a GSO,
+    formed on first read and kept, unless the spec was made with its closed
+    form (edge dilation's (1 + epsilon) S).
+    """
 
     original: GSO
-    perturbed: GSO
     error: np.ndarray
+    _perturbed: GSO | None = field(default=None, repr=False)
+
+    @property
+    def perturbed(self) -> GSO:
+        """S_hat = M + (P + P^T) with P = E M, formed in the buffer of P by
+        `graphs._mirror_tiles`: each mirrored element would be the same sum
+        of commuted operands, so it is copied, and S_hat comes out exactly
+        symmetric. It is handed to its GSO read-only, which keeps it without
+        a copy. At E = 0, S_hat has the bits of S.
+        """
+        if self._perturbed is None:
+            # E and M are symmetric, so M E = (E M)^T. On a sparse S the
+            # product is taken as M E instead, row by row over the nonzeros
+            # of M rather than by a dense GEMM; it is the transpose of E M,
+            # so the sum is the same.
+            M, E = self.original.matrix, self.error
+            csr = self.original.nonzero_rows
+            if csr is None:
+                P = E @ M
+            else:
+                rows, starts, cols, vals = csr
+                P = np.zeros(M.shape)
+                for i, a, b in zip(rows, starts,
+                                   np.append(starts[1:], cols.size)):
+                    P[i] = vals[a:b] @ E[cols[a:b]]
+            _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
+            P.setflags(write=False)
+            object.__setattr__(self, "_perturbed", GSO(P))
+        return self._perturbed
+
+    def shift(self, x: np.ndarray) -> np.ndarray:
+        """S_hat x for a vector (N,) or a block (N, F), as
+        S x + (E (S x) + S (E x)), without forming S_hat.
+
+        The result equals `perturbed.matrix @ x` up to rounding; at E = 0
+        it is `graph_shift(S, x)`, bit for bit.
+        """
+        S, E = self.original, self.error
+        Sx = graph_shift(S, x)
+        return Sx + (E @ Sx + graph_shift(S, E @ x))
 
 
 def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
@@ -40,29 +85,24 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
 
     The error matrix is (epsilon/2) I, which commutes with S, so the
     eigenvectors are unchanged and the eigenvalues scale by (1 + epsilon).
+    S_hat is given in that closed form.
     """
     if not -1 < epsilon < np.inf:
         raise ValueError("edge dilation requires epsilon > -1 and finite, "
                          f"got {epsilon}")
-    N = S.node_count
-    return PerturbationSpec(
-        original=S,
-        perturbed=GSO((1.0 + epsilon) * S.matrix),
-        error=(epsilon / 2.0) * np.eye(N),
-    )
+    return PerturbationSpec(S, (epsilon / 2.0) * np.eye(S.node_count),
+                            GSO((1.0 + epsilon) * S.matrix))
 
 
 def random_relative_perturbation(S: GSO, epsilon: float,
                                  seed: int | None = None) -> PerturbationSpec:
-    """Draw a random symmetric E with ||E|| uniform in [eps/2, eps] and set
+    """Draw a random symmetric E with ||E|| uniform in [eps/2, eps] for
     S_hat = S + E S + S E. By construction d(S, S_hat) <= epsilon.
 
-    E = (A + A^T) / 2 is formed in the buffer of the Gaussian draw A, and
-    S_hat = M + (P + P^T) in the buffer of the product P, by
-    `graphs._mirror_tiles`: each mirrored element would be the same sum of
-    commuted operands, so it is copied, and both come out exactly symmetric.
-    S_hat is handed to its GSO read-only, which keeps it without a copy.
-    At epsilon = 0, E is scaled to zero and S_hat has the bits of S.
+    Only E is made here: E = (A + A^T) / 2 is formed in the buffer of the
+    Gaussian draw A by `graphs._mirror_tiles`, so it is exactly symmetric.
+    S_hat is formed when the spec's `perturbed` is first read. At
+    epsilon = 0, E is scaled to zero.
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(
@@ -72,22 +112,7 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     E = rng.standard_normal((N, N))
     _mirror_tiles(E, lambda I, J: (E[I, J] + E[J, I].T) / 2.0)
     E *= rng.uniform(epsilon / 2.0, epsilon) / spectral_norm(E)
-    # E and M are symmetric, so M E = (E M)^T, and adding the symmetric
-    # P + P^T keeps S_hat exactly symmetric. On a sparse S the product is
-    # taken as M E instead, row by row over the nonzeros of M rather than by
-    # a dense GEMM; it is the transpose of E M, so the sum is the same.
-    M = S.matrix
-    csr = S.nonzero_rows
-    if csr is None:
-        P = E @ M
-    else:
-        rows, starts, cols, vals = csr
-        P = np.zeros((N, N))
-        for i, a, b in zip(rows, starts, np.append(starts[1:], cols.size)):
-            P[i] = vals[a:b] @ E[cols[a:b]]
-    _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
-    P.setflags(write=False)
-    return PerturbationSpec(original=S, perturbed=GSO(P), error=E)
+    return PerturbationSpec(S, E)
 
 
 def solve_relative_error(S: GSO, S_hat: GSO,

@@ -556,16 +556,14 @@ def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
     assert draws == []
 
 
-def test_perturb_sweep_shifts_each_draw_as_one_block(
-        trained_dir, ratings_file, tmp_path, monkeypatch):
-    """The test signals on S and on each S_hat are shifted by one block
-    `shift_stack`, and every `forward` takes its slice; both columns match
-    one plain `forward` per user to 1e-12."""
-    from graphstab import gnn
-    from graphstab.movielens import build_task, load_ratings, rmse
+def _count_perturb_sweep_calls(monkeypatch, argv):
+    """Run perturb-sweep with argv and count its `forward` calls, those
+    given a first-layer stack, its block `shift_stack`s, the stacks that
+    `forward` builds itself and the S_hat it forms."""
+    from graphstab import gnn, perturbation
 
     calls = {"forward": 0, "forward_given_shifts": 0, "block": 0,
-             "per_sample": 0}
+             "per_sample": 0, "formed": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -576,19 +574,45 @@ def test_perturb_sweep_shifts_each_draw_as_one_block(
             return f(*args, **kwargs)
         return wrapper
 
+    formed = perturbation.PerturbationSpec.perturbed
     monkeypatch.setattr(cli, "forward", counted("forward", cli.forward))
     monkeypatch.setattr(cli, "shift_stack", counted("block", cli.shift_stack))
     monkeypatch.setattr(gnn, "shift_stack",
                         counted("per_sample", gnn.shift_stack))
-    out = tmp_path / "perturb"
-    assert main([
-        "perturb-sweep", "--data", str(ratings_file),
-        "--checkpoints", str(trained_dir), "--epsilon", "0.02", "0.05",
-        "--draws", "2", "--out", str(out),
-    ]) == 0
+    monkeypatch.setattr(perturbation.PerturbationSpec, "perturbed",
+                        property(counted("formed", formed.fget)))
+    assert main(["perturb-sweep", *argv]) == 0
     monkeypatch.undo()
+    return calls
+
+
+def _perturb_sweep_rows(out):
     rows = [line.split(",") for line in csv_body(out / "perturb_sweep.csv")]
-    header, rows = rows[0], rows[1:]
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+
+def _per_user_rmse(model, S, samples):
+    from graphstab import gnn
+    from graphstab.movielens import rmse
+
+    return rmse([gnn.forward(model, S, x).prediction for x, _ in samples],
+                [y for _, y in samples])
+
+
+def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
+        trained_dir, ratings_file, tmp_path, monkeypatch):
+    """A one-layer checkpoint is scored through the readout rows: every
+    `forward` takes a stack, no test signal is shifted as a block and no
+    S_hat is formed; both columns match one plain `forward` per user to
+    1e-12."""
+    from graphstab import gnn
+    from graphstab.movielens import build_task, load_ratings
+
+    out = tmp_path / "perturb"
+    calls = _count_perturb_sweep_calls(monkeypatch, [
+        "--data", str(ratings_file), "--checkpoints", str(trained_dir),
+        "--epsilon", "0.02", "0.05", "--draws", "2", "--out", str(out)])
+    rows = _perturb_sweep_rows(out)
     models, draws = 2 * 2, 2 * 2  # (mu, seed) pairs; epsilons x draws
     assert len(rows) == models * draws
 
@@ -597,23 +621,80 @@ def test_perturb_sweep_shifts_each_draw_as_one_block(
     n_test = len(task.test)
     assert calls == {"forward": models * (1 + draws) * n_test,
                      "forward_given_shifts": models * (1 + draws) * n_test,
-                     "block": models * (1 + draws),
-                     "per_sample": 0}
+                     "block": 0, "per_sample": 0, "formed": 0}
 
-    row = dict(zip(header, rows[0]))
+    row = rows[0]
     assert (row["mu"], row["split_seed"], row["draw"]) == ("0.0", "0", "0")
     model, _ = gnn.load_checkpoint(
         trained_dir / "checkpoint_mu0.0_split0.json")
-
-    def per_user(S):
-        return rmse([gnn.forward(model, S, x).prediction
-                     for x, _ in task.test], [y for _, y in task.test])
-
+    assert len(model.layers) == 1
     S_hat = cli.random_relative_perturbation(
         task.gso, float(row["epsilon"]), seed=0).perturbed
     for column, S in (("rmse_base", task.gso), ("rmse_perturbed", S_hat)):
-        assert float(row[column]) == pytest.approx(per_user(S), rel=1e-12,
-                                                   abs=0)
+        assert float(row[column]) == pytest.approx(
+            _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
+
+
+def test_perturb_sweep_shifts_a_deeper_model_as_one_block(
+        ratings_file, tmp_path, monkeypatch):
+    """A two-layer checkpoint, whose receptive field on a dense S_hat is
+    every node, is scored on S and on each formed S_hat by one block
+    `shift_stack`; its rows match one plain `forward` per user to 1e-12
+    and read exactly 0 at epsilon = 0."""
+    from graphstab import gnn
+    from graphstab.movielens import build_task, load_ratings
+
+    ratings = load_ratings(ratings_file)
+    task = build_task(ratings, target_item_id=7, train_fraction=0.9, seed=0)
+    model = gnn.init_model(3, [1, 3, 2], [3, 2], ["relu", "tanh"],
+                           task.target_index)
+    run = tmp_path / "run"
+    run.mkdir()
+    gnn.save_checkpoint(run / "checkpoint_mu0.0_split0.json", model,
+                        gnn.TrainConfig())
+    (run / "train_summary.json").write_text(json.dumps({
+        "movie_id": 7, "train_fraction": 0.9, "seeds": [0],
+        "mus": {"0.0": {}}}))
+    out = tmp_path / "perturb"
+    calls = _count_perturb_sweep_calls(monkeypatch, [
+        "--data", str(ratings_file), "--checkpoints", str(run),
+        "--epsilon", "0", "0.05", "--draws", "2", "--out", str(out)])
+    rows = _perturb_sweep_rows(out)
+    draws = 2 * 2  # epsilons x draws
+    n_test = len(task.test)
+    assert len(rows) == draws
+    # forward shifts the second layer's features itself
+    assert calls == {"forward": (1 + draws) * n_test,
+                     "forward_given_shifts": (1 + draws) * n_test,
+                     "block": 1 + draws,
+                     "per_sample": (1 + draws) * n_test, "formed": draws}
+    for row in rows:
+        eps, draw = float(row["epsilon"]), int(row["draw"])
+        if eps == 0:
+            assert row["rmse_perturbed"] == row["rmse_base"]
+            assert row["rmse_difference"] == "0.0"
+        S_hat = cli.random_relative_perturbation(task.gso, eps,
+                                                 seed=draw).perturbed
+        for column, S in (("rmse_base", task.gso),
+                          ("rmse_perturbed", S_hat)):
+            assert float(row[column]) == pytest.approx(
+                _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
+
+
+def test_perturb_sweep_rejects_a_non_finite_rmse(trained_dir, ratings_file,
+                                                 tmp_path, capsys):
+    """An epsilon large enough to overflow the shifts exits 2 naming it,
+    writes no CSV, and lets no floating-point warning escape (every
+    warning fails a test here)."""
+    out = tmp_path / "perturb"
+    assert main([
+        "perturb-sweep", "--data", str(ratings_file),
+        "--checkpoints", str(trained_dir), "--epsilon", "0.05", "1e200",
+        "--draws", "1", "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "test RMSE at epsilon 1e+200, draw 0 is nan, not finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("taps,features", [("0", "2"), ("2", "0")])

@@ -8,6 +8,7 @@ from graphstab import (
     build_task,
     edge_dilation,
     eigendecompose,
+    graph_shift,
     knn_sparsify,
     load_ratings,
     misalignment,
@@ -207,15 +208,38 @@ def test_random_perturbation_across_tiles_matches_reference(sparse):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_random_perturbation_memory_within_budget(sparse, lanczos_runs):
-    # E is formed in the draw's buffer and S_hat in the product's, which
-    # the GSO keeps, so E and S_hat are the N x N arrays at the peak; the
-    # Lanczos basis of the norm (at N >= 512) comes earlier. The memo
-    # starts empty, so the norm is a real run in both cases.
+    # a draw forms E alone, in the buffer of the Gaussian draw; the Lanczos
+    # basis of its norm (at N >= 512) is small beside it. S_hat is formed
+    # in the product's buffer, which the GSO keeps, on the first read of
+    # `perturbed`, and a second read forms nothing. The memo starts empty,
+    # so the norm is a real run in both cases.
     N = 600
     S = tiled_gso(N, sparse)
-    assert traced_peak(random_relative_perturbation, S, 0.1, 3) \
-        <= 2.5 * N * N * 8
+    specs = []
+    assert traced_peak(lambda: specs.append(
+        random_relative_perturbation(S, 0.1, 3))) <= 1.5 * N * N * 8
     assert len(lanczos_runs) == 1
+    spec, = specs
+    assert traced_peak(lambda: spec.perturbed) <= 2.5 * N * N * 8
+    assert traced_peak(lambda: spec.perturbed) <= N * 8
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "block"])
+@pytest.mark.parametrize("make", [
+    lambda S, eps: random_relative_perturbation(S, eps, 6),
+    edge_dilation,
+], ids=["random", "dilation"])
+def test_shift_matches_the_formed_s_hat(sparse, columns, make):
+    N = 300
+    S = tiled_gso(N, sparse)
+    x = np.random.default_rng(7).standard_normal((N,) + columns)
+    spec = make(S, 0.1)
+    got = spec.shift(x)
+    want = spec.perturbed.matrix @ x
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    assert make(S, 0.0).shift(x).tobytes() == graph_shift(S, x).tobytes()
 
 
 def test_random_perturbation_runs_lanczos_once_per_seed(lanczos_runs):
