@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .filters import graph_convolution, shift_stack, spectral_norm
+from .filters import graph_convolution, spectral_norm
 from .gnn import (
     TrainConfig,
     _parameters,
@@ -90,56 +90,64 @@ def _load_run(args):
     """Read a `train` run for a sweep over it: the sweep's output directory
     (created only when the sweep writes its CSV), the run's summary, the
     ratings, and the model of every (mu, split seed), keyed by (mu string,
-    split seed) in the order mu, then seed; checkpoints before ratings."""
+    split seed) in the order mu, then seed. The summary is checked first,
+    then each checkpoint (one layer, as `train` writes), then the ratings."""
     ckpt_dir = Path(args.checkpoints)
-    summary = json.loads((ckpt_dir / "train_summary.json").read_text())
-    models = {
-        (mu_key, seed): load_checkpoint(
-            ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json")[0]
-        for mu_key in summary["mus"] for seed in summary["seeds"]
-    }
+    path = ckpt_dir / "train_summary.json"
+    try:  # an OSError passes as it is
+        summary = json.loads(path.read_text())
+        for key, types, what in (("movie_id", [int], "an integer"),
+                                 ("train_fraction", [int, float], "a number"),
+                                 ("seeds", [list], "a list of integers"),
+                                 ("mus", [dict], "a mapping")):
+            value = summary[key]  # by type(): a bool is not an integer here
+            if type(value) not in types or (
+                    key == "seeds" and any(type(s) is not int for s in value)):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+        check_train_fraction(summary["train_fraction"])
+    except (KeyError, TypeError, ValueError) as exc:
+        msg = f"no key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed run summary {path}: {msg}") from exc
+    models = {}
+    for mu_key in summary["mus"]:
+        for seed in summary["seeds"]:
+            path = ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json"
+            models[mu_key, seed] = model = load_checkpoint(path)[0]
+            if len(model.layers) > 1:
+                raise ValueError(
+                    f"checkpoint {path} has {len(model.layers)} layers; the "
+                    "sweeps read one-layer models, as `train` writes")
     return Path(args.out), summary, load_ratings(args.data), models
 
 
 def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
-    """RMSE of model's predictions on samples over the GSO S, or over the
-    S_hat of spec (a perturbation of S), one `forward` per sample. A
-    non-finite RMSE raises ValueError naming `where`; no floating-point
-    warning escapes.
+    """RMSE of a one-layer model's predictions on samples over the GSO S,
+    or over the S_hat of spec (a perturbation of S), one `forward` per
+    sample. A non-finite RMSE raises ValueError naming `where`; no
+    floating-point warning escapes.
 
-    A one-layer model reads its shift stack only at row `node`, where
+    The model reads its shift stack only at row `node`, where
     (S^k x)[node] = r_k . x with r_k = S^k e_node (S is symmetric). The
     rows come from K - 1 shifts of e_node, by `graph_shift` or by
-    spec.shift, which never forms S_hat; each `forward` takes a (K, N, 1)
+    spec.shift, which never forms S_hat. Each `forward` takes a (K, N, 1)
     stack exact at row node and zero elsewhere, like `train`'s, and reads
-    its GSO only for N and the node check. A deeper model sees every node
-    of a dense S_hat: its signals are shifted as one block on S or the
-    formed S_hat, and each `forward` takes a contiguous copy of its slice
-    (`bank_apply` runs 3x slower on the strided view). Both arms take the
-    same arithmetic, so they have the same bits at epsilon = 0. The
-    benchmark pins the `forward` count, so this does not call `predict`.
+    its GSO only for N and the node check. Both arms take the same
+    arithmetic, so they have the same bits at epsilon = 0. The benchmark
+    pins the `forward` count, so this does not call `predict`.
     """
     X = np.stack([x for x, _ in samples], axis=1)
     K = model.layers[0].taps.shape[2]
+    shift = functools.partial(graph_shift, S) if spec is None else spec.shift
     with np.errstate(over="ignore", invalid="ignore"):
-        if len(model.layers) == 1:
-            shift = (functools.partial(graph_shift, S) if spec is None
-                     else spec.shift)
-            # zero for a node outside S, which the first `forward` rejects
-            e_node = (np.arange(S.node_count) == model.node).astype(float)
-            rows = [e_node]
-            for _ in range(K - 1):
-                rows.append(shift(rows[-1]))
-            A = np.stack(rows) @ X  # (K, n)
-            preds = [forward(model, S, x,
-                             (A[:, j, None] * e_node)[:, :, None]).prediction
-                     for j, (x, _) in enumerate(samples)]
-        else:
-            gso = S if spec is None else spec.perturbed
-            shifts = shift_stack(gso, X, K)
-            preds = [forward(model, gso, x,
-                             shifts[:, :, j:j + 1].copy()).prediction
-                     for j, (x, _) in enumerate(samples)]
+        # zero for a node outside S, which the first `forward` rejects
+        e_node = (np.arange(S.node_count) == model.node).astype(float)
+        rows = [e_node]
+        for _ in range(K - 1):
+            rows.append(shift(rows[-1]))
+        A = np.stack(rows) @ X  # (K, n)
+        preds = [forward(model, S, x,
+                         (A[:, j, None] * e_node)[:, :, None]).prediction
+                 for j, (x, _) in enumerate(samples)]
         score = rmse(preds, [y for _, y in samples])
     if not np.isfinite(score):
         raise ValueError(f"test RMSE {where} is {score}, not finite")

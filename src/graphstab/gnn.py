@@ -188,8 +188,7 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     inside the readout's receptive field, so the prediction is exact and
     the features on rows outside it are not. `cli._evaluate` passes a
     one-layer model a stack that is exact at row `node` and zero elsewhere,
-    which such a model's prediction alone reads; a deeper model gets one
-    sample's slice of a stack shifted for all samples as one block.
+    which such a model's prediction alone reads.
     """
     feat = _check_input(model, S, x)
     if first_layer_shifts is not None:

@@ -10,7 +10,8 @@ and the relative distance d(S, S_hat) is the smallest ||E|| over admissible
 solved spectrally.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,44 +30,25 @@ class SingularEquationError(ValueError):
 @dataclass(frozen=True)
 class PerturbationSpec:
     """A perturbation S_hat = S + E S + S E of the GSO S (`original`) by the
-    symmetric relative error matrix E (`error`).
-
-    `shift` applies S_hat without forming it. `perturbed` is S_hat as a GSO,
-    formed on first read and kept, unless the spec was made with its closed
-    form (edge dilation's (1 + epsilon) S).
+    symmetric relative error matrix E (`error`). `shift` applies S_hat
+    without forming it; `perturbed` forms it as a GSO once, on first read.
     """
 
     original: GSO
     error: np.ndarray
-    _perturbed: GSO | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def perturbed(self) -> GSO:
         """S_hat = M + (P + P^T) with P = E M, formed in the buffer of P by
-        `graphs._mirror_tiles`: each mirrored element would be the same sum
-        of commuted operands, so it is copied, and S_hat comes out exactly
-        symmetric. It is handed to its GSO read-only, which keeps it without
-        a copy. At E = 0, S_hat has the bits of S.
+        `graphs._mirror_tiles`, which copies each mirrored element (the same
+        sum of commuted operands), so S_hat is exactly symmetric. Its GSO
+        keeps it read-only, without a copy. At E = 0, S_hat has the bits of S.
         """
-        if self._perturbed is None:
-            # E and M are symmetric, so M E = (E M)^T. On a sparse S the
-            # product is taken as M E instead, row by row over the nonzeros
-            # of M rather than by a dense GEMM; it is the transpose of E M,
-            # so the sum is the same.
-            M, E = self.original.matrix, self.error
-            csr = self.original.nonzero_rows
-            if csr is None:
-                P = E @ M
-            else:
-                rows, starts, cols, vals = csr
-                P = np.zeros(M.shape)
-                for i, a, b in zip(rows, starts,
-                                   np.append(starts[1:], cols.size)):
-                    P[i] = vals[a:b] @ E[cols[a:b]]
-            _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
-            P.setflags(write=False)
-            object.__setattr__(self, "_perturbed", GSO(P))
-        return self._perturbed
+        M = self.original.matrix
+        P = self.error @ M  # E and M are symmetric, so M E = P^T
+        _mirror_tiles(P, lambda I, J: M[I, J] + (P[I, J] + P[J, I].T))
+        P.setflags(write=False)
+        return GSO(P)
 
     def shift(self, x: np.ndarray) -> np.ndarray:
         """S_hat x for a vector (N,) or a block (N, F), as
@@ -85,13 +67,13 @@ def edge_dilation(S: GSO, epsilon: float) -> PerturbationSpec:
 
     The error matrix is (epsilon/2) I, which commutes with S, so the
     eigenvectors are unchanged and the eigenvalues scale by (1 + epsilon).
-    S_hat is given in that closed form.
+    S_hat is formed like any other perturbation's, so it equals
+    (1 + epsilon) S to rounding.
     """
     if not -1 < epsilon < np.inf:
         raise ValueError("edge dilation requires epsilon > -1 and finite, "
                          f"got {epsilon}")
-    return PerturbationSpec(S, (epsilon / 2.0) * np.eye(S.node_count),
-                            GSO((1.0 + epsilon) * S.matrix))
+    return PerturbationSpec(S, (epsilon / 2.0) * np.eye(S.node_count))
 
 
 def random_relative_perturbation(S: GSO, epsilon: float,

@@ -453,6 +453,22 @@ def test_train_rejects_settings_before_reading_the_ratings(
     assert not out.exists()
 
 
+# each malformed train_summary.json as a function of the one `train` wrote
+# (None: a file that is not JSON)
+SUMMARY_EDITS = {
+    "seeds 0": lambda summary: {**summary, "seeds": 0},
+    "fraction string": lambda summary: {**summary, "train_fraction": "0.9"},
+    "mus list": lambda summary: {**summary, "mus": ["0.0"]},
+    "float seed": lambda summary: {**summary, "seeds": [0.0]},
+    "boolean movie id": lambda summary: {**summary, "movie_id": True},
+    "fraction above 1": lambda summary: {**summary, "train_fraction": 1.5},
+    "no seeds": lambda summary: {k: v for k, v in summary.items()
+                                 if k != "seeds"},
+    "summary a list": list,
+    "summary not json": lambda summary: None,
+}
+
+
 @pytest.mark.parametrize("command,bad,named", [
     ("train", "empty data", "no ratings"),
     ("train", "missing data", "not found"),
@@ -478,6 +494,22 @@ def test_train_rejects_settings_before_reading_the_ratings(
      "split1.json: readout node must be an integer, got 3.7"),
     ("perturb-sweep", "boolean node",
      "split1.json: readout node must be an integer, got True"),
+    # the run's summary reads, but a field a sweep needs is malformed
+    *((command, bad, f"malformed run summary {{run}}: {named}")
+      for command in ("transfer", "perturb-sweep", "split-sweep")
+      for bad, named in (
+          ("seeds 0", "seeds must be a list of integers, got 0"),
+          ("fraction string", "train_fraction must be a number, got '0.9'"),
+          ("mus list", "mus must be a mapping, got ['0.0']"))),
+    ("transfer", "float seed", "malformed run summary {run}: seeds must be "
+                               "a list of integers, got [0.0]"),
+    ("perturb-sweep", "boolean movie id",
+     "malformed run summary {run}: movie_id must be an integer, got True"),
+    ("split-sweep", "fraction above 1",
+     "malformed run summary {run}: train fraction 1.5 is outside (0, 1]"),
+    ("transfer", "no seeds", "malformed run summary {run}: no key 'seeds'"),
+    ("perturb-sweep", "summary a list", "malformed run summary {run}: "),
+    ("split-sweep", "summary not json", "malformed run summary {run}: "),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,
@@ -512,6 +544,17 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
         def unread(path):  # a bad checkpoint stops the sweep before this
             raise AssertionError(f"{path} was read")
 
+        monkeypatch.setattr(cli, "load_ratings", unread)
+    elif bad in SUMMARY_EDITS:
+        path = checkpoints / "train_summary.json"
+        named = named.format(run=path)
+        summary = SUMMARY_EDITS[bad](json.loads(path.read_text()))
+        path.write_text("" if summary is None else json.dumps(summary))
+
+        def unread(path):  # a bad summary stops the sweep before this
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_checkpoint", unread)
         monkeypatch.setattr(cli, "load_ratings", unread)
     elif bad == "ratio above train fraction":
         extra = ["--splits", "0.5", "1.0"]
@@ -558,12 +601,12 @@ def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
 
 def _count_perturb_sweep_calls(monkeypatch, argv):
     """Run perturb-sweep with argv and count its `forward` calls, those
-    given a first-layer stack, its block `shift_stack`s, the stacks that
-    `forward` builds itself and the S_hat it forms."""
+    given a first-layer stack, the stacks that `forward` builds itself and
+    the S_hat it forms."""
     from graphstab import gnn, perturbation
 
-    calls = {"forward": 0, "forward_given_shifts": 0, "block": 0,
-             "per_sample": 0, "formed": 0}
+    calls = {"forward": 0, "forward_given_shifts": 0, "per_sample": 0,
+             "formed": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -576,11 +619,10 @@ def _count_perturb_sweep_calls(monkeypatch, argv):
 
     formed = perturbation.PerturbationSpec.perturbed
     monkeypatch.setattr(cli, "forward", counted("forward", cli.forward))
-    monkeypatch.setattr(cli, "shift_stack", counted("block", cli.shift_stack))
     monkeypatch.setattr(gnn, "shift_stack",
                         counted("per_sample", gnn.shift_stack))
     monkeypatch.setattr(perturbation.PerturbationSpec, "perturbed",
-                        property(counted("formed", formed.fget)))
+                        property(counted("formed", formed.func)))
     assert main(["perturb-sweep", *argv]) == 0
     monkeypatch.undo()
     return calls
@@ -602,9 +644,8 @@ def _per_user_rmse(model, S, samples):
 def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
         trained_dir, ratings_file, tmp_path, monkeypatch):
     """A one-layer checkpoint is scored through the readout rows: every
-    `forward` takes a stack, no test signal is shifted as a block and no
-    S_hat is formed; both columns match one plain `forward` per user to
-    1e-12."""
+    `forward` takes a stack and no S_hat is formed; both columns match one
+    plain `forward` per user to 1e-12."""
     from graphstab import gnn
     from graphstab.movielens import build_task, load_ratings
 
@@ -621,7 +662,7 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
     n_test = len(task.test)
     assert calls == {"forward": models * (1 + draws) * n_test,
                      "forward_given_shifts": models * (1 + draws) * n_test,
-                     "block": 0, "per_sample": 0, "formed": 0}
+                     "per_sample": 0, "formed": 0}
 
     row = rows[0]
     assert (row["mu"], row["split_seed"], row["draw"]) == ("0.0", "0", "0")
@@ -635,50 +676,33 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
             _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
 
 
-def test_perturb_sweep_shifts_a_deeper_model_as_one_block(
-        ratings_file, tmp_path, monkeypatch):
-    """A two-layer checkpoint, whose receptive field on a dense S_hat is
-    every node, is scored on S and on each formed S_hat by one block
-    `shift_stack`; its rows match one plain `forward` per user to 1e-12
-    and read exactly 0 at epsilon = 0."""
+@pytest.mark.parametrize("command",
+                         ["transfer", "perturb-sweep", "split-sweep"])
+def test_sweeps_reject_a_deeper_checkpoint(ratings_file, tmp_path,
+                                           monkeypatch, capsys, command):
+    """The sweeps read the one-layer checkpoints `train` writes: a
+    two-layer one exits 2 naming the file and its layer count, before the
+    ratings are read and before any output directory is made."""
     from graphstab import gnn
-    from graphstab.movielens import build_task, load_ratings
 
-    ratings = load_ratings(ratings_file)
-    task = build_task(ratings, target_item_id=7, train_fraction=0.9, seed=0)
-    model = gnn.init_model(3, [1, 3, 2], [3, 2], ["relu", "tanh"],
-                           task.target_index)
+    model = gnn.init_model(3, [1, 3, 2], [3, 2], ["relu", "tanh"], 0)
     run = tmp_path / "run"
     run.mkdir()
-    gnn.save_checkpoint(run / "checkpoint_mu0.0_split0.json", model,
-                        gnn.TrainConfig())
+    path = run / "checkpoint_mu0.0_split0.json"
+    gnn.save_checkpoint(path, model, gnn.TrainConfig())
     (run / "train_summary.json").write_text(json.dumps({
         "movie_id": 7, "train_fraction": 0.9, "seeds": [0],
-        "mus": {"0.0": {}}}))
-    out = tmp_path / "perturb"
-    calls = _count_perturb_sweep_calls(monkeypatch, [
-        "--data", str(ratings_file), "--checkpoints", str(run),
-        "--epsilon", "0", "0.05", "--draws", "2", "--out", str(out)])
-    rows = _perturb_sweep_rows(out)
-    draws = 2 * 2  # epsilons x draws
-    n_test = len(task.test)
-    assert len(rows) == draws
-    # forward shifts the second layer's features itself
-    assert calls == {"forward": (1 + draws) * n_test,
-                     "forward_given_shifts": (1 + draws) * n_test,
-                     "block": 1 + draws,
-                     "per_sample": (1 + draws) * n_test, "formed": draws}
-    for row in rows:
-        eps, draw = float(row["epsilon"]), int(row["draw"])
-        if eps == 0:
-            assert row["rmse_perturbed"] == row["rmse_base"]
-            assert row["rmse_difference"] == "0.0"
-        S_hat = cli.random_relative_perturbation(task.gso, eps,
-                                                 seed=draw).perturbed
-        for column, S in (("rmse_base", task.gso),
-                          ("rmse_perturbed", S_hat)):
-            assert float(row[column]) == pytest.approx(
-                _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
+        "mus": {"0.0": {"rmse_mean": 1.0}}}))
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_ratings", unread)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(ratings_file),
+                 "--checkpoints", str(run), "--out", str(out)]) == 2
+    assert f"checkpoint {path} has 2 layers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_perturb_sweep_rejects_a_non_finite_rmse(trained_dir, ratings_file,

@@ -31,3 +31,22 @@ def test_no_function_imports(path):
              for node in ast.walk(func)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert inner == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    # a name a module imports and never reads is left over from a deletion;
+    # __init__.py is skipped, since its imports are the package's exports.
+    # Annotations are part of the tree, so a name used only in one counts.
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used] == []

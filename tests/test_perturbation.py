@@ -38,6 +38,20 @@ def test_dilation_error_matrix(gso20):
     assert spectral_norm(spec.error) <= 0.08
 
 
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+def test_dilation_matches_its_closed_form(gso20, eps):
+    # S_hat is formed as any perturbation's is, S + (E S + S E), so it
+    # equals (1 + eps) S to rounding and not bit for bit
+    for S in [gso20] + [build_gso(random_weighted_graph(100, seed))
+                        for seed in range(3)]:
+        spec = edge_dilation(S, eps)
+        M, S_hat = S.matrix, spec.perturbed.matrix
+        P = spec.error @ M
+        assert S_hat.tobytes() == (M + (P + P.T)).tobytes()
+        assert (np.abs(S_hat - (1 + eps) * M).max()
+                <= 4 * np.finfo(float).eps * np.abs(M).max())
+
+
 def test_dilation_scales_eigenvalues(gso20):
     eps = 0.1
     spec = edge_dilation(gso20, eps)
@@ -159,8 +173,7 @@ def test_roundtrip_many_random_specs():
 
 
 def test_random_perturbation_of_a_sparse_movie_graph(tmp_path):
-    # a k-NN movie graph large enough for the Lanczos norm and sparse
-    # enough for the product over the nonzeros of S
+    # a k-NN movie graph large enough for the Lanczos norm, and sparse
     path = make_ratings_file(tmp_path / "u.data", users=400, movies=600)
     S = build_task(load_ratings(path), target_item_id=7).gso
     assert S.node_count >= 512 and S.nonzero_rows is not None
@@ -178,7 +191,8 @@ def test_random_perturbation_of_a_sparse_movie_graph(tmp_path):
 
 def tiled_gso(n, sparse):
     """A GSO over two full 128-node tiles and a ragged one: a random graph,
-    dense, or its 3-NN pruning, sparse enough for the row-wise product."""
+    dense, or its 3-NN pruning, sparse enough for `graph_shift` to shift a
+    vector over its nonzeros."""
     W = random_weighted_graph(n, seed=4)
     S = build_gso(knn_sparsify(W, 3) if sparse else W)
     assert (S.nonzero_rows is not None) == sparse
@@ -196,13 +210,7 @@ def test_random_perturbation_across_tiles_matches_reference(sparse):
     E *= rng.uniform(eps / 2.0, eps) / spectral_norm(E)
     assert spec.error.tobytes() == E.tobytes()
     M = S.matrix
-    if sparse:  # M E row by row over the nonzeros of M
-        P = np.zeros((N, N))
-        for i in range(N):
-            nz = np.flatnonzero(M[i])
-            P[i] = M[i, nz] @ E[nz]
-    else:
-        P = E @ M
+    P = E @ M
     assert spec.perturbed.matrix.tobytes() == (M + (P + P.T)).tobytes()
 
 
