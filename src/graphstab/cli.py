@@ -104,7 +104,15 @@ def _load_run(args):
             if type(value) not in types or (
                     key == "seeds" and any(type(s) is not int for s in value)):
                 raise ValueError(f"{key} must be {what}, got {value!r}")
+            if key in ("seeds", "mus") and not value:
+                raise ValueError(f"{key} is empty")
         check_train_fraction(summary["train_fraction"])
+        _check_distinct(("seeds", summary["seeds"]))
+        for mu_key, stats in summary["mus"].items():
+            mean = stats.get("rmse_mean") if type(stats) is dict else None
+            if type(mean) not in (int, float) or mean <= 0:  # NaN passes
+                raise ValueError(f"mus[{mu_key!r}] must map rmse_mean to a "
+                                 f"positive number or NaN, got {stats!r}")
     except (KeyError, TypeError, ValueError) as exc:
         msg = f"no key {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed run summary {path}: {msg}") from exc
@@ -394,13 +402,12 @@ def gradient_residual(model, S, samples, config):
     return worst
 
 
-def invariant_suite(quick: bool = False, seed: int = 0):
+def invariant_suite(seed: int = 0):
     """Residuals-vs-tolerance table for the theory invariants on synthetic
     graphs."""
     rng = np.random.default_rng(seed)
     checks = []
-    draws = 10 if quick else 40
-    max_n = 12 if quick else 25
+    draws, max_n = 40, 25
 
     # permutation equivariance of filters and GNNs
     res_filter, res_gnn = 0.0, 0.0
@@ -457,11 +464,11 @@ def invariant_suite(quick: bool = False, seed: int = 0):
                          1e-8))
 
     # bound sweep on a 20-node graph
-    S = build_gso(random_weighted_graph(12 if quick else 20, seed))
+    S = build_gso(random_weighted_graph(20, seed))
     lam = eigendecompose(S).eigenvalues
     h = design_il_taps((1.2 * lam[0], 1.2 * lam[-1]), K=5, c_target=1.0)
     eps_list = [0.02, 0.05, 0.1]
-    seeds = list(range(3 if quick else 5))
+    seeds = range(5)
     reports = empirical_filter_distance_sweep(S, h, "relative", eps_list, seeds)
     worst = max((r.measured - r.bound) / max(r.bound, 1e-300) for r in reports)
     checks.append(_check("filter stability bound slack", max(worst, 0.0), 0.0))
@@ -469,7 +476,7 @@ def invariant_suite(quick: bool = False, seed: int = 0):
 
 
 def cmd_verify(args) -> int:
-    checks = invariant_suite(quick=args.quick, seed=args.seed)
+    checks = invariant_suite(seed=args.seed)
     width = max(len(name) for name, *_ in checks)
     failed = False
     for name, residual, tol, ok in checks:
@@ -582,7 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split_sweep)
 
     p = add_parser("verify", help="run the invariant suite")
-    p.add_argument("--quick", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

@@ -61,24 +61,15 @@ def filter_matrix(S: GSO, h: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(A: np.ndarray) -> float:
-    """Operator 2-norm; max |eigenvalue| if symmetric by the GSO's rule.
+    """Operator 2-norm of a symmetric matrix: its largest |eigenvalue|.
 
-    A matrix symmetric to within SYMMETRY_RTOL is averaged with its
-    transpose (an exactly symmetric one is taken as it is, since the
-    average equals it bit for bit). Its eigenvalues come from eigvalsh
-    below LANCZOS_MIN_SIZE rows and from Lanczos
-    (`spectral.extreme_eigenvalues`) from there on; any other matrix, a
-    non-square one included, takes np.linalg.norm(A, 2).
-    """
+    A must be a nonempty square matrix that `graphs.symmetrized` accepts
+    (else ValueError), and is taken as that returns it. The eigenvalues come
+    from eigvalsh below LANCZOS_MIN_SIZE rows, from Lanczos above."""
     A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return float(np.linalg.norm(A, 2))
-    try:
-        A = symmetrized(A)
-    except ValueError:
-        return float(np.linalg.norm(A, 2))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"need a nonempty square matrix, got shape {A.shape}")
+    A = symmetrized(A)
     if A.shape[0] < LANCZOS_MIN_SIZE:
         return float(np.max(np.abs(np.linalg.eigvalsh(A))))
     lam_min, lam_max = extreme_eigenvalues(A)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .filters import bank_apply, shift_stack
 from .graphs import GSO
-from .spectral import bank_response, eigendecompose, il_grid
+from .spectral import bank_response, check_interval, eigendecompose, il_grid
 
 _ACTIVATIONS = {
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
@@ -97,6 +97,8 @@ class GNNModel:
 
 @dataclass
 class TrainConfig:
+    """Training settings; a set lambda_interval is `check_interval`'s pair."""
+
     mu: float = 0.0
     lambda_interval: tuple | None = None  # default: eigenvalue range of S
     learning_rate: float = 0.005
@@ -118,9 +120,7 @@ class TrainConfig:
             raise ValueError(
                 f"batch size must be at least 1, got {self.batch_size}")
         if self.lambda_interval is not None:
-            a, b = self.lambda_interval
-            if not a < b:
-                raise ValueError("lambda interval must satisfy a < b")
+            self.lambda_interval = check_interval(self.lambda_interval)
 
 
 @dataclass
@@ -522,8 +522,6 @@ def load_checkpoint(path):
             _check_keys(f"layer {i}", layer, ["taps", "activation"])
         cfg = payload["config"]
         _check_keys("config", cfg, [f.name for f in fields(TrainConfig)])
-        if cfg["lambda_interval"] is not None:
-            cfg["lambda_interval"] = tuple(cfg["lambda_interval"])
         return model_from_dict(payload["model"]), TrainConfig(**cfg)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc

@@ -121,7 +121,7 @@ def symmetrized(A: np.ndarray) -> np.ndarray:
         return A
     asym = np.abs(A - A.T).max()
     if not asym <= SYMMETRY_RTOL * max(1.0, np.abs(A).max()):
-        raise ValueError("GSO must be symmetric, got "
+        raise ValueError("matrix must be symmetric, got "
                          f"max |S - S^T| = {asym:g}")
     return (A + A.T) / 2.0
 

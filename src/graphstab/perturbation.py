@@ -175,7 +175,8 @@ def match_eigenbases(U: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def misalignment(U: np.ndarray, V: np.ndarray) -> float:
-    """delta = (||U - V|| + 1)^2 - 1 after greedy column matching of U to V."""
+    """delta = (||U_hat - V||_2 + 1)^2 - 1 after greedy column matching U_hat
+    of U to V; U_hat - V is not symmetric (a small rotation's is skew)."""
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
     if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -184,7 +185,7 @@ def misalignment(U: np.ndarray, V: np.ndarray) -> float:
     for name, B in (("U", U), ("V", V)):
         if not np.allclose(B.T @ B, eye, atol=1e-8):
             raise ValueError(f"{name} is not orthonormal")
-    gap = spectral_norm(match_eigenbases(U, V) - V)
+    gap = np.linalg.norm(match_eigenbases(U, V) - V, 2)
     return float((gap + 1.0) ** 2 - 1.0)
 
 

@@ -13,11 +13,11 @@ such as the one unscaled E that a perturbation draw seed gives at every
 epsilon and mu, costs one hash instead of a Lanczos run. The memo holds the
 pairs of the last EXTREMES_MEMO_SIZE distinct inputs and no arrays.
 
-The frequency response of taps h is the polynomial h(lambda) = sum_k h_k
-lambda^k; its scaled derivative |lambda h'(lambda)| is what the integral
-Lipschitz condition bounds. `bank_response` is the one evaluator of both,
-for a tap vector and for an (F_in, F_out, K) filter bank alike; both are
-maximized on the one grid `il_grid`.
+The frequency response of taps h is h(lambda) = sum_k h_k lambda^k, and
+the integral Lipschitz condition bounds |lambda h'(lambda)|. `bank_response`
+evaluates both, for a tap vector or an (F_in, F_out, K) filter bank; both
+are maximized on the one grid `il_grid` of an interval, which the one
+interval rule `check_interval` reads as exactly two floats a < b.
 """
 
 import hashlib
@@ -151,9 +151,9 @@ def bank_response(taps: np.ndarray, grid: np.ndarray,
 
 
 def check_interval(interval) -> tuple:
-    """The endpoints (a, b) of an eigenvalue interval as floats; raises
-    ValueError unless a < b, which a NaN endpoint fails too."""
-    a, b = float(interval[0]), float(interval[1])
+    """The two endpoints (a, b) of an eigenvalue interval as floats; raises
+    ValueError for any other count, or unless a < b, which NaN fails too."""
+    a, b = map(float, interval)
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
     return a, b

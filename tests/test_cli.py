@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -55,8 +56,8 @@ def test_write_csv(tmp_path):
                                 "0.1,0.3333333333333333\n2,x\n")
 
 
-def test_verify_quick_passes(capsys):
-    assert main(["verify", "--quick"]) == 0
+def test_verify_passes(capsys):
+    assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "all invariants satisfied" in out
     assert "residual" in out and "tolerance" in out
@@ -71,7 +72,7 @@ def test_verify_detects_injected_fault(monkeypatch, capsys):
         return grads
 
     monkeypatch.setattr(cli, "objective_gradients", corrupted)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "analytic vs finite-difference gradients" in out
     assert "FAIL" in out
@@ -100,7 +101,7 @@ def test_verify_fails_on_a_map_that_is_not_equivariant(monkeypatch, capsys,
             return dataclasses.replace(cache, features=cache.features + ramp)
 
     monkeypatch.setattr(cli, name, planted)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     assert _verify_row(capsys.readouterr().out, check).endswith("FAIL")
 
 
@@ -120,12 +121,12 @@ def test_verify_fails_on_a_perturbed_eigensystem(monkeypatch, capsys, part,
         return dataclasses.replace(eig, **{part: scaled})
 
     monkeypatch.setattr(cli, "eigendecompose", perturbed)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     assert _verify_row(capsys.readouterr().out, check).endswith("FAIL")
 
 
 def test_verify_fails_on_an_understated_il_constant(monkeypatch, capsys):
-    # the quick sweep measures distances of about 1/50 of the bound, so C
+    # the bound sweep measures distances of about 1/50 of the bound, so C
     # understated by this factor puts some of them above it
     factor = 100.0
     exact = cli.empirical_filter_distance_sweep
@@ -136,7 +137,7 @@ def test_verify_fails_on_an_understated_il_constant(monkeypatch, capsys):
                 for r in exact(*args)]
 
     monkeypatch.setattr(cli, "empirical_filter_distance_sweep", understated)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert _verify_row(out, "filter stability bound slack").endswith("FAIL")
 
@@ -148,12 +149,20 @@ def test_verify_has_no_fault_injection_flag(capsys):
     assert "unrecognized arguments: --inject-fault" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["--quick", "--seed", "3"],
-                                  ["--seed", "6"]])
-def test_verify_skips_singular_round_trips(argv, capsys):
-    # these seeds draw a graph with an eigenvalue pair summing to zero, for
+def test_verify_runs_one_suite(capsys):
+    # the planted-fault tests above check the suite users and the benchmark
+    # run, so there is no smaller one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--quick"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --quick" in capsys.readouterr().err
+    assert list(inspect.signature(invariant_suite).parameters) == ["seed"]
+
+
+def test_verify_skips_singular_round_trips(capsys):
+    # this seed draws a graph with an eigenvalue pair summing to zero, for
     # which the error-matrix equation is singular
-    assert main(["verify", *argv]) == 0
+    assert main(["verify", "--seed", "6"]) == 0
     out = capsys.readouterr().out
     assert "error-matrix round trip (1 singular skipped)" in out
 
@@ -163,13 +172,13 @@ def test_verify_fails_when_every_round_trip_is_singular(monkeypatch, capsys):
         raise cli.SingularEquationError("singular")
 
     monkeypatch.setattr(cli, "solve_relative_error", singular)
-    assert main(["verify", "--quick"]) == 1
+    assert main(["verify"]) == 1
     out = capsys.readouterr().out
-    assert "(10 singular skipped)  residual inf" in out
+    assert "(40 singular skipped)  residual inf" in out
 
 
 def test_invariant_suite_structure():
-    checks = invariant_suite(quick=True, seed=1)
+    checks = invariant_suite(seed=1)
     assert [name for name, *_ in checks] == [
         "filter permutation equivariance", "gnn permutation equivariance",
         "eigendecomposition reconstruction", "gft parseval",
@@ -466,7 +475,22 @@ SUMMARY_EDITS = {
                                  if k != "seeds"},
     "summary a list": list,
     "summary not json": lambda summary: None,
+    "no seeds listed": lambda summary: {**summary, "seeds": []},
+    "no mus listed": lambda summary: {**summary, "mus": {}},
+    "seed repeated": lambda summary: {**summary, "seeds": [1, 1]},
+    "mus entry an integer": lambda summary: _edit_mu(summary, lambda s: 5),
+    "mus entry empty": lambda summary: _edit_mu(summary, lambda s: {}),
+    "rmse_mean zero": lambda summary: _edit_mu(
+        summary, lambda s: {"rmse_mean": 0}),
+    "rmse_mean boolean": lambda summary: _edit_mu(
+        summary, lambda s: {"rmse_mean": True}),
 }
+
+
+def _edit_mu(summary, edit):
+    """The summary with its mu 0.5 entry replaced by edit(entry)."""
+    return {**summary, "mus": {**summary["mus"],
+                               "0.5": edit(summary["mus"]["0.5"])}}
 
 
 @pytest.mark.parametrize("command,bad,named", [
@@ -510,6 +534,26 @@ SUMMARY_EDITS = {
     ("transfer", "no seeds", "malformed run summary {run}: no key 'seeds'"),
     ("perturb-sweep", "summary a list", "malformed run summary {run}: "),
     ("split-sweep", "summary not json", "malformed run summary {run}: "),
+    # a sweep over no split or no mu would write a header-only CSV, and a
+    # repeated seed would score its split twice
+    *((command, bad, f"malformed run summary {{run}}: {named}")
+      for command in ("transfer", "perturb-sweep", "split-sweep")
+      for bad, named in (("no seeds listed", "seeds is empty"),
+                         ("no mus listed", "mus is empty"))),
+    ("transfer", "seed repeated",
+     "malformed run summary {run}: seeds repeats a value: [1, 1]"),
+    # transfer divides by each mu's rmse_mean; train writes NaN for a split
+    # without test users, which the "no test users" rows above read
+    ("transfer", "mus entry an integer", "malformed run summary {run}: "
+     "mus['0.5'] must map rmse_mean to a positive number or NaN, got 5"),
+    ("transfer", "mus entry empty", "malformed run summary {run}: "
+     "mus['0.5'] must map rmse_mean to a positive number or NaN, got {{}}"),
+    ("transfer", "rmse_mean zero", "malformed run summary {run}: "
+     "mus['0.5'] must map rmse_mean to a positive number or NaN, "
+     "got {{'rmse_mean': 0}}"),
+    ("perturb-sweep", "rmse_mean boolean", "malformed run summary {run}: "
+     "mus['0.5'] must map rmse_mean to a positive number or NaN, "
+     "got {{'rmse_mean': True}}"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,

@@ -495,7 +495,7 @@ def _one_layer_model(bias=0.0, readout=2):
     (lambda: TrainConfig(mu=-0.1), "mu must be nonnegative"),
     (lambda: TrainConfig(learning_rate=0.0), "learning rate must be positive"),
     (lambda: TrainConfig(lambda_interval=(1.0, 1.0)),
-     "lambda interval must satisfy a < b"),
+     r"empty interval \[1.0, 1.0\]"),
     (lambda: penalty(_one_layer_model(), TrainConfig()),
      "penalty needs a configured lambda interval"),
     (lambda: LayerSpec(np.array([[[1.0, np.nan]]])),

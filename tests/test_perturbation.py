@@ -145,6 +145,19 @@ def test_misalignment_rotation_hand_value():
     assert misalignment(U, V) == pytest.approx((gap + 1) ** 2 - 1)
 
 
+@pytest.mark.parametrize("theta", [1e-3, 1e-9, 1e-13])
+def test_misalignment_of_a_small_rotation(theta):
+    # U - V is antisymmetric here, so the gap is its 2-norm 2 sin(theta/2),
+    # not the eigenvalue of its symmetric part, which is zero
+    V = np.eye(4)
+    U = np.eye(4)
+    U[:2, :2] = [[np.cos(theta), -np.sin(theta)],
+                 [np.sin(theta), np.cos(theta)]]
+    gap = 2 * np.sin(theta / 2)
+    assert misalignment(U, V) == pytest.approx((gap + 1) ** 2 - 1, rel=1e-6)
+    assert misalignment(U, V) > 1.99 * theta
+
+
 def test_misalignment_matching_handles_sign_and_order():
     V = eigendecompose(build_gso(random_weighted_graph(7, 4))).eigenvectors
     U = V[:, ::-1] * np.array([1, -1, 1, -1, 1, -1, 1])

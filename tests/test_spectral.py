@@ -328,6 +328,12 @@ def test_integral_lipschitz_empty_interval():
         integral_lipschitz_check([1.0], (2.0, 2.0))
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,)])
+def test_il_grid_takes_exactly_two_endpoints(interval):
+    with pytest.raises(ValueError, match="values to unpack"):
+        spectral.il_grid(interval)
+
+
 def test_response_csv(tmp_path):
     grid = np.linspace(0, 1, 5)
     path = tmp_path / "resp.csv"
