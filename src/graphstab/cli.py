@@ -37,6 +37,7 @@ from .graphs import (
     permute_gso,
     permute_signal,
     random_weighted_graph,
+    shared_scope,
 )
 from .movielens import build_task, check_train_fraction, load_ratings, rmse
 from .perturbation import (SingularEquationError, random_relative_perturbation,
@@ -185,7 +186,7 @@ def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed,
 
 
 def _train_one_split(ratings, args, split_seed, config: TrainConfig,
-                     out: Path):
+                     out: Path, write_split: bool):
     task = build_task(ratings, target_item_id=args.movie_id,
                       train_fraction=args.train_fraction, seed=split_seed)
     model = init_model(split_seed, [1, args.features], [args.taps], ["relu"],
@@ -202,14 +203,11 @@ def _train_one_split(ratings, args, split_seed, config: TrainConfig,
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
     _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
                trace)
-    _write_csv(out / f"split_{split_seed}.csv", [], ["user_id", "subset"],
-               [(uid, "train") for uid in task.train_user_ids]
-               + [(uid, "test") for uid in task.test_user_ids])
+    if write_split:
+        _write_csv(out / f"split_{split_seed}.csv", [], ["user_id", "subset"],
+                   [(uid, "train") for uid in task.train_user_ids]
+                   + [(uid, "test") for uid in task.test_user_ids])
     return test_rmse
-
-
-def _manifest_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 def cmd_train(args) -> int:
@@ -222,24 +220,26 @@ def cmd_train(args) -> int:
         raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
     ratings = load_ratings(args.data)
     out = Path(args.out)
-    rows = []
     summary = {"movie_id": args.movie_id, "train_fraction": args.train_fraction,
                "epochs": args.epochs, "features": args.features,
                "taps": args.taps, "seeds": list(args.seeds), "mus": {}}
-    for mu, config in zip(args.mu, configs):
-        per_split = []
-        for split_seed in args.seeds:
-            test_rmse = _train_one_split(ratings, args, split_seed, config,
-                                         out)
-            rows.append((mu, split_seed, test_rmse))
-            per_split.append(test_rmse)
+    test_rmse = {}
+    for split_seed in args.seeds:
+        with shared_scope():  # one eigensystem and stack per split
+            for mu, config in zip(args.mu, configs):
+                test_rmse[mu, split_seed] = _train_one_split(
+                    ratings, args, split_seed, config, out, mu == args.mu[0])
+    rows = [(mu, s, test_rmse[mu, s]) for mu in args.mu for s in args.seeds]
+    for mu in args.mu:
+        per_split = [test_rmse[mu, s] for s in args.seeds]
         mean, std = _mean_std(per_split)
         summary["mus"][str(mu)] = {"rmse_per_split": per_split,
                                    "rmse_mean": mean, "rmse_std": std}
         print(f"mu={mu}: test RMSE {mean:.4f} (+-{std:.4f}) "
               f"over {len(per_split)} splits")
-    hashes = [f"split manifest {s}: "
-              f"{_manifest_hash(out / f'split_{s}.csv')}" for s in args.seeds]
+    hashes = [f"split manifest {s}: " + hashlib.sha256(
+        (out / f"split_{s}.csv").read_bytes()).hexdigest()[:16]
+        for s in args.seeds]
     _write_csv(out / "rmse.csv", _header_lines(args, hashes),
                ["mu", "split_seed", "test_rmse"], rows)
     (out / "train_summary.json").write_text(json.dumps(summary, indent=2))

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .filters import bank_apply, shift_stack
-from .graphs import GSO
+from .graphs import GSO, shared
 from .spectral import bank_response, check_interval, eigendecompose, il_grid
 
 _ACTIVATIONS = {
@@ -390,6 +390,21 @@ def resolve_lambda_interval(S: GSO, config: TrainConfig) -> tuple:
     return (a, b)
 
 
+def _first_layer_stack(S, X0, node, K0, H) -> np.ndarray:
+    """`train`'s read-only first-layer stack; near[j]: nodes within j hops."""
+    adjacent = S != 0
+    near = [np.arange(S.shape[0]) == node]
+    for _ in range(H):
+        near.append(near[-1] | adjacent[near[-1]].any(axis=0))
+    stack = np.zeros((K0,) + X0.shape)
+    stack[0] = X0
+    for k in range(1, K0):
+        rows = np.flatnonzero(near[H - k])
+        stack[k][:, rows] = np.einsum("ij,sjf->sif", S[rows], stack[k - 1])
+    stack.setflags(write=False)
+    return stack
+
+
 def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     """Mini-batch ADAM on the penalized objective.
 
@@ -407,7 +422,8 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     unreachable nodes included. Each kept row is a full row
     of S times the previous power, and a dropped entry only ever meets a
     zero of S, so every value the loss reads has the same bits as with the
-    full stack.
+    full stack. It is built once for all samples and, inside a
+    `graphs.shared_scope`, once for equal S, signals, node, K_0 and H.
     """
     if not train_set:
         raise ValueError("training set is empty")
@@ -424,22 +440,9 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     state = adam_init(params)
     rng = np.random.default_rng(config.rng_seed)
     n = len(train_set)
-    K0 = model.layers[0].taps.shape[2]
-    # Layer-1 shifts are parameter-free: compute them once for every sample,
-    # on the rows inside the readout's receptive field. near[j] holds the
-    # nodes within j hops of the readout node (none for a node outside S,
-    # which the first `forward` rejects).
     H = sum(layer.taps.shape[2] - 1 for layer in model.layers)
-    adjacent = S.matrix != 0
-    near = [np.arange(S.node_count) == model.node]
-    for _ in range(H):
-        near.append(near[-1] | adjacent[near[-1]].any(axis=0))
-    shifts_all = np.zeros((K0,) + X0.shape)
-    shifts_all[0] = X0
-    for k in range(1, K0):
-        rows = np.flatnonzero(near[H - k])
-        shifts_all[k][:, rows] = np.einsum("ij,sjf->sif", S.matrix[rows],
-                                           shifts_all[k - 1])
+    shifts_all = shared("first-layer stack", _first_layer_stack, S.matrix, X0,
+                        model.node, model.layers[0].taps.shape[2], H)
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)

@@ -12,6 +12,8 @@ graph (about 1%); every other shift is the dense product S @ x. For many
 columns the dense product wins, since a GEMM reuses each entry of S it reads.
 """
 
+import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +29,8 @@ SYMMETRY_RTOL = 1e-12
 # side of the square tiles over which the symmetric N x N work (Pearson sums
 # and tail, k-NN selection and symmetrization, perturbation draws) runs
 _TILE = 128
+
+_shared: dict | None = None  # name -> (key, value) in a `shared_scope`
 
 
 class DegenerateGraphError(ValueError):
@@ -99,14 +103,48 @@ class GSO:
 
         Sign convention: the largest-magnitude entry of each eigenvector is
         made positive (first such entry among ties), so decompositions are
-        deterministic up to degeneracy. Both arrays are read-only.
+        deterministic up to degeneracy. Both arrays are read-only. Inside a
+        `shared_scope`, an equal matrix decomposed there gives its arrays.
         """
-        lam, V = np.linalg.eigh(self.matrix)
-        flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
-        V[:, flip] *= -1.0
-        V.setflags(write=False)
-        lam.setflags(write=False)
-        return EigenSystem(V, lam)
+        return shared("eigensystem", _decompose, self.matrix)
+
+
+def _decompose(S: np.ndarray) -> EigenSystem:
+    lam, V = np.linalg.eigh(S)
+    flip = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])] < 0
+    V[:, flip] *= -1.0
+    V.setflags(write=False)
+    lam.setflags(write=False)
+    return EigenSystem(V, lam)
+
+
+def content_key(A: np.ndarray) -> tuple:
+    """A's shape and the SHA-256 of its C-ordered float64 buffer."""
+    A = np.ascontiguousarray(A, dtype=float)
+    return A.shape, hashlib.sha256(memoryview(A)).digest()
+
+
+@contextmanager
+def shared_scope():
+    """A scope for `shared`; what it kept is dropped on exit."""
+    global _shared
+    outer, _shared = _shared, {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def shared(name: str, compute, *inputs):
+    """compute(*inputs); in a `shared_scope`, the one value kept under name
+    if its inputs had the same `content_key`s, which callers must not write."""
+    if _shared is None:
+        return compute(*inputs)
+    key = [content_key(x) for x in inputs]
+    if _shared.get(name, (None,))[0] != key:
+        _shared.pop(name, None)  # drop the old value before computing anew
+        _shared[name] = key, compute(*inputs)
+    return _shared[name][1]
 
 
 def symmetrized(A: np.ndarray) -> np.ndarray:

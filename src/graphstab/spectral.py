@@ -8,10 +8,11 @@ symmetrized Gaussian matrices of size 512 to 1682 it stops after 96 to 144
 steps of O(n^2) each, against one O(n^3) eigvalsh; that pays from
 n = LANCZOS_MIN_SIZE on, and below it `filters.spectral_norm` keeps eigvalsh.
 The pair it returns is kept in a bounded memo keyed by the matrix's content
-(its shape and the SHA-256 of its float64 buffer), so a matrix seen again,
-such as the one unscaled E that a perturbation draw seed gives at every
-epsilon and mu, costs one hash instead of a Lanczos run. The memo holds the
-pairs of the last EXTREMES_MEMO_SIZE distinct inputs and no arrays.
+(`graphs.content_key`, which `graphs.shared` keys on too: the shape and the
+SHA-256 of the float64 buffer), so a matrix seen again, such as the one
+unscaled E that a perturbation draw seed gives at every epsilon and mu,
+costs one hash instead of a Lanczos run. The memo holds the pairs of the
+last EXTREMES_MEMO_SIZE distinct inputs and no arrays.
 
 The frequency response of taps h is h(lambda) = sum_k h_k lambda^k, and
 the integral Lipschitz condition bounds |lambda h'(lambda)|. `bank_response`
@@ -20,11 +21,9 @@ are maximized on the one grid `il_grid` of an interval, which the one
 interval rule `check_interval` reads as exactly two floats a < b.
 """
 
-import hashlib
-
 import numpy as np
 
-from .graphs import GSO, EigenSystem  # EigenSystem is re-exported here
+from .graphs import GSO, EigenSystem, content_key  # EigenSystem re-exported
 
 # extreme_eigenvalues: residual bound on both extreme Ritz pairs, relative to
 # max |theta|, at which the iteration stops; Ritz values are computed every
@@ -87,7 +86,7 @@ def extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a nonempty square matrix, got shape {A.shape}")
     A = np.ascontiguousarray(A)
-    key = (A.shape, hashlib.sha256(memoryview(A)).digest())
+    key = content_key(A)
     pair = _extremes_memo.get(key)
     if pair is None:
         pair = _lanczos_extremes(A)

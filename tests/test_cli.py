@@ -1,16 +1,18 @@
 import ctypes
 import dataclasses
+import gc
 import inspect
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphstab import cli
+from graphstab import cli, gnn, graphs
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
 
@@ -217,6 +219,92 @@ def test_train_deterministic(tmp_path, ratings_file):
         ]) == 0
         bodies.append(csv_body(out / "rmse.csv"))
     assert bodies[0] == bodies[1]
+
+
+def _train_two_splits(ratings_file, out, *mus):
+    return main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--mu", *mus, "--seeds", "3", "4", "--epochs", "2",
+                 "--features", "3", "--taps", "3", "--out", str(out)])
+
+
+@pytest.fixture
+def eigh_runs(monkeypatch):
+    """Count np.linalg.eigh runs by a weakref to each eigenvector array."""
+    refs = []
+    eigh = np.linalg.eigh
+
+    def counted(A):
+        lam, V = eigh(A)
+        refs.append(weakref.ref(V))
+        return lam, V
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return refs
+
+
+def test_train_decomposes_and_stacks_once_per_split(ratings_file, tmp_path,
+                                                    monkeypatch, eigh_runs):
+    stacks = []
+    build = gnn._first_layer_stack
+
+    def counted(*inputs):
+        stacks.append(inputs[3:])
+        return build(*inputs)
+
+    monkeypatch.setattr(gnn, "_first_layer_stack", counted)
+    assert _train_two_splits(ratings_file, tmp_path / "run", "0", "0.5") == 0
+    # one per split, where each mu used to decompose and stack anew
+    assert len(eigh_runs) == 2
+    assert len(stacks) == 2
+
+
+def test_train_shares_without_changing_outputs(ratings_file, tmp_path,
+                                               eigh_runs):
+    assert _train_two_splits(ratings_file, tmp_path / "both", "0", "0.5") == 0
+    assert len(eigh_runs) == 2
+    for mu in ("0", "0.5"):
+        # a run of one mu has nothing to share within a split
+        assert _train_two_splits(ratings_file, tmp_path / mu, mu) == 0
+        for seed in (3, 4):
+            tag = f"mu{float(mu)}_split{seed}"
+            for name in (f"checkpoint_{tag}.json", f"trace_{tag}.csv"):
+                assert ((tmp_path / "both" / name).read_bytes()
+                        == (tmp_path / mu / name).read_bytes())
+    assert len(eigh_runs) == 6
+    rows = csv_body(tmp_path / "both" / "rmse.csv")[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["0.0", "3"], ["0.0", "4"], ["0.5", "3"], ["0.5", "4"]]
+
+
+def test_train_holds_no_shared_entry_after_main(ratings_file, tmp_path,
+                                                eigh_runs):
+    assert _train_two_splits(ratings_file, tmp_path / "run", "0", "0.5") == 0
+    assert len(eigh_runs) == 2  # each split's eigenvectors served both mus
+    gc.collect()
+    assert [ref() for ref in eigh_runs] == [None, None]
+    assert graphs._shared is None
+
+
+def test_failed_train_leaves_earlier_splits_complete(ratings_file, tmp_path,
+                                                     monkeypatch, capsys):
+    calls = []
+    run = cli.train
+
+    def failing(*args):
+        calls.append(args[3].mu)
+        if len(calls) == 3:  # the first mu of the second split
+            raise ValueError("training loss is not finite at epoch 0: nan")
+        return run(*args)
+
+    monkeypatch.setattr(cli, "train", failing)
+    out = tmp_path / "run"
+    assert _train_two_splits(ratings_file, out, "0", "0.5") == 2
+    assert calls == [0.0, 0.5, 0.0]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint_mu0.0_split3.json", "checkpoint_mu0.5_split3.json",
+        "split_3.csv", "trace_mu0.0_split3.csv", "trace_mu0.5_split3.csv"]
+    assert graphs._shared is None
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_transfer(trained_dir, ratings_file, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy.polynomial.polynomial as P
 import pytest
 
 from graphstab import (
+    GSO,
     GNNModel,
     LayerSpec,
     TrainConfig,
@@ -14,6 +15,7 @@ from graphstab import (
     build_gso,
     build_task,
     forward,
+    gnn,
     init_model,
     load_ratings,
     penalty,
@@ -25,6 +27,7 @@ from graphstab import (
 )
 from graphstab.cli import equivariance_residual, gradient_residual
 from graphstab.filters import shift_stack
+from graphstab.graphs import shared_scope
 from graphstab.gnn import (
     _ACTIVATIONS,
     _parameters,
@@ -567,3 +570,63 @@ def test_predict_raises_forwards_errors(gso8):
     with pytest.raises(ValueError, match="readout node 8 is not one of the "
                                          "8 nodes"):
         predict(model, gso8, [x])
+
+
+def _sharing_case():
+    """A graph, a two-layer network and sparse per-user signals."""
+    S = build_gso(random_weighted_graph(14, seed=5, p=0.3))
+    model = init_model(3, [1, 3, 2], [3, 2], ["relu", "tanh"], node=4)
+    rng = np.random.default_rng(9)
+    data = [(rng.integers(0, 6, 14) * (rng.random(14) < 0.5),
+             float(rng.uniform(1, 5))) for _ in range(6)]
+    return S, model, data, TrainConfig(mu=0.5, epochs=3, batch_size=4)
+
+
+@pytest.fixture
+def stack_builds(monkeypatch):
+    """The stacks `train` builds, in order."""
+    stacks = []
+    build = gnn._first_layer_stack
+    monkeypatch.setattr(gnn, "_first_layer_stack",
+                        lambda *inputs: stacks.append(build(*inputs))
+                        or stacks[-1])
+    return stacks
+
+
+def _assert_same_training(a, b):
+    (model_a, trace_a), (model_b, trace_b) = a, b
+    assert trace_a == trace_b
+    assert model_to_dict(model_a) == model_to_dict(model_b)
+
+
+@pytest.mark.parametrize("change", ["one edge", "one rating"])
+def test_train_in_a_scope_recomputes_for_a_changed_input(change,
+                                                         stack_builds):
+    S, model, data, config = _sharing_case()
+    W, changed = S.matrix.copy(), list(data)
+    if change == "one edge":
+        i, j = np.argwhere(W > 0)[0]
+        W[i, j] = W[j, i] = W[i, j] + 0.25
+    else:
+        x = data[0][0].copy()
+        x[np.flatnonzero(x)[0]] += 1
+        changed[0] = (x, data[0][1])
+    alone = train(model, build_gso(W), changed, config)
+    with shared_scope():
+        first = train(model, GSO(S.matrix), data, config)
+        assert len(stack_builds) == 2
+        again = train(model, GSO(S.matrix), data, config)
+        assert len(stack_builds) == 2  # the same inputs share the stack
+        second = train(model, build_gso(W), changed, config)
+        assert len(stack_builds) == 3
+    _assert_same_training(second, alone)
+    _assert_same_training(again, first)
+    _assert_same_training(first, train(model, S, data, config))
+
+
+def test_shared_stack_is_read_only(stack_builds):
+    S, model, data, config = _sharing_case()
+    with shared_scope():
+        train(model, S, data, config)
+    with pytest.raises(ValueError, match="read-only"):
+        stack_builds[0][0, 0, 0, 0] = 1.0

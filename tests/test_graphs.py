@@ -9,6 +9,7 @@ from graphstab import (
     build_gso,
     build_task,
     graph_shift,
+    graphs,
     knn_sparsify,
     load_ratings,
     pearson_graph,
@@ -16,7 +17,7 @@ from graphstab import (
     permute_signal,
     random_weighted_graph,
 )
-from graphstab.graphs import validate_permutation
+from graphstab.graphs import content_key, shared_scope, validate_permutation
 
 from conftest import PATH3, make_ratings_file, traced_peak
 
@@ -365,3 +366,59 @@ def with_entry(i, j, value):
 def test_graphs_reject(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda A: calls.append(A.shape) or eigh(A))
+    return calls
+
+
+def test_equal_gsos_are_each_decomposed_outside_a_scope(eigh_calls):
+    W = random_weighted_graph(9, seed=3)
+    a, b = GSO(W).eigensystem, GSO(W.copy()).eigensystem
+    assert len(eigh_calls) == 2 and a is not b
+    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+def test_a_scope_shares_the_eigensystem_of_equal_content(eigh_calls):
+    W = random_weighted_graph(9, seed=3)
+    alone = GSO(W).eigensystem
+    changed = W.copy()
+    changed[0, 1] = changed[1, 0] = W[0, 1] + 0.25
+    with shared_scope():
+        first = GSO(W).eigensystem
+        # a Fortran-ordered copy is the same matrix
+        assert GSO(np.asfortranarray(W)).eigensystem is first
+        other = GSO(changed).eigensystem  # one symmetric pair differs
+        assert GSO(W).eigensystem is not first  # each name keeps one value
+    assert len(eigh_calls) == 4
+    assert graphs._shared is None
+    assert np.array_equal(first.eigenvectors, alone.eigenvectors)
+    assert np.array_equal(first.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(other.eigenvalues,
+                          GSO(changed).eigensystem.eigenvalues)
+    for shared_array in (first.eigenvectors, first.eigenvalues):
+        with pytest.raises(ValueError, match="read-only"):
+            shared_array[0] = 1.0
+
+
+def test_scopes_nest_and_drop_what_they_kept(eigh_calls):
+    W = random_weighted_graph(6, seed=4)
+    with shared_scope():
+        outer = GSO(W).eigensystem
+        with shared_scope():
+            assert GSO(W).eigensystem is not outer
+        assert GSO(W).eigensystem is outer
+    assert len(eigh_calls) == 2
+    assert graphs._shared is None
+
+
+def test_content_key_reads_entries_not_memory_order():
+    A = random_weighted_graph(7, seed=5)
+    assert content_key(A) == content_key(np.asfortranarray(A))
+    assert content_key(A) != content_key(A[:6, :6])
+    assert content_key(A) != content_key(A.reshape(1, 49))
