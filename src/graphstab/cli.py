@@ -87,6 +87,12 @@ def _check_distinct(*flags) -> None:
             raise ValueError(f"{flag} repeats a value: {values}")
 
 
+def _check_seeds(flag, seeds) -> None:
+    # numpy's own message for a negative seed names no flag
+    if np.min(seeds) < 0:
+        raise ValueError(f"{flag} must be nonnegative, got {seeds}")
+
+
 def _load_run(args):
     """Read a `train` run for a sweep over it: the sweep's output directory
     (created only when the sweep writes its CSV), the run's summary, the
@@ -109,6 +115,7 @@ def _load_run(args):
                 raise ValueError(f"{key} is empty")
         check_train_fraction(summary["train_fraction"])
         _check_distinct(("seeds", summary["seeds"]))
+        _check_seeds("seeds", summary["seeds"])
         for mu_key, stats in summary["mus"].items():
             mean = stats.get("rmse_mean") if type(stats) is dict else None
             if type(mean) not in (int, float) or mean <= 0:  # NaN passes
@@ -216,8 +223,7 @@ def cmd_train(args) -> int:
     configs = [TrainConfig(mu=mu, epochs=args.epochs) for mu in args.mu]
     check_train_fraction(args.train_fraction)
     init_model(0, [1, args.features], [args.taps], ["relu"], 0)
-    if min(args.seeds) < 0:
-        raise ValueError(f"--seeds must be nonnegative, got {args.seeds}")
+    _check_seeds("--seeds", args.seeds)
     ratings = load_ratings(args.data)
     out = Path(args.out)
     summary = {"movie_id": args.movie_id, "train_fraction": args.train_fraction,
@@ -291,23 +297,24 @@ def cmd_perturb_sweep(args) -> int:
                 f"--epsilon must be nonnegative and finite, got {eps}")
     out, summary, ratings, models = _load_run(args)
     rows = []
-    for (mu_key, split_seed), model in models.items():
-        task = build_task(ratings, target_item_id=summary["movie_id"],
-                          train_fraction=summary["train_fraction"],
-                          seed=split_seed)
-        test = _test_set(task, summary["train_fraction"])
-        base = _evaluate(model, task.gso, test)
-        for eps in args.epsilon:
-            for draw in range(args.draws):
-                # only E is kept, and only while it is evaluated
-                seed = DRAW_SEEDS_PER_SPLIT * split_seed + draw
-                spec = random_relative_perturbation(task.gso, eps, seed=seed)
-                perturbed = _evaluate(model, task.gso, test, spec,
-                                      f"at epsilon {eps}, draw {draw}")
-                del spec
-                rows.append((mu_key, split_seed, eps, draw,
-                             base, perturbed, perturbed - base))
-        del task, test  # before the next model's task is built
+    with shared_scope():  # one norm per draw seed, for every eps and mu
+        for (mu_key, split_seed), model in models.items():
+            task = build_task(ratings, target_item_id=summary["movie_id"],
+                              train_fraction=summary["train_fraction"],
+                              seed=split_seed)
+            test = _test_set(task, summary["train_fraction"])
+            base = _evaluate(model, task.gso, test)
+            for eps in args.epsilon:
+                for draw in range(args.draws):
+                    # only E is kept, and only while it is evaluated
+                    seed = DRAW_SEEDS_PER_SPLIT * split_seed + draw
+                    spec = random_relative_perturbation(task.gso, eps, seed)
+                    perturbed = _evaluate(model, task.gso, test, spec,
+                                          f"at epsilon {eps}, draw {draw}")
+                    del spec
+                    rows.append((mu_key, split_seed, eps, draw,
+                                 base, perturbed, perturbed - base))
+            del task, test  # before the next model's task is built
     _write_csv(out / "perturb_sweep.csv", _header_lines(args),
                ["mu", "split_seed", "epsilon", "draw", "rmse_base",
                 "rmse_perturbed", "rmse_difference"], rows)
@@ -476,6 +483,7 @@ def invariant_suite(seed: int = 0):
 
 
 def cmd_verify(args) -> int:
+    _check_seeds("--seed", args.seed)
     checks = invariant_suite(seed=args.seed)
     width = max(len(name) for name, *_ in checks)
     failed = False
@@ -494,6 +502,7 @@ def cmd_verify(args) -> int:
 # --- demo --------------------------------------------------------------------
 
 def cmd_demo(args) -> int:
+    _check_seeds("--seed", args.seed)
     out = Path(args.out)
     S = build_gso(random_weighted_graph(10, args.seed))
     lam = eigendecompose(S).eigenvalues

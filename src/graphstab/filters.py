@@ -65,13 +65,13 @@ def spectral_norm(A: np.ndarray) -> float:
 
     A must be a nonempty square matrix that `graphs.symmetrized` accepts
     (else ValueError), and is taken as that returns it. The eigenvalues come
-    from eigvalsh below LANCZOS_MIN_SIZE rows, from Lanczos above."""
+    from eigvalsh below LANCZOS_MIN_SIZE rows, from `extreme_eigenvalues`
+    above, which checks the symmetry itself."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a nonempty square matrix, got shape {A.shape}")
-    A = symmetrized(A)
     if A.shape[0] < LANCZOS_MIN_SIZE:
-        return float(np.max(np.abs(np.linalg.eigvalsh(A))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(symmetrized(A)))))
     lam_min, lam_max = extreme_eigenvalues(A)
     return max(-lam_min, lam_max)
 

@@ -118,15 +118,10 @@ def _decompose(S: np.ndarray) -> EigenSystem:
     return EigenSystem(V, lam)
 
 
-def content_key(A: np.ndarray) -> tuple:
-    """A's shape and the SHA-256 of its C-ordered float64 buffer."""
-    A = np.ascontiguousarray(A, dtype=float)
-    return A.shape, hashlib.sha256(memoryview(A)).digest()
-
-
 @contextmanager
 def shared_scope():
-    """A scope for `shared`; what it kept is dropped on exit."""
+    """A scope for `shared`, the one way work is reused across calls; what
+    it kept is dropped on exit, so a command keeps nothing once it returns."""
     global _shared
     outer, _shared = _shared, {}
     try:
@@ -135,12 +130,15 @@ def shared_scope():
         _shared = outer
 
 
-def shared(name: str, compute, *inputs):
-    """compute(*inputs); in a `shared_scope`, the one value kept under name
-    if its inputs had the same `content_key`s, which callers must not write."""
+def shared(name, compute, *inputs):
+    """compute(*inputs); in a `shared_scope`, the one value kept under name,
+    any hashable, if its inputs had the same shapes and float64 entries (by
+    the SHA-256 of the C-ordered buffer), which callers must not write. With
+    no inputs, the name alone is the key."""
     if _shared is None:
         return compute(*inputs)
-    key = [content_key(x) for x in inputs]
+    arrays = [np.ascontiguousarray(x, dtype=float) for x in inputs]
+    key = [(x.shape, hashlib.sha256(memoryview(x)).digest()) for x in arrays]
     if _shared.get(name, (None,))[0] != key:
         _shared.pop(name, None)  # drop the old value before computing anew
         _shared[name] = key, compute(*inputs)

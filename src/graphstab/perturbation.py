@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .filters import _brute_force_min, spectral_norm
-from .graphs import GSO, _mirror_tiles, graph_shift, relabel
+from .graphs import GSO, _mirror_tiles, graph_shift, relabel, shared
 from .spectral import eigendecompose
 
 MEMBERSHIP_TOL = 1e-8
@@ -85,6 +85,9 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     Gaussian draw A by `graphs._mirror_tiles`, so it is exactly symmetric.
     S_hat is formed when the spec's `perturbed` is first read. At
     epsilon = 0, E is scaled to zero.
+
+    An integer seed fixes the unscaled E, so in a `graphs.shared_scope` its
+    norm is taken once for every epsilon and every S of N nodes.
     """
     if not 0 <= epsilon < np.inf:
         raise ValueError(
@@ -93,7 +96,11 @@ def random_relative_perturbation(S: GSO, epsilon: float,
     rng = np.random.default_rng(seed)
     E = rng.standard_normal((N, N))
     _mirror_tiles(E, lambda I, J: (E[I, J] + E[J, I].T) / 2.0)
-    E *= rng.uniform(epsilon / 2.0, epsilon) / spectral_norm(E)
+    if isinstance(seed, int):
+        norm = shared(("norm of draw", N, seed), lambda: spectral_norm(E))
+    else:
+        norm = spectral_norm(E)
+    E *= rng.uniform(epsilon / 2.0, epsilon) / norm
     return PerturbationSpec(S, E)
 
 

@@ -7,12 +7,7 @@ norm of a symmetric matrix, `extreme_eigenvalues` runs Lanczos instead. On
 symmetrized Gaussian matrices of size 512 to 1682 it stops after 96 to 144
 steps of O(n^2) each, against one O(n^3) eigvalsh; that pays from
 n = LANCZOS_MIN_SIZE on, and below it `filters.spectral_norm` keeps eigvalsh.
-The pair it returns is kept in a bounded memo keyed by the matrix's content
-(`graphs.content_key`, which `graphs.shared` keys on too: the shape and the
-SHA-256 of the float64 buffer), so a matrix seen again, such as the one
-unscaled E that a perturbation draw seed gives at every epsilon and mu,
-costs one hash instead of a Lanczos run. The memo holds the pairs of the
-last EXTREMES_MEMO_SIZE distinct inputs and no arrays.
+It keeps nothing between calls: a caller reuses a result by `graphs.shared`.
 
 The frequency response of taps h is h(lambda) = sum_k h_k lambda^k, and
 the integral Lipschitz condition bounds |lambda h'(lambda)|. `bank_response`
@@ -23,7 +18,7 @@ interval rule `check_interval` reads as exactly two floats a < b.
 
 import numpy as np
 
-from .graphs import GSO, EigenSystem, content_key  # EigenSystem re-exported
+from .graphs import GSO, EigenSystem, symmetrized  # EigenSystem re-exported
 
 # extreme_eigenvalues: residual bound on both extreme Ritz pairs, relative to
 # max |theta|, at which the iteration stops; Ritz values are computed every
@@ -34,12 +29,6 @@ _LANCZOS_SEED = 0
 
 # the Lanczos basis starts with this many rows and doubles as it fills
 LANCZOS_BASIS_ROWS = 64
-
-# extreme_eigenvalues keeps the pairs of this many distinct inputs, the
-# oldest evicted first; a paper-default perturb-sweep (10 splits x 10 draws)
-# meets a draw seed again after 100 other seeds
-EXTREMES_MEMO_SIZE = 256
-_extremes_memo: dict[tuple, tuple[float, float]] = {}
 
 # smallest matrix size for which spectral_norm takes Lanczos over eigvalsh;
 # with one BLAS thread on a 2-vCPU Xeon VM the two took 2.9 against 0.8 ms
@@ -63,6 +52,9 @@ def eigendecompose(S) -> EigenSystem:
 def extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix A by Lanczos.
 
+    A must be a nonempty square matrix that `graphs.symmetrized` accepts
+    (else ValueError, as for a NaN entry), and is taken as that returns it.
+
     Lanczos with full reorthogonalization (classical Gram-Schmidt, applied
     twice) from a fixed seeded start vector, so equal inputs give equal
     results (Saad, Numerical Methods for Large Eigenvalue Problems, ch. 6).
@@ -70,33 +62,14 @@ def extreme_eigenvalues(A: np.ndarray) -> tuple[float, float]:
     are computed; the iteration stops when the residual bound
     beta_j |y_j[-1]| of both extreme Ritz pairs is at most
     LANCZOS_RTOL * max |theta|, on breakdown, or at Krylov dimension n.
-    Each step costs one product A q and O(j n) for the reorthogonalization,
-    so it pays only for large n: `filters.spectral_norm` uses it from
-    n = LANCZOS_MIN_SIZE on and eigvalsh below. The basis holds
-    LANCZOS_BASIS_ROWS rows at first and doubles when full, so its size
-    follows the steps taken, not n.
-
-    The result is memoized on A's content: the key is A's shape and the
-    SHA-256 of its float64 C-contiguous buffer, hashed without a copy when A
-    already is one. A hit returns the recorded pair, bit for bit; the memo
-    keeps the pairs of the last EXTREMES_MEMO_SIZE distinct inputs, the
-    oldest evicted first, and holds no arrays.
+    Each step costs one product A q and O(j n) for the reorthogonalization.
+    The basis holds LANCZOS_BASIS_ROWS rows at first and doubles when full,
+    so its size follows the steps taken, not n.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise ValueError(f"need a nonempty square matrix, got shape {A.shape}")
-    A = np.ascontiguousarray(A)
-    key = content_key(A)
-    pair = _extremes_memo.get(key)
-    if pair is None:
-        pair = _lanczos_extremes(A)
-        if len(_extremes_memo) >= EXTREMES_MEMO_SIZE:
-            del _extremes_memo[next(iter(_extremes_memo))]
-        _extremes_memo[key] = pair
-    return pair
-
-
-def _lanczos_extremes(A: np.ndarray) -> tuple[float, float]:
+    A = np.ascontiguousarray(symmetrized(A))
     n = A.shape[0]
     Q = np.empty((min(LANCZOS_BASIS_ROWS, n), n))  # rows: Lanczos vectors
     alpha, beta = np.empty(n), np.empty(n)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstab import build_gso, random_weighted_graph, spectral
+from graphstab import build_gso, filters, random_weighted_graph
 
 PATH3 = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 1.0],
@@ -71,16 +71,14 @@ def traced_peak(f, *args) -> int:
 
 @pytest.fixture
 def lanczos_runs(monkeypatch):
-    """Give `extreme_eigenvalues` an empty memo for the test and list the
-    shapes of the matrices Lanczos then runs on, so a test sees real runs
-    and can count them. The module's own memo is back after the test."""
+    """List the shapes of the matrices `filters.spectral_norm` runs Lanczos
+    on, one entry per run, so a test can count them."""
     runs = []
-    run = spectral._lanczos_extremes
+    run = filters.extreme_eigenvalues
 
     def counted(A):
         runs.append(A.shape)
         return run(A)
 
-    monkeypatch.setattr(spectral, "_lanczos_extremes", counted)
-    monkeypatch.setattr(spectral, "_extremes_memo", {})
+    monkeypatch.setattr(filters, "extreme_eigenvalues", counted)
     return runs

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstab import cli, gnn, graphs
+from graphstab import cli, gnn, graphs, perturbation
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
 
@@ -49,6 +49,18 @@ def test_seed_option_is_rejected(command, tmp_path, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "demo"])
+def test_negative_seed_is_named(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [command, "--seed", "-1"]
+    if command == "demo":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: --seed must be nonnegative, got -1" in err
+    assert not out.exists()
 
 
 def test_write_csv(tmp_path):
@@ -282,6 +294,30 @@ def test_train_holds_no_shared_entry_after_main(ratings_file, tmp_path,
     assert len(eigh_runs) == 2  # each split's eigenvectors served both mus
     gc.collect()
     assert [ref() for ref in eigh_runs] == [None, None]
+    assert graphs._shared is None
+    # perturb-sweep keeps its draws' norms in a scope of its own too
+    assert main(["perturb-sweep", "--data", str(ratings_file),
+                 "--checkpoints", str(tmp_path / "run"), "--epsilon", "0.05",
+                 "--draws", "2", "--out", str(tmp_path / "sweep")]) == 0
+    assert graphs._shared is None
+
+
+def test_perturb_sweep_takes_one_norm_per_draw_seed(ratings_file, tmp_path,
+                                                    monkeypatch):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--mu", "0", "0.5", "--seeds", "0", "--epochs", "1",
+                 "--features", "2", "--taps", "2", "--out", str(run)]) == 0
+    norms = []
+    norm = perturbation.spectral_norm
+    monkeypatch.setattr(perturbation, "spectral_norm",
+                        lambda E: norms.append(E.shape) or norm(E))
+    assert main(["perturb-sweep", "--data", str(ratings_file),
+                 "--checkpoints", str(run), "--epsilon", "0.01", "0.05",
+                 "0.1", "--draws", "2", "--out", str(tmp_path / "sweep")]) == 0
+    # 2 mu x 3 epsilon x 2 draws, over the 2 draw seeds of one split
+    assert len(csv_body(tmp_path / "sweep" / "perturb_sweep.csv")) == 1 + 12
+    assert len(norms) == 2
     assert graphs._shared is None
 
 
@@ -566,6 +602,7 @@ SUMMARY_EDITS = {
     "no seeds listed": lambda summary: {**summary, "seeds": []},
     "no mus listed": lambda summary: {**summary, "mus": {}},
     "seed repeated": lambda summary: {**summary, "seeds": [1, 1]},
+    "negative seed": lambda summary: {**summary, "seeds": [-1]},
     "mus entry an integer": lambda summary: _edit_mu(summary, lambda s: 5),
     "mus entry empty": lambda summary: _edit_mu(summary, lambda s: {}),
     "rmse_mean zero": lambda summary: _edit_mu(
@@ -630,6 +667,10 @@ def _edit_mu(summary, edit):
                          ("no mus listed", "mus is empty"))),
     ("transfer", "seed repeated",
      "malformed run summary {run}: seeds repeats a value: [1, 1]"),
+    # numpy's own message would name neither the file nor the field
+    *((command, "negative seed", "malformed run summary {run}: seeds must "
+                                 "be nonnegative, got [-1]")
+      for command in ("transfer", "perturb-sweep", "split-sweep")),
     # transfer divides by each mu's rmse_mean; train writes NaN for a split
     # without test users, which the "no test users" rows above read
     ("transfer", "mus entry an integer", "malformed run summary {run}: "

@@ -50,3 +50,30 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [f"{path.name}:{line}: {name}" for name, line in imported.items()
             if name not in used] == []
+
+
+# the fixed table of activations is the one module-level container; work is
+# reused across calls through `graphs.shared` alone, not a module's own cache
+MUTABLE_GLOBALS_ALLOWED = {("gnn.py", "_ACTIVATIONS")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_mutable_containers(path):
+    containers = (ast.Dict, ast.List, ast.Set,
+                  ast.DictComp, ast.ListComp, ast.SetComp)
+    bound = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
+            value = value.func.id
+        if isinstance(value, containers) or value in ("dict", "list", "set"):
+            bound += [(path.name, name.id) for target in targets
+                      for name in ast.walk(target)
+                      if isinstance(name, ast.Name)]
+    assert [b for b in bound if b not in MUTABLE_GLOBALS_ALLOWED] == []

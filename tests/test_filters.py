@@ -10,11 +10,14 @@ from graphstab import (
     eigendecompose,
     filter_distance,
     filter_matrix,
+    filters,
     forward,
     graph_convolution,
+    graphs,
     permute_gso,
     random_weighted_graph,
     relative_distance,
+    spectral,
     spectral_norm,
 )
 from graphstab.cli import equivariance_residual
@@ -184,6 +187,17 @@ def test_spectral_norm_by_lanczos_matches_the_2_norm(n):
         np.linalg.norm(almost, 2), rel=1e-10)
     with pytest.raises(ValueError, match="matrix must be symmetric"):
         spectral_norm(A)
+
+
+@pytest.mark.parametrize("n", [20, 600], ids=["eigvalsh", "lanczos"])
+def test_spectral_norm_checks_symmetry_once(n, monkeypatch):
+    checks = []
+    for module in (filters, spectral):
+        monkeypatch.setattr(module, "symmetrized", lambda A: checks.append(
+            A.shape) or graphs.symmetrized(A))
+    A = np.random.default_rng(n).standard_normal((n, n))
+    spectral_norm(A + A.T)
+    assert checks == [(n, n)]
 
 
 def test_distance_zero_for_equal(gso20):

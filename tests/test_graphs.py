@@ -17,7 +17,7 @@ from graphstab import (
     permute_signal,
     random_weighted_graph,
 )
-from graphstab.graphs import content_key, shared_scope, validate_permutation
+from graphstab.graphs import shared, shared_scope, validate_permutation
 
 from conftest import PATH3, make_ratings_file, traced_peak
 
@@ -417,8 +417,21 @@ def test_scopes_nest_and_drop_what_they_kept(eigh_calls):
     assert graphs._shared is None
 
 
-def test_content_key_reads_entries_not_memory_order():
+def test_shared_keys_on_the_name_and_the_entries_of_inputs():
     A = random_weighted_graph(7, seed=5)
-    assert content_key(A) == content_key(np.asfortranarray(A))
-    assert content_key(A) != content_key(A[:6, :6])
-    assert content_key(A) != content_key(A.reshape(1, 49))
+
+    def fresh(*inputs):
+        return object()
+
+    with shared_scope():
+        first = shared("value", fresh, A)
+        assert shared("value", fresh, np.asfortranarray(A)) is first
+        # the same bytes in another shape, or fewer entries, are other inputs
+        for other in (A.reshape(1, 49), A[:6, :6]):
+            kept = shared("value", fresh, A)
+            assert shared("value", fresh, other) is not kept
+        # any hashable names a value; with no inputs, the name is the key
+        named = shared(("draw", 7, 1), fresh)
+        assert shared(("draw", 7, 1), fresh) is named
+        assert shared(("draw", 7, 2), fresh) is not named
+        assert shared(("draw", 7, 1), fresh) is named

@@ -9,6 +9,7 @@ from graphstab import (
     edge_dilation,
     eigendecompose,
     graph_shift,
+    graphs,
     knn_sparsify,
     load_ratings,
     misalignment,
@@ -19,6 +20,7 @@ from graphstab import (
     solve_relative_error,
     spectral_norm,
 )
+from graphstab.graphs import shared_scope
 from graphstab.perturbation import match_eigenbases, spec_misalignment
 from graphstab.stability import linear_fit_r2
 
@@ -232,8 +234,8 @@ def test_random_perturbation_memory_within_budget(sparse, lanczos_runs):
     # a draw forms E alone, in the buffer of the Gaussian draw; the Lanczos
     # basis of its norm (at N >= 512) is small beside it. S_hat is formed
     # in the product's buffer, which the GSO keeps, on the first read of
-    # `perturbed`, and a second read forms nothing. The memo starts empty,
-    # so the norm is a real run in both cases.
+    # `perturbed`, and a second read forms nothing. Outside a scope the norm
+    # is a real run in both cases.
     N = 600
     S = tiled_gso(N, sparse)
     specs = []
@@ -264,19 +266,47 @@ def test_shift_matches_the_formed_s_hat(sparse, columns, make):
 
 
 def test_random_perturbation_runs_lanczos_once_per_seed(lanczos_runs):
-    # one seed draws one unscaled E at every epsilon, so its norm is
-    # computed once and each draw is scaled to its own target
+    # one seed draws one unscaled E at every epsilon and for every GSO of N
+    # nodes, so in a scope its norm is taken once and each draw is scaled
+    # to its own target, with the bits it has outside a scope
     N, seed = 600, 11
-    S = tiled_gso(N, sparse=True)
-    specs = {eps: random_relative_perturbation(S, eps, seed)
-             for eps in (0.01, 0.05, 0.1)}
+    gsos = [tiled_gso(N, sparse=True), tiled_gso(N, sparse=False)]
+    with shared_scope():
+        specs = {(eps, i): random_relative_perturbation(S, eps, seed)
+                 for eps in (0.01, 0.05, 0.1) for i, S in enumerate(gsos)}
     assert len(lanczos_runs) == 1
-    for eps, spec in specs.items():
+    for (eps, _), spec in specs.items():
         rng = np.random.default_rng(seed)
         rng.standard_normal((N, N))
         target = rng.uniform(eps / 2.0, eps)
         norm = np.abs(np.linalg.eigvalsh(spec.error)).max()
         assert abs(norm - target) <= 1e-10 * target
+    alone = random_relative_perturbation(gsos[1], 0.05, seed)
+    assert alone.error.tobytes() == specs[0.05, 1].error.tobytes()
+
+
+def test_random_perturbation_takes_every_norm_outside_a_scope(lanczos_runs):
+    S = tiled_gso(600, sparse=True)
+    for eps in (0.01, 0.05, 0.1):
+        random_relative_perturbation(S, eps, 11)
+    assert len(lanczos_runs) == 3
+    assert graphs._shared is None
+
+
+def test_random_perturbation_reuses_no_norm_without_an_integer_seed(
+        lanczos_runs):
+    # two generators in one state draw the same E, but only an integer seed
+    # names a draw, so each draw's norm is taken anew
+    N, eps = 600, 0.1
+    S = tiled_gso(N, sparse=True)
+    seeds = [None, None, np.random.default_rng(5), np.random.default_rng(5)]
+    with shared_scope():
+        specs = [random_relative_perturbation(S, eps, seed) for seed in seeds]
+    assert len(lanczos_runs) == 4
+    assert specs[2].error.tobytes() == specs[3].error.tobytes()
+    for spec in specs:
+        norm = np.abs(np.linalg.eigvalsh(spec.error)).max()
+        assert eps / 2.0 * (1 - 1e-10) <= norm <= eps * (1 + 1e-10)
 
 
 def _ill_conditioned_pair():
