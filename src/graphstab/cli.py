@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 invariant failure, 2 configuration or IO error.
 """
 
 import argparse
-import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -117,6 +116,9 @@ def _load_run(args):
         _check_distinct(("seeds", summary["seeds"]))
         _check_seeds("seeds", summary["seeds"])
         for mu_key, stats in summary["mus"].items():
+            if not 0 <= float(mu_key) < np.inf:  # as `train` writes str(mu)
+                raise ValueError(f"mus key {mu_key!r} must be a finite "
+                                 "nonnegative number")
             mean = stats.get("rmse_mean") if type(stats) is dict else None
             if type(mean) not in (int, float) or mean <= 0:  # NaN passes
                 raise ValueError(f"mus[{mu_key!r}] must map rmse_mean to a "
@@ -327,13 +329,9 @@ def _print_sweep_summary(rows):
     for mu, _, eps, _, _, _, diff in rows:
         by_mu_eps.setdefault((mu, eps), []).append(diff)
     # mu is a key of train_summary.json, a string: order it as a number
-    def order(item):
-        (mu, eps), _ = item
-        return float(mu), eps
-
-    for (mu, eps), diffs in sorted(by_mu_eps.items(), key=order):
+    for mu, eps in sorted(by_mu_eps, key=lambda key: (float(key[0]), key[1])):
         print(f"mu={mu} eps={eps}: mean RMSE difference "
-              f"{statistics.fmean(diffs):+.4f}")
+              f"{statistics.fmean(by_mu_eps[mu, eps]):+.4f}")
 
 
 def cmd_split_sweep(args) -> int:
@@ -364,7 +362,9 @@ def cmd_split_sweep(args) -> int:
 
 # --- verify ------------------------------------------------------------------
 
-def _check(name, residual, tolerance):
+def _check(name, residuals, tolerance):
+    # the largest of 0 and residuals; np.max keeps a NaN, the builtin drops it
+    residual = float(np.max(residuals, initial=0.0))
     return (name, residual, tolerance, residual <= tolerance)
 
 
@@ -392,9 +392,10 @@ def spectral_residuals(S, x):
 def gradient_residual(model, S, samples, config):
     """Largest |g - fd| / max(|fd|, 1e-4) over the model's parameters, with
     g the analytic gradient of the objective and fd its central difference
-    of step 1e-5. Each parameter is restored after it is moved."""
+    of step 1e-5 (NaN if any is NaN). Each parameter is restored after it
+    is moved."""
     grads = objective_gradients(model, S, samples, config)
-    worst = 0.0
+    errors = []
     step = 1e-5
     for p, g in zip(_parameters(model), grads):
         for idx in np.ndindex(p.shape):
@@ -405,8 +406,8 @@ def gradient_residual(model, S, samples, config):
             down = objective(model, S, samples, config)
             p[idx] = orig
             fd = (up - down) / (2 * step)
-            worst = max(worst, abs(g[idx] - fd) / max(abs(fd), 1e-4))
-    return worst
+            errors.append(abs(g[idx] - fd) / max(abs(fd), 1e-4))
+    return float(np.max(errors))
 
 
 def invariant_suite(seed: int = 0):
@@ -417,30 +418,29 @@ def invariant_suite(seed: int = 0):
     draws, max_n = 40, 25
 
     # permutation equivariance of filters and GNNs
-    res_filter, res_gnn = 0.0, 0.0
+    res_filter, res_gnn = [], []
     for _ in range(draws):
         n = int(rng.integers(5, max_n + 1))
         S = build_gso(random_weighted_graph(n, int(rng.integers(2**31))))
         x = rng.standard_normal(n)
         perm = rng.permutation(n)
         h = rng.standard_normal(4)
-        res_filter = max(res_filter, equivariance_residual(
+        res_filter.append(equivariance_residual(
             lambda S, x: graph_convolution(S, h, x), S, perm, x))
         model = init_model(int(rng.integers(2**31)), [1, 3, 2], [3, 3],
                            ["relu", "tanh"], node=0)
-        res_gnn = max(res_gnn, equivariance_residual(
+        res_gnn.append(equivariance_residual(
             lambda S, x: forward(model, S, x).features, S, perm, x))
     checks.append(_check("filter permutation equivariance", res_filter, 1e-9))
     checks.append(_check("gnn permutation equivariance", res_gnn, 1e-9))
 
     # spectral identities
-    res_recon, res_parseval = 0.0, 0.0
+    residuals = []
     for _ in range(draws):
         n = int(rng.integers(5, max_n + 1))
         S = build_gso(random_weighted_graph(n, int(rng.integers(2**31))))
-        recon, parseval = spectral_residuals(S, rng.standard_normal(n))
-        res_recon = max(res_recon, recon)
-        res_parseval = max(res_parseval, parseval)
+        residuals.append(spectral_residuals(S, rng.standard_normal(n)))
+    res_recon, res_parseval = zip(*residuals)
     checks.append(_check("eigendecomposition reconstruction", res_recon, 1e-10))
     checks.append(_check("gft parseval", res_parseval, 1e-10))
 
@@ -454,7 +454,7 @@ def invariant_suite(seed: int = 0):
 
     # perturbation round trip; E is undetermined when an eigenvalue pair
     # sums to zero, so such draws are skipped (all skipped fails the check)
-    res_round, singular = 0.0, 0
+    res_round, singular = [], 0
     for _ in range(draws):
         n = int(rng.integers(5, max_n + 1))
         S = build_gso(random_weighted_graph(n, int(rng.integers(2**31))))
@@ -464,11 +464,10 @@ def invariant_suite(seed: int = 0):
         except SingularEquationError:
             singular += 1
             continue
-        res_round = max(res_round, spectral_norm(E - spec.error))
+        res_round.append(spectral_norm(E - spec.error))
     name = "error-matrix round trip" + (f" ({singular} singular skipped)"
                                         if singular else "")
-    checks.append(_check(name, np.inf if singular == draws else res_round,
-                         1e-8))
+    checks.append(_check(name, res_round or np.inf, 1e-8))
 
     # bound sweep on a 20-node graph
     S = build_gso(random_weighted_graph(20, seed))
@@ -477,8 +476,8 @@ def invariant_suite(seed: int = 0):
     eps_list = [0.02, 0.05, 0.1]
     seeds = range(5)
     reports = empirical_filter_distance_sweep(S, h, "relative", eps_list, seeds)
-    worst = max((r.measured - r.bound) / max(r.bound, 1e-300) for r in reports)
-    checks.append(_check("filter stability bound slack", max(worst, 0.0), 0.0))
+    checks.append(_check("filter stability bound slack", [
+        (r.measured - r.bound) / max(r.bound, 1e-300) for r in reports], 0.0))
     return checks
 
 
@@ -486,13 +485,11 @@ def cmd_verify(args) -> int:
     _check_seeds("--seed", args.seed)
     checks = invariant_suite(seed=args.seed)
     width = max(len(name) for name, *_ in checks)
-    failed = False
     for name, residual, tol, ok in checks:
         status = "pass" if ok else "FAIL"
         print(f"{name:<{width}}  residual {residual:.3e}  "
               f"tolerance {tol:.0e}  {status}")
-        failed |= not ok
-    if failed:
+    if not all(ok for *_, ok in checks):
         print(f"verification FAILED (seed {args.seed})")
         return 1
     print("all invariants satisfied")
@@ -579,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("transfer", help="evaluate trained models on other movies")
     add_run(p)
-    p.add_argument("--movie-ids", type=int, nargs="*", default=None)
+    p.add_argument("--movie-ids", type=int, nargs="+", default=None)
     p.set_defaults(func=cmd_transfer)
 
     p = add_parser("perturb-sweep",
@@ -608,35 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter numbers, and the largest mmap threshold it
-# takes on a 64-bit host
-M_TRIM_THRESHOLD = -1
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-
-
-def fix_mmap_threshold() -> None:
-    """Serve every block under 32 MiB from the heap, from the first on.
-
-    glibc starts its mmap threshold at 128 KiB and raises it to the size of
-    each mapped block freed, up to 32 MiB. Which N x N arrays the heap then
-    serves, and how it fragments, follows the addresses of the small blocks
-    allocated before them, so one `perturb-sweep` peaked at 133 or 148 MB
-    by the length of its working directory's name. A fixed threshold takes
-    that choice away. The heap keeps up to twice the threshold free at its
-    top before it returns memory, as the raised rule does; at glibc's
-    128 KiB default, training gave its pages back and faulted them in again
-    on every sample. A C library without mallopt keeps its own rules.
-    """
-    if sys.platform == "linux":
-        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-        if mallopt is not None:
-            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_MAX)
-            mallopt(M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD_MAX)
-
-
 def main(argv=None) -> int:
-    fix_mmap_threshold()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .graphs import GSO, graph_shift, relabel, symmetrized
+from .graphs import GSO, check_signal, graph_shift, relabel, symmetrized
 from .spectral import (LANCZOS_MIN_SIZE, bank_response, eigendecompose,
                        extreme_eigenvalues)
 
@@ -33,8 +33,9 @@ def graph_convolution(S: GSO, h: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def shift_stack(S: GSO, x: np.ndarray, K: int) -> np.ndarray:
-    """Stack [x, Sx, ..., S^(K-1) x] along a leading axis."""
-    x = np.asarray(x, dtype=float)
+    """Stack [x, Sx, ..., S^(K-1) x] along a leading axis. x must have one
+    row per node of S, even when K = 1 and it is never shifted."""
+    x = check_signal(S, x)
     out = np.empty((K,) + x.shape)
     out[0] = x
     for k in range(1, K):

@@ -190,6 +190,16 @@ def build_gso(W: np.ndarray, kind: str = "adjacency") -> GSO:
     return GSO((S + S.T) / 2.0)
 
 
+def check_signal(S: GSO, x) -> np.ndarray:
+    """x as a float array with one row per node of S, else ValueError."""
+    x = np.asarray(x, dtype=float)
+    rows = x.shape[0] if x.ndim else 0
+    if rows != S.node_count:
+        raise ValueError(
+            f"signal has {rows} rows but the GSO has {S.node_count} nodes")
+    return x
+
+
 def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:
     """One application of the shift operator: y_i = sum_j s_ij x_j.
 
@@ -197,12 +207,8 @@ def graph_shift(S: GSO, x: np.ndarray) -> np.ndarray:
     on a sparse S is summed over the nonzeros of S (see the module
     docstring); the result equals S @ x up to rounding.
     """
-    x = np.asarray(x, dtype=float)
+    x = check_signal(S, x)
     N = S.node_count
-    if x.shape[0] != N:
-        raise ValueError(
-            f"signal has {x.shape[0]} rows but the GSO has {N} nodes"
-        )
     csr = S.nonzero_rows if x.size == N else None
     if csr is not None:
         rows, starts, cols, vals = csr

@@ -202,7 +202,8 @@ def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
     """Monte-Carlo lower estimate of the operator-norm distance between the
     pre-readout feature maps on S and on S_hat.
 
-    Probes are random unit-norm signals plus the eigenvectors of S.
+    Probes are random unit-norm signals plus the eigenvectors of S. A NaN
+    feature on either GSO makes the estimate NaN.
     """
     if S.node_count != S_hat.node_count:
         raise ValueError("GSOs have different sizes")
@@ -211,13 +212,13 @@ def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
     probes = [rng.standard_normal((N, F0)) for _ in range(probe_count)]
     if F0 == 1:
         probes += [v[:, None] for v in eigendecompose(S).eigenvectors.T]
-    best = 0.0
+    distances = []
     for x in probes:
         x = x / np.linalg.norm(x)
         fa = forward(model, S, x).features
         fb = forward(model, S_hat, x).features
-        best = max(best, float(np.linalg.norm(fa - fb)))
-    return best
+        distances.append(np.linalg.norm(fa - fb))
+    return float(np.max(distances, initial=0.0))
 
 
 def empirical_gnn_distance_sweep(model: GNNModel, S: GSO, kind: str,

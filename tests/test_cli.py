@@ -1,13 +1,8 @@
-import ctypes
 import dataclasses
 import gc
 import inspect
 import json
-import os
-import subprocess
-import sys
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +112,31 @@ def test_verify_fails_on_a_map_that_is_not_equivariant(monkeypatch, capsys,
     monkeypatch.setattr(cli, name, planted)
     assert main(["verify"]) == 1
     assert _verify_row(capsys.readouterr().out, check).endswith("FAIL")
+
+
+def _all_nan(value):
+    """value with every float entry NaN: an array, a list of arrays or a
+    `forward` cache, whose features are replaced."""
+    if isinstance(value, list):
+        return [np.full_like(v, np.nan) for v in value]
+    if isinstance(value, np.ndarray):
+        return np.full_like(value, np.nan)
+    return dataclasses.replace(value,
+                               features=np.full_like(value.features, np.nan))
+
+
+@pytest.mark.parametrize("name,check", [
+    ("graph_convolution", "filter permutation equivariance"),
+    ("forward", "gnn permutation equivariance"),
+    ("objective_gradients", "analytic vs finite-difference gradients"),
+])
+def test_verify_fails_on_a_nan_residual(monkeypatch, capsys, name, check):
+    # every residual of the row is NaN, which the builtin max would drop
+    exact = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: _all_nan(exact(*args)))
+    assert main(["verify"]) == 1
+    row = _verify_row(capsys.readouterr().out, check)
+    assert "residual nan" in row and row.endswith("FAIL")
 
 
 @pytest.mark.parametrize("part,check", [
@@ -354,6 +374,23 @@ def test_transfer(trained_dir, ratings_file, tmp_path, capsys):
     assert rows[0] == "mu,movie_id,rmse_mean,rmse_std,degradation_percent"
     assert len(rows) == 1 + 2 * 2  # two mus, two movies
     assert "degradation" in capsys.readouterr().out
+
+
+def test_transfer_rejects_an_empty_movie_list(trained_dir, ratings_file,
+                                              tmp_path, monkeypatch, capsys):
+    # `--movie-ids` with no value must not fall back to the default movies
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_ratings", unread)
+    out = tmp_path / "transfer"
+    with pytest.raises(SystemExit) as exc:
+        main(["transfer", "--data", str(ratings_file), "--checkpoints",
+              str(trained_dir), "--out", str(out), "--movie-ids"])
+    assert exc.value.code == 2
+    assert "--movie-ids: expected at least one argument" in (
+        capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_perturb_sweep(trained_dir, ratings_file, tmp_path, capsys):
@@ -609,7 +646,15 @@ SUMMARY_EDITS = {
         summary, lambda s: {"rmse_mean": 0}),
     "rmse_mean boolean": lambda summary: _edit_mu(
         summary, lambda s: {"rmse_mean": True}),
+    "mus key not a number": lambda summary: _rename_mu(summary, "zero"),
+    "mus key negative": lambda summary: _rename_mu(summary, "-0.5"),
 }
+
+
+def _rename_mu(summary, key):
+    """The summary with its mu 0.5 entry listed under key."""
+    return {**summary, "mus": {key if mu == "0.5" else mu: stats
+                               for mu, stats in summary["mus"].items()}}
 
 
 def _edit_mu(summary, edit):
@@ -683,6 +728,12 @@ def _edit_mu(summary, edit):
     ("perturb-sweep", "rmse_mean boolean", "malformed run summary {run}: "
      "mus['0.5'] must map rmse_mean to a positive number or NaN, "
      "got {{'rmse_mean': True}}"),
+    # train writes each key as str(mu); perturb-sweep orders them as numbers
+    *((command, "mus key not a number", "malformed run summary {run}: "
+                                        "could not convert string to float")
+      for command in ("transfer", "perturb-sweep", "split-sweep")),
+    ("perturb-sweep", "mus key negative", "malformed run summary {run}: "
+     "mus key '-0.5' must be a finite nonnegative number"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,
@@ -1024,41 +1075,3 @@ def test_transfer_defaults_to_the_five_most_rated_other_movies(
     rows = [row.split(",") for row in csv_body(out / "transfer.csv")[1:]]
     for mu in ("0.0", "0.5"):
         assert [int(r[1]) for r in rows if r[0] == mu] == expected
-
-
-MAPPED_BYTES = """
-import ctypes
-import numpy as np
-from graphstab.cli import fix_mmap_threshold
-
-
-class MallInfo2(ctypes.Structure):
-    _fields_ = [(name, ctypes.c_size_t) for name in (
-        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
-        "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-libc = ctypes.CDLL(None)
-libc.mallinfo2.restype = MallInfo2
-before = libc.mallinfo2().hblkhd
-a = np.ones(2**19)  # 4 MiB, nothing freed before it
-after_a = libc.mallinfo2().hblkhd
-fix_mmap_threshold()
-b = np.ones(2**19)
-print(after_a - before, libc.mallinfo2().hblkhd - after_a)
-"""
-
-
-@pytest.mark.skipif(
-    sys.platform != "linux"
-    or not hasattr(ctypes.CDLL(None), "mallinfo2"),
-    reason="needs glibc's mallinfo2")
-def test_fix_mmap_threshold_serves_large_blocks_from_the_heap():
-    # a fresh process: the threshold of this one is whatever earlier tests
-    # left, as main() fixes it
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", MAPPED_BYTES], env=env,
-                            capture_output=True, text=True, check=True)
-    mapped_before, mapped_after = map(int, result.stdout.split())
-    assert mapped_before >= 2**22  # the default rule maps the first one
-    assert mapped_after == 0

@@ -259,3 +259,16 @@ def test_filter_distance_rejects(sizes, mode, message):
     S, S_hat = (build_gso(random_weighted_graph(n, seed=0)) for n in sizes)
     with pytest.raises(ValueError, match=message):
         filter_distance(S, S_hat, [1.0, 0.5], mode)
+
+
+@pytest.mark.parametrize("taps,x,rows", [
+    ([2.0], np.ones(7), 7),
+    ([2.0, 1.0, 0.5], np.ones(7), 7),
+    ([2.0], np.float64(1.0), 0),
+], ids=["K1", "K3", "K1 scalar"])
+def test_graph_convolution_checks_the_signal_length(taps, x, rows):
+    # a one-tap filter never shifts, so shift_stack checks before stacking
+    S = build_gso(random_weighted_graph(5, seed=0))
+    with pytest.raises(ValueError, match=f"signal has {rows} rows but the "
+                                         "GSO has 5 nodes"):
+        graph_convolution(S, taps, x)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from graphstab import (
     permute_gso,
     random_weighted_graph,
     spectral_norm,
+    stability,
 )
 from graphstab.cli import _write_csv
 from graphstab.spectral import bank_response
@@ -177,6 +180,28 @@ def test_gnn_sweep_fails_with_understated_constant(gso20):
             probe_count=30, c_interval=(-1e-3, 1e-3),
         )
         assert not any(r.satisfied for r in reports), kind
+
+
+def test_gnn_sweep_fails_on_nan_features(gso20, monkeypatch):
+    # a NaN distance must reach the report, not drop out of the max
+    exact = stability.forward
+
+    def nan_on_s_hat(model, S, x):
+        cache = exact(model, S, x)
+        if S is gso20:
+            return cache
+        return dataclasses.replace(
+            cache, features=np.full_like(cache.features, np.nan))
+
+    monkeypatch.setattr(stability, "forward", nan_on_s_hat)
+    interval = (-2.5, 2.5)
+    model = GNNModel([il_layer(1, 2, 4, interval, 0.8, seed=2)],
+                     np.ones(2), 0.0, 0)
+    (report,) = empirical_gnn_distance_sweep(
+        model, gso20, "dilation", [0.05], [0], probe_count=5,
+        c_interval=interval)
+    assert np.isnan(report.measured)
+    assert not report.satisfied
 
 
 def test_frequency_mixing_relu_on_laplacian():
