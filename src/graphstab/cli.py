@@ -167,6 +167,11 @@ def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
                          (A[:, j, None] * e_node)[:, :, None]).prediction
                  for j, (x, _) in enumerate(samples)]
         score = rmse(preds, [y for _, y in samples])
+    return _finite_rmse(score, where)
+
+
+def _finite_rmse(score, where):
+    """score, or a ValueError naming `where` if it is not finite."""
     if not np.isfinite(score):
         raise ValueError(f"test RMSE {where} is {score}, not finite")
     return score
@@ -185,13 +190,18 @@ def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed,
     """RMSE of `predict` on samples (default: the task's test set) over the
     GSO of the task built for movie_id, by a copy of model whose readout is
     moved to that movie; and the samples. The task is dropped on return, so
-    a sweep never holds one task while it builds the next."""
+    a sweep never holds one task while it builds the next. A non-finite
+    RMSE raises ValueError naming the movie and the train fraction; no
+    floating-point warning escapes."""
     task = build_task(ratings, target_item_id=movie_id,
                       train_fraction=train_fraction, seed=split_seed)
     samples = samples or _test_set(task, train_fraction)
     signals, labels = zip(*samples)
     model = dataclasses.replace(model, node=task.target_index)
-    return rmse(predict(model, task.gso, signals), labels), samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = rmse(predict(model, task.gso, signals), labels)
+    return _finite_rmse(score, f"for movie {movie_id} at train fraction "
+                               f"{train_fraction}"), samples
 
 
 def _train_one_split(ratings, args, split_seed, config: TrainConfig,

@@ -134,6 +134,11 @@ class ForwardCache:
 def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
     """Seeded initialization: taps uniform in +-1/sqrt(F_in * K) per layer,
     readout uniform in +-1/sqrt(F_L). No biases inside convolution layers."""
+    n = len(layer_dims) - 1
+    if not n == len(taps_per_layer) == len(activations):
+        raise ValueError(f"layer widths {list(layer_dims)} make {n} layers, "
+                         f"but {len(taps_per_layer)} taps counts and "
+                         f"{len(activations)} activations are given")
     if min(layer_dims) < 1 or min(taps_per_layer) < 1:
         raise ValueError(f"layer widths {list(layer_dims)} and taps "
                          f"{list(taps_per_layer)} must all be at least 1")

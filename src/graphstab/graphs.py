@@ -253,6 +253,8 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
     (k_ij + k_ji) * 0.5, so no other N x N array is made.
     """
     W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1]:
+        raise ValueError(f"weights must be square, got shape {W.shape}")
     N = W.shape[0]
     if not (0 < k < N):
         raise ValueError(f"k must be in (0, {N}), got {k}")

@@ -112,6 +112,8 @@ def solve_relative_error(S: GSO, S_hat: GSO,
     Raises SingularEquationError when some eigenvalue pair sums to zero
     relative to ||S||.
     """
+    if S.node_count != S_hat.node_count:
+        raise ValueError("GSOs have different sizes")
     if perm is None:
         perm = np.arange(S.node_count)
     delta = relabel(S_hat.matrix, perm) - S.matrix

@@ -13,7 +13,7 @@ The frequency response of taps h is h(lambda) = sum_k h_k lambda^k, and
 the integral Lipschitz condition bounds |lambda h'(lambda)|. `bank_response`
 evaluates both, for a tap vector or an (F_in, F_out, K) filter bank; both
 are maximized on the one grid `il_grid` of an interval, which the one
-interval rule `check_interval` reads as exactly two floats a < b.
+interval rule `check_interval` reads as exactly two finite floats a < b.
 """
 
 import numpy as np
@@ -124,10 +124,13 @@ def bank_response(taps: np.ndarray, grid: np.ndarray,
 
 def check_interval(interval) -> tuple:
     """The two endpoints (a, b) of an eigenvalue interval as floats; raises
-    ValueError for any other count, or unless a < b, which NaN fails too."""
+    ValueError for any other count, unless a < b, which NaN fails too, or
+    unless both are finite."""
     a, b = map(float, interval)
     if not a < b:
         raise ValueError(f"empty interval [{a}, {b}]")
+    if not np.isfinite([a, b]).all():
+        raise ValueError(f"interval [{a}, {b}] must have finite endpoints")
     return a, b
 
 

@@ -140,15 +140,15 @@ def linear_fit_r2(xs, ys):
 
 def _bound_sweep(S: GSO, kind: str, epsilons, seeds, L: int,
                  il_constant, distance) -> list:
-    """One BoundReport per (epsilon, seed) for an L-layer map on S, with C
-    = il_constant(spec) and the measured distance(spec, seed) of each drawn
-    perturbation spec; `satisfied` is measured <= bound."""
+    """One BoundReport per (epsilon, seed) for an L-layer map on S, with C =
+    il_constant(interval) over the spectra of S and each drawn perturbed S,
+    where the bound holds; `satisfied` is distance(spec, seed) <= bound."""
     N = S.node_count
     reports = []
     for epsilon in epsilons:
         for seed in seeds:
             spec = _make_perturbation(S, kind, epsilon, seed)
-            C = il_constant(spec)
+            C = il_constant(_spectral_interval(S, spec.perturbed))
             delta = spec_misalignment(spec)
             measured = distance(spec, seed)
             bound = gnn_stability_bound(C, delta, N, epsilon, L)
@@ -166,8 +166,7 @@ def empirical_filter_distance_sweep(S: GSO, h: np.ndarray, kind: str,
     the first-order bound (the L = 1 case of the GNN bound)."""
     return _bound_sweep(
         S, kind, epsilons, seeds, 1,
-        lambda spec: integral_lipschitz_check(
-            h, _spectral_interval(S, spec.perturbed)),
+        lambda interval: integral_lipschitz_check(h, interval),
         lambda spec, seed: filter_distance(S, spec.perturbed, h,
                                            mode="identity"),
     )
@@ -207,6 +206,8 @@ def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
     """
     if S.node_count != S_hat.node_count:
         raise ValueError("GSOs have different sizes")
+    if probe_count < 1:
+        raise ValueError(f"probe count must be at least 1, got {probe_count}")
     N, F0 = S.node_count, model.input_features
     rng = np.random.default_rng(seed)
     probes = [rng.standard_normal((N, F0)) for _ in range(probe_count)]
@@ -222,19 +223,14 @@ def empirical_gnn_distance(model: GNNModel, S: GSO, S_hat: GSO,
 
 
 def empirical_gnn_distance_sweep(model: GNNModel, S: GSO, kind: str,
-                                 epsilons, seeds, probe_count: int = 50,
-                                 c_interval=None) -> list:
+                                 epsilons, seeds,
+                                 probe_count: int = 50) -> list:
     """GNN analogue of the filter sweep against the L-scaled bound; C is the
-    largest bank constant on c_interval (default: the spectra of S and the
-    perturbed S)."""
-
-    def il_constant(spec):
-        interval = c_interval or _spectral_interval(S, spec.perturbed)
-        return max(bank_il_constant(layer.taps, interval)
-                   for layer in model.layers)
-
+    largest of the layers' bank constants on those same spectra."""
     return _bound_sweep(
-        S, kind, epsilons, seeds, len(model.layers), il_constant,
+        S, kind, epsilons, seeds, len(model.layers),
+        lambda interval: max(bank_il_constant(layer.taps, interval)
+                             for layer in model.layers),
         lambda spec, seed: empirical_gnn_distance(
             model, S, spec.perturbed, probe_count=probe_count, seed=seed),
     )

@@ -131,8 +131,7 @@ def test_gnn_stability_bound_sweeps(gso20):
     seeds = list(range(10))
     for kind in ("dilation", "relative"):
         reports = empirical_gnn_distance_sweep(
-            model, gso20, kind, epsilons, seeds,
-            probe_count=30, c_interval=interval,
+            model, gso20, kind, epsilons, seeds, probe_count=30,
         )
         # the Monte-Carlo estimate sits below the depth-scaled bound without
         # needing any quadratic slack

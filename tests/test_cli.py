@@ -684,6 +684,12 @@ def _edit_mu(summary, edit):
     # the readout node must be a JSON integer, not cut or overflowed to one
     ("split-sweep", "inf node",
      "split1.json: readout node must be an integer, got inf"),
+    # finite taps whose predictions overflow: the RMSE is checked as
+    # perturb-sweep checks it
+    ("transfer", "huge taps",
+     "test RMSE for movie 3 at train fraction 0.9 is inf, not finite"),
+    ("split-sweep", "huge taps",
+     "test RMSE for movie 7 at train fraction 0.9 is inf, not finite"),
     ("transfer", "fractional node",
      "split1.json: readout node must be an integer, got 3.7"),
     ("perturb-sweep", "boolean node",
@@ -780,6 +786,13 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
 
         monkeypatch.setattr(cli, "load_checkpoint", unread)
         monkeypatch.setattr(cli, "load_ratings", unread)
+    elif bad == "huge taps":
+        path = checkpoints / "checkpoint_mu0.5_split1.json"
+        payload = json.loads(path.read_text())
+        payload["model"]["layers"][0]["taps"][0][0][:2] = [1e300, 1e300]
+        path.write_text(json.dumps(payload))
+        if command == "transfer":
+            extra = ["--movie-ids", "3"]
     elif bad == "ratio above train fraction":
         extra = ["--splits", "0.5", "1.0"]
 

@@ -513,10 +513,20 @@ def _one_layer_model(bias=0.0, readout=2):
      "learning rate must be positive and finite"),
     (lambda: TrainConfig(learning_rate=np.inf),
      "learning rate must be positive and finite"),
+    (lambda: TrainConfig(lambda_interval=(-np.inf, 1.0)),
+     r"interval \[-inf, 1.0\] must have finite endpoints"),
+    # zip would stop at the shortest list
+    (lambda: init_model(0, [1, 3, 3], [3], ["relu"], 0),
+     r"layer widths \[1, 3, 3\] make 2 layers, but 1 taps counts and 1 "
+     "activations are given"),
+    (lambda: init_model(0, [1, 3, 2], [3, 3], ["relu"], 0),
+     r"layer widths \[1, 3, 2\] make 2 layers, but 2 taps counts and 1 "
+     "activations are given"),
 ], ids=["activation", "bias", "layer chain", "readout", "mu",
         "learning rate", "interval", "no interval", "nan tap",
         "inf readout", "nan bias", "nan mu", "inf mu", "nan learning rate",
-        "inf learning rate"])
+        "inf learning rate", "infinite interval", "fewer taps counts",
+        "fewer activations"])
 def test_gnn_rejects(build, message):
     with pytest.raises(ValueError, match=message):
         build()

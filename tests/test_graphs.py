@@ -360,9 +360,11 @@ def with_entry(i, j, value):
      "markov GSO undefined: node 0 has zero degree"),
     (lambda: GSO(np.zeros((2, 3))), "GSO must be square"),
     (lambda: GSO(np.zeros((0, 0))), "GSO needs at least one node"),
+    (lambda: knn_sparsify(np.ones((3, 5)), 1),
+     r"weights must be square, got shape \(3, 5\)"),
 ], ids=["graph shape", "no nodes", "nan weight", "inf weight",
         "negative weight", "self-loop", "kind", "markov zero degree",
-        "gso shape", "gso no nodes"])
+        "gso shape", "gso no nodes", "knn shape"])
 def test_graphs_reject(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -340,8 +340,17 @@ def _ill_conditioned_pair():
      "U and V must be square matrices of equal shape"),
     (lambda S: solve_relative_error(*_ill_conditioned_pair()), ValueError,
      "recovered E fails the membership identity"),
+    (lambda S: solve_relative_error(
+        build_gso(random_weighted_graph(8, seed=0)),
+        build_gso(random_weighted_graph(6, seed=0))), ValueError,
+     "GSOs have different sizes"),
+    (lambda S: relative_distance(
+        build_gso(random_weighted_graph(8, seed=0)),
+        build_gso(random_weighted_graph(6, seed=0))), ValueError,
+     "GSOs have different sizes"),
 ], ids=["dilation", "random", "nan dilation", "inf random", "nan random",
-        "mode", "no permutation", "misalignment", "membership"])
+        "mode", "no permutation", "misalignment", "membership",
+        "solve sizes", "distance sizes"])
 def test_perturbation_rejects(path3_adjacency, call, error, message):
     with pytest.raises(error, match=message):
         call(path3_adjacency)

@@ -300,6 +300,20 @@ def test_integral_lipschitz_empty_interval():
         integral_lipschitz_check([1.0], (2.0, 2.0))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: spectral.check_interval((0.0, np.inf)),
+     r"interval \[0.0, inf\] must have finite endpoints"),
+    (lambda: spectral.check_interval((-np.inf, 1.0)),
+     r"interval \[-inf, 1.0\] must have finite endpoints"),
+    # a grid over an infinite interval would give a NaN constant
+    (lambda: integral_lipschitz_check([0.0, 1.0], (0.0, np.inf)),
+     "must have finite endpoints"),
+], ids=["infinite right", "infinite left", "il check"])
+def test_interval_rejects(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("interval", [(0.0, 1.0, 2.0), (1.0,)])
 def test_il_grid_takes_exactly_two_endpoints(interval):
     with pytest.raises(ValueError, match="values to unpack"):

@@ -154,30 +154,31 @@ def test_linear_single_filter_gnn_matches_filter_distance(gso20):
 
 
 def test_gnn_sweep_satisfied(gso20):
-    interval = (-2.5, 2.5)
+    lam = np.linalg.eigvalsh(gso20.matrix)
+    interval = (1.2 * lam[0], 1.2 * lam[-1])
     layers = [il_layer(1, 2, 4, interval, 0.8, seed=2),
               il_layer(2, 1, 4, interval, 0.8, seed=3)]
     model = GNNModel(layers, np.ones(1), 0.0, 0)
     reports = empirical_gnn_distance_sweep(
-        model, gso20, "dilation", [0.02, 0.05, 0.1], [0],
-        probe_count=30, c_interval=interval,
+        model, gso20, "dilation", [0.02, 0.05, 0.1], [0], probe_count=30,
     )
     assert all(r.satisfied for r in reports)
     assert all(r.bound == gnn_stability_bound(
         r.C, r.delta, gso20.node_count, r.epsilon, 2) for r in reports)
 
 
-def test_gnn_sweep_fails_with_understated_constant(gso20):
+def test_gnn_sweep_fails_with_understated_constant(gso20, monkeypatch):
     # C taken on a tiny interval understates the constant on the spectrum
     # by orders of magnitude, so the bound falls below the measured distance
+    monkeypatch.setattr(stability, "_spectral_interval",
+                        lambda *gsos: (-1e-3, 1e-3))
     interval = (-2.5, 2.5)
     layers = [il_layer(1, 2, 4, interval, 0.8, seed=2),
               il_layer(2, 1, 4, interval, 0.8, seed=3)]
     model = GNNModel(layers, np.ones(1), 0.0, 0)
     for kind in ("dilation", "relative"):
         reports = empirical_gnn_distance_sweep(
-            model, gso20, kind, [0.02, 0.05, 0.1], range(2),
-            probe_count=30, c_interval=(-1e-3, 1e-3),
+            model, gso20, kind, [0.02, 0.05, 0.1], range(2), probe_count=30,
         )
         assert not any(r.satisfied for r in reports), kind
 
@@ -194,12 +195,12 @@ def test_gnn_sweep_fails_on_nan_features(gso20, monkeypatch):
             cache, features=np.full_like(cache.features, np.nan))
 
     monkeypatch.setattr(stability, "forward", nan_on_s_hat)
-    interval = (-2.5, 2.5)
+    lam = np.linalg.eigvalsh(gso20.matrix)
+    interval = (1.2 * lam[0], 1.2 * lam[-1])
     model = GNNModel([il_layer(1, 2, 4, interval, 0.8, seed=2)],
                      np.ones(2), 0.0, 0)
     (report,) = empirical_gnn_distance_sweep(
-        model, gso20, "dilation", [0.05], [0], probe_count=5,
-        c_interval=interval)
+        model, gso20, "dilation", [0.05], [0], probe_count=5)
     assert np.isnan(report.measured)
     assert not report.satisfied
 
@@ -296,9 +297,22 @@ def _two_edges():
     (lambda S: design_il_taps((-1.0, np.nan)), "empty interval"),
     (lambda S: il_layer(1, 1, 3, (1.0, 1.0), c_target=1.0, seed=0),
      "empty interval"),
+    (lambda S: bank_il_constant(np.ones((1, 2, 3)), (0.0, np.inf)),
+     r"interval \[0.0, inf\] must have finite endpoints"),
+    # with two input features no eigenvector probe is added, so no probe
+    # at all would give a distance of 0
+    (lambda S: empirical_gnn_distance(
+        GNNModel([LayerSpec(np.ones((2, 1, 2)))], np.ones(1), 0.0, 0),
+        S, S, probe_count=0),
+     "probe count must be at least 1, got 0"),
+    (lambda S: empirical_gnn_distance(
+        GNNModel([LayerSpec(np.ones((2, 1, 2)))], np.ones(1), 0.0, 0),
+        S, S, probe_count=-3),
+     "probe count must be at least 1, got -3"),
 ], ids=["kind", "sizes", "degenerate", "bank point interval",
         "bank reversed interval", "bank nan interval", "taps nan interval",
-        "layer point interval"])
+        "layer point interval", "bank infinite interval", "no probes",
+        "negative probes"])
 def test_stability_rejects(call, message):
     with pytest.raises(ValueError, match=message):
         call(build_gso(random_weighted_graph(4, seed=0)))
