@@ -135,7 +135,7 @@ def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
     """Seeded initialization: taps uniform in +-1/sqrt(F_in * K) per layer,
     readout uniform in +-1/sqrt(F_L). No biases inside convolution layers."""
     n = len(layer_dims) - 1
-    if not n == len(taps_per_layer) == len(activations):
+    if not 0 < n == len(taps_per_layer) == len(activations):
         raise ValueError(f"layer widths {list(layer_dims)} make {n} layers, "
                          f"but {len(taps_per_layer)} taps counts and "
                          f"{len(activations)} activations are given")

@@ -11,6 +11,7 @@ training users only.
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,7 +31,8 @@ class RatingsMatrix:
     """Dense user-by-movie rating matrix; 0 encodes "unrated".
 
     Every entry must be an integer in 0..MAX_RATING: `pearson_graph` relies
-    on it to sum ratings exactly in single precision.
+    on it to sum ratings exactly in single precision. It is kept as read-only
+    uint8 (one byte per rating), copied unless given so and owning its data.
     """
 
     matrix: np.ndarray
@@ -38,14 +40,17 @@ class RatingsMatrix:
     movie_ids: tuple
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
+        M = np.asarray(self.matrix)
         if M.ndim != 2:
             raise ValueError(f"ratings must be a matrix, got shape {M.shape}")
-        # one full-size temporary at most: the ratings may be large
-        if not (((M >= 0) & (M <= MAX_RATING)).all()
-                and (M == np.rint(M)).all()):
+        # integers by range alone: no full-size temporary of the ratings
+        if not ((M.dtype.kind in "ui" or (M == np.rint(M)).all())
+                and M.min(initial=0) >= 0 and M.max(initial=0) <= MAX_RATING):
             raise ValueError("ratings must be integers in "
                              f"0..{MAX_RATING} (0 = unrated)")
+        if M.dtype != np.uint8 or M.flags.writeable or not M.flags.owndata:
+            M = M.astype(np.uint8)
+            M.setflags(write=False)
         object.__setattr__(self, "matrix", M)
 
     def movie_index(self, item_id: int) -> int:
@@ -57,15 +62,28 @@ class RatingsMatrix:
 
 @dataclass(frozen=True)
 class TaskSplit:
-    """Train/test datasets for one target movie plus the train-only GSO."""
+    """Train/test datasets for one target movie plus the train-only GSO;
+    each sample list is built from its rows of `ratings` on first read."""
 
+    ratings: RatingsMatrix
     target_index: int
     target_item_id: int
-    train: list
-    test: list
     gso: GSO
+    train_rows: np.ndarray
+    test_rows: np.ndarray
     train_user_ids: tuple
     test_user_ids: tuple
+
+    train = cached_property(lambda self: self._samples(self.train_rows))
+    test = cached_property(lambda self: self._samples(self.test_rows))
+
+    def _samples(self, rows) -> list:
+        samples = []
+        for u in rows:
+            x = self.ratings.matrix[u].astype(float)
+            samples.append((x, float(x[self.target_index])))
+            x[self.target_index] = 0.0
+        return samples
 
 
 def load_ratings(path) -> RatingsMatrix:
@@ -97,8 +115,9 @@ def load_ratings(path) -> RatingsMatrix:
     last[:-1] = (user[1:] != user[:-1]) | (item[1:] != item[:-1])
     user_ids, u_index = np.unique(user[last], return_inverse=True)
     movie_ids, m_index = np.unique(item[last], return_inverse=True)
-    matrix = np.zeros((user_ids.size, movie_ids.size))
+    matrix = np.zeros((user_ids.size, movie_ids.size), dtype=np.uint8)
     matrix[u_index, m_index] = rating[last]
+    matrix.setflags(write=False)  # so the RatingsMatrix keeps it
     return RatingsMatrix(matrix=matrix, user_ids=tuple(user_ids.tolist()),
                          movie_ids=tuple(movie_ids.tolist()))
 
@@ -114,8 +133,8 @@ def _parse_lines(path) -> np.ndarray:
             parts = line.split()
             if len(parts) != 4:
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 4 tab-separated fields, "
-                    f"got {len(parts)}"
+                    f"{path}: line {lineno}: expected 4 whitespace-separated "
+                    f"fields, got {len(parts)}"
                 )
             try:
                 fields = [int(p) for p in parts]
@@ -139,42 +158,51 @@ def pearson_graph(ratings: RatingsMatrix, user_subset) -> np.ndarray:
     weight 0; negative correlations are clipped to 0. All sums are restricted
     per pair to the users that rated both movies (no global mean-centering).
 
-    The sums are sums of integer ratings. While U * MAX_RATING**2 stays below
-    2**24 they are computed exactly in single precision (in any order); each
-    tile is widened to double precision on its own, so the result has the
-    bits of a double-precision computation. The work runs one tile pair
-    (I, J >= I) at a time in `graphs._mirror_tiles`, from the (3 * _TILE, U)
-    stack [B; R; R*R] of each tile's movies (B marks a rating): the six
-    co-rater sums of tile [I, J] come from three products of row blocks of
-    the stacks of I and J, its weights are computed from them, and the tile
-    is written to [I, J] and, transposed, to [J, I]. So the output is the
-    only N x N array made. The mirror is exact, since corr[j, i] is the same
-    operations on commuted operands, so the result is exactly symmetric.
+    The sums are sums of integer ratings, exact in single precision (in any
+    order) while U * (c + MAX_RATING) < 2**24, c being the power of two
+    above MAX_RATING * U (so for U <= 1638); each tile is widened to double
+    precision on its own, so the result has the bits of a double-precision
+    computation. The work runs one tile pair (I, J >= I) at a time in
+    `graphs._mirror_tiles`, on the stack [B; R; R*R; R + c*B] of a block's
+    movies (B marks a rating), made from an (N, U) uint8 copy of the ratings
+    once per row block and per tile pair for a column block. (R + c*B) B^T
+    packs the co-rater counts above the rating sums, so the six sums of a
+    tile take five products. The tile is written to [I, J] and, transposed,
+    to [J, I], so the output is the only N x N array made; the mirror is
+    exact, since corr[j, i] is the same operations on commuted operands.
     """
     user_subset = np.asarray(list(user_subset), dtype=int)
     if user_subset.size == 0:
         raise ValueError("user subset is empty")
-    exact32 = user_subset.size * MAX_RATING ** 2 < _FLOAT32_EXACT
-    R = ratings.matrix[user_subset].T.astype(
-        np.float32 if exact32 else float, order="C")   # (M, U)
-    N = R.shape[0]
-    stacks = [np.concatenate([(part > 0).astype(R.dtype), part, part * part])
-              for part in (R[a:a + _TILE] for a in range(0, N, _TILE))]
-    del R
+    U = user_subset.size
+    c = 2 ** (MAX_RATING * U).bit_length()
+    dtype = np.float32 if U * (c + MAX_RATING) < _FLOAT32_EXACT else float
+    R = np.ascontiguousarray(ratings.matrix[user_subset].T)   # (N, U) uint8
+
+    @lru_cache(maxsize=2)  # the row block's stack and one column block's
+    def stack(a):
+        part = R[a:a + _TILE]
+        S = np.empty((4, *part.shape), dtype)
+        np.greater(part, 0, out=S[0])
+        S[1] = part
+        np.multiply(S[1], S[1], out=S[2])
+        np.add(S[1], c * S[0], out=S[3])
+        return S.reshape(-1, U)
 
     def tile(I, J):
-        X, Y = stacks[I.start // _TILE], stacks[J.start // _TILE]
+        X, Y = stack(I.start), stack(J.start)
         t, u = I.stop - I.start, J.stop - J.start
-        # over the co-raters of each pair: counts and the sums of movie-i
-        # ratings and of their squares (rows of `own`), the same sums for
-        # movie j (columns of `other`), and the cross products
-        own = X @ Y[:u].T
-        other = X[:t] @ Y[u:].T
-        return _pearson_tile(own[:t], own[t:2 * t], other[:, :u],
-                             own[2 * t:], other[:, u:],
-                             X[t:2 * t] @ Y[u:2 * u].T)
+        # over the co-raters of each pair: the sums of movie-i squares and
+        # the packed movie-i sums and counts (rows of `own`), the sums of
+        # movie-j ratings and of their squares (columns of `other`), and the
+        # cross products
+        own = X[2 * t:] @ Y[:u].T
+        other = X[:t] @ Y[u:3 * u].T
+        n = np.floor(own[t:] / c)
+        return _pearson_tile(n, own[t:] - c * n, other[:, :u], own[:t],
+                             other[:, u:], X[t:2 * t] @ Y[u:2 * u].T)
 
-    corr = _mirror_tiles(np.empty((N, N)), tile)
+    corr = _mirror_tiles(np.empty((len(R), len(R))), tile)
     np.fill_diagonal(corr, 0.0)
     return corr
 
@@ -207,10 +235,10 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
 
     Only users who rated the target participate. The split is a seeded
     shuffle; the graph (Pearson correlations, k-NN pruned, symmetrized) is
-    estimated from training users only. Every signal has its target entry
-    zeroed, with the removed rating as the label. train_fraction must lie
-    in (0, 1]; at 1 the test set is empty. Raises ValueError when the
-    training users give a graph without edges.
+    estimated from training users only. Every signal, built on first read,
+    has its target entry zeroed, with the removed rating as the label.
+    train_fraction must lie in (0, 1]; at 1 the test set is empty. Raises
+    ValueError when the training users give a graph without edges.
     """
     check_train_fraction(train_fraction)
     n = ratings.movie_index(target_item_id)
@@ -233,21 +261,13 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     W.setflags(write=False)  # so the GSO keeps W rather than a copy
     gso = build_gso(W, "adjacency")
 
-    def make_samples(users):
-        samples = []
-        for u in users:
-            x = ratings.matrix[u].astype(float)
-            y = float(x[n])
-            x[n] = 0.0
-            samples.append((x, y))
-        return samples
-
     return TaskSplit(
+        ratings=ratings,
         target_index=n,
         target_item_id=target_item_id,
-        train=make_samples(train_users),
-        test=make_samples(test_users),
         gso=gso,
+        train_rows=train_users,
+        test_rows=test_users,
         train_user_ids=tuple(ratings.user_ids[u] for u in train_users),
         test_user_ids=tuple(ratings.user_ids[u] for u in test_users),
     )

@@ -522,11 +522,14 @@ def _one_layer_model(bias=0.0, readout=2):
     (lambda: init_model(0, [1, 3, 2], [3, 3], ["relu"], 0),
      r"layer widths \[1, 3, 2\] make 2 layers, but 2 taps counts and 1 "
      "activations are given"),
+    (lambda: init_model(0, [1], [], [], 0),
+     r"layer widths \[1\] make 0 layers, but 0 taps counts and 0 "
+     "activations are given"),
 ], ids=["activation", "bias", "layer chain", "readout", "mu",
         "learning rate", "interval", "no interval", "nan tap",
         "inf readout", "nan bias", "nan mu", "inf mu", "nan learning rate",
         "inf learning rate", "infinite interval", "fewer taps counts",
-        "fewer activations"])
+        "fewer activations", "no layers"])
 def test_gnn_rejects(build, message):
     with pytest.raises(ValueError, match=message):
         build()

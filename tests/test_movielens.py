@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,13 @@ from graphstab import (
 )
 from graphstab import movielens
 from graphstab.cli import main
+from graphstab.graphs import _TILE
 
 from conftest import make_ratings_file, traced_peak
 
 
 def ratings_from_matrix(matrix):
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.asarray(matrix)
     return RatingsMatrix(
         matrix=matrix,
         user_ids=tuple(range(1, matrix.shape[0] + 1)),
@@ -45,7 +48,8 @@ def test_load_duplicate_keeps_latest_timestamp(tmp_path):
 def test_load_rejects_bad_lines(tmp_path):
     path = tmp_path / "u.data"
     path.write_text("1\t10\t5\n")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1: expected 4 "
+                       "whitespace-separated fields, got 3"):
         load_ratings(path)
     path.write_text("1\t10\t9\t100\n")
     with pytest.raises(ValueError, match="outside 1..5"):
@@ -126,6 +130,19 @@ def test_ratings_matrix_rejects_non_rating_entries(bad):
         ratings_from_matrix([[5.0, 0.0], [1.0, bad]])
 
 
+def test_ratings_matrix_keeps_one_read_only_byte_per_rating(ratings_file):
+    # so the samples a task builds from it on first read cannot go stale
+    for ratings in (load_ratings(ratings_file),
+                    ratings_from_matrix([[5.0, 0.0], [1.0, 3.0]])):
+        assert ratings.matrix.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            ratings.matrix[0, 0] = 2
+    # integers are checked by range before the cast, which wraps 256 to 0
+    for bad in (2.5, 256):
+        with pytest.raises(ValueError, match="integers in 0..5"):
+            ratings_from_matrix([[5, 0], [1, bad]])
+
+
 def test_movie_index_missing():
     ratings = ratings_from_matrix([[5.0]])
     with pytest.raises(KeyError):
@@ -178,6 +195,7 @@ def test_pearson_restricts_to_subset():
 def pearson_oracle(R):
     """Double-precision Pearson weights, symmetrized by averaging: the
     reference that pearson_graph must match bit for bit."""
+    R = R.astype(float)
     B = (R > 0).astype(float)
     n = B.T @ B
     sum_i = R.T @ B
@@ -259,6 +277,16 @@ def test_pearson_memory_within_budget():
     assert traced_peak(pearson_graph, ratings, range(150)) <= 2.0 * N * N * 8
 
 
+def test_pearson_memory_across_many_tiles():
+    # N >> _TILE: beyond the output, the build holds one byte per rating of
+    # the raters (and its transposed source) and the (4 * _TILE, U)
+    # single-precision stacks of the blocks in use, not stacks of all N
+    N, U = 1200, 600
+    ratings = random_ratings(U, N, seed=2)
+    budget = N * N * 8 + 2 * N * U + 4 * (4 * _TILE * U * 4)
+    assert traced_peak(pearson_graph, ratings, range(U)) <= budget
+
+
 def test_build_task_memory_within_budget():
     # the k-NN selection writes into the Pearson weights and the GSO keeps
     # them, so one N x N array serves the whole build
@@ -288,6 +316,31 @@ def test_build_task_split_invariants(ratings_file):
     S = split.gso.matrix
     assert np.array_equal(S, S.T)
     assert np.all(np.diag(S) == 0.0)
+
+
+def test_build_task_builds_training_samples_on_first_read():
+    # 800-odd training raters of 200 movies: their samples are four times
+    # the GSO's bytes, and a command that reads only `test` never needs them
+    N = 200
+    ratings = random_ratings(1000, N, seed=4, density=0.9)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        task = build_task(ratings, 1, 0.9, 0)
+        n_test = len(task.test)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    n_train = len(task.train_user_ids)
+    assert n_train > 4 * N
+    assert held <= N * N * 8 + (n_test + n_train / 4) * N * 8
+    dense = ratings.matrix.astype(float)
+    assert len(task.train) == n_train
+    for (x, y), uid in zip(task.train, task.train_user_ids):
+        want = dense[ratings.user_ids.index(uid)].copy()
+        assert y == want[0]
+        want[0] = 0.0
+        assert x.dtype == np.float64 and x.tobytes() == want.tobytes()
 
 
 def test_build_task_seeded_splits_differ(ratings_file):
