@@ -19,8 +19,10 @@ import numpy as np
 from . import __version__
 from .filters import graph_convolution, spectral_norm
 from .gnn import (
+    TaskRecord,
     TrainConfig,
     _parameters,
+    _require,
     forward,
     init_model,
     load_checkpoint,
@@ -93,49 +95,35 @@ def _check_seeds(flag, seeds) -> None:
 
 
 def _load_run(args):
-    """Read a `train` run for a sweep over it: the sweep's output directory
-    (created only when the sweep writes its CSV), the run's summary, the
-    ratings, and the model of every (mu, split seed), keyed by (mu string,
-    split seed) in the order mu, then seed. The summary is checked first,
-    then each checkpoint (one layer, as `train` writes), then the ratings."""
+    """The sweep's output directory (made only when it writes its CSV), a
+    task record of the `train` run in --checkpoints, the ratings, and each
+    checkpoint's (model, test RMSE) by (mu, split seed), ascending. Every
+    checkpoint_*.json is checked first: one run, one-layer models, as
+    `train` writes, and each (mu, seed) of the mu x seed grid once."""
     ckpt_dir = Path(args.checkpoints)
-    path = ckpt_dir / "train_summary.json"
-    try:  # an OSError passes as it is
-        summary = json.loads(path.read_text())
-        for key, types, what in (("movie_id", [int], "an integer"),
-                                 ("train_fraction", [int, float], "a number"),
-                                 ("seeds", [list], "a list of integers"),
-                                 ("mus", [dict], "a mapping")):
-            value = summary[key]  # by type(): a bool is not an integer here
-            if type(value) not in types or (
-                    key == "seeds" and any(type(s) is not int for s in value)):
-                raise ValueError(f"{key} must be {what}, got {value!r}")
-            if key in ("seeds", "mus") and not value:
-                raise ValueError(f"{key} is empty")
-        check_train_fraction(summary["train_fraction"])
-        _check_distinct(("seeds", summary["seeds"]))
-        _check_seeds("seeds", summary["seeds"])
-        for mu_key, stats in summary["mus"].items():
-            if not 0 <= float(mu_key) < np.inf:  # as `train` writes str(mu)
-                raise ValueError(f"mus key {mu_key!r} must be a finite "
-                                 "nonnegative number")
-            mean = stats.get("rmse_mean") if type(stats) is dict else None
-            if type(mean) not in (int, float) or mean <= 0:  # NaN passes
-                raise ValueError(f"mus[{mu_key!r}] must map rmse_mean to a "
-                                 f"positive number or NaN, got {stats!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        msg = f"no key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed run summary {path}: {msg}") from exc
-    models = {}
-    for mu_key in summary["mus"]:
-        for seed in summary["seeds"]:
-            path = ckpt_dir / f"checkpoint_mu{mu_key}_split{seed}.json"
-            models[mu_key, seed] = model = load_checkpoint(path)[0]
-            if len(model.layers) > 1:
-                raise ValueError(
-                    f"checkpoint {path} has {len(model.layers)} layers; the "
-                    "sweeps read one-layer models, as `train` writes")
-    return Path(args.out), summary, load_ratings(args.data), models
+    models, runs = {}, set()
+    for path in sorted(ckpt_dir.glob("checkpoint_*.json")):
+        model, config, record = load_checkpoint(path)
+        if len(model.layers) > 1:
+            raise ValueError(
+                f"checkpoint {path} has {len(model.layers)} layers; the "
+                "sweeps read one-layer models, as `train` writes")
+        key = float(config.mu), config.rng_seed
+        if key in models:
+            raise ValueError(f"checkpoint {path} repeats mu {key[0]} at "
+                             f"split seed {key[1]}")
+        models[key] = model, record.test_rmse
+        runs.add((record.run, record.movie_id, record.train_fraction))
+    if len(runs) != 1:
+        raise ValueError(f"{ckpt_dir} holds checkpoints of {len(runs)} runs"
+                         if runs else f"no checkpoint in {ckpt_dir}")
+    mus, seeds = (sorted({key[i] for key in models}) for i in (0, 1))
+    for key in ((mu, seed) for mu in mus for seed in seeds):
+        if key not in models:
+            raise ValueError(f"{ckpt_dir} holds no checkpoint of mu {key[0]} "
+                             f"at split seed {key[1]}")
+    return (Path(args.out), record, load_ratings(args.data),
+            {key: models[key] for key in sorted(models)})
 
 
 def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
@@ -219,7 +207,11 @@ def _train_one_split(ratings, args, split_seed, config: TrainConfig,
                  else float("nan"))
     tag = f"mu{config.mu}_split{split_seed}"
     out.mkdir(parents=True, exist_ok=True)  # a rejected task writes nothing
-    save_checkpoint(out / f"checkpoint_{tag}.json", trained, config)
+    # the run digest: of the settings the `config:` header line echoes
+    run = hashlib.sha256(_header_lines(args)[1].encode()).hexdigest()[:16]
+    save_checkpoint(out / f"checkpoint_{tag}.json", trained, config,
+                    TaskRecord(run, args.movie_id, args.train_fraction,
+                               test_rmse))
     _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
                trace)
     if write_split:
@@ -238,9 +230,6 @@ def cmd_train(args) -> int:
     _check_seeds("--seeds", args.seeds)
     ratings = load_ratings(args.data)
     out = Path(args.out)
-    summary = {"movie_id": args.movie_id, "train_fraction": args.train_fraction,
-               "epochs": args.epochs, "features": args.features,
-               "taps": args.taps, "seeds": list(args.seeds), "mus": {}}
     test_rmse = {}
     for split_seed in args.seeds:
         with shared_scope():  # one eigensystem and stack per split
@@ -251,8 +240,6 @@ def cmd_train(args) -> int:
     for mu in args.mu:
         per_split = [test_rmse[mu, s] for s in args.seeds]
         mean, std = _mean_std(per_split)
-        summary["mus"][str(mu)] = {"rmse_per_split": per_split,
-                                   "rmse_mean": mean, "rmse_std": std}
         print(f"mu={mu}: test RMSE {mean:.4f} (+-{std:.4f}) "
               f"over {len(per_split)} splits")
     hashes = [f"split manifest {s}: " + hashlib.sha256(
@@ -260,27 +247,25 @@ def cmd_train(args) -> int:
         for s in args.seeds]
     _write_csv(out / "rmse.csv", _header_lines(args, hashes),
                ["mu", "split_seed", "test_rmse"], rows)
-    (out / "train_summary.json").write_text(json.dumps(summary, indent=2))
     return 0
 
 
 def cmd_transfer(args) -> int:
     _check_distinct(("--movie-ids", args.movie_ids or []))
-    out, summary, ratings, models = _load_run(args)
-    movie_ids = args.movie_ids or _most_rated(ratings, summary["movie_id"], 5)
+    out, record, ratings, models = _load_run(args)
+    movie_ids = args.movie_ids or _most_rated(ratings, record.movie_id, 5)
     rows = []
-    for mu_key, stats in summary["mus"].items():
-        baseline = stats["rmse_mean"]
+    for mu in dict.fromkeys(mu for mu, _ in models):
+        splits = [(seed, *models[mu, seed]) for m, seed in models if m == mu]
+        # the mean of train's test RMSEs, as its stdout prints it
+        baseline = statistics.fmean(test_rmse for *_, test_rmse in splits)
         for movie_id in movie_ids:
-            per_split = []
-            for split_seed in summary["seeds"]:
-                per_split.append(_evaluate_on_task(
-                    models[mu_key, split_seed], ratings, movie_id,
-                    summary["train_fraction"], split_seed)[0])
-            mean, std = _mean_std(per_split)
+            mean, std = _mean_std([_evaluate_on_task(
+                model, ratings, movie_id, record.train_fraction, seed)[0]
+                for seed, model, _ in splits])
             degradation = 100.0 * (mean - baseline) / baseline
-            rows.append((mu_key, movie_id, mean, std, degradation))
-            print(f"mu={mu_key} movie {movie_id}: RMSE {mean:.4f} "
+            rows.append((mu, movie_id, mean, std, degradation))
+            print(f"mu={mu} movie {movie_id}: RMSE {mean:.4f} "
                   f"(+-{std:.4f}), degradation {degradation:+.1f}%")
     _write_csv(out / "transfer.csv", _header_lines(args),
                ["mu", "movie_id", "rmse_mean", "rmse_std",
@@ -297,24 +282,21 @@ def _most_rated(ratings, exclude_item_id, count):
 
 
 def cmd_perturb_sweep(args) -> int:
-    if args.draws < 1:
-        raise ValueError(f"--draws must be at least 1, got {args.draws}")
-    if args.draws > DRAW_SEEDS_PER_SPLIT:
-        raise ValueError(f"--draws must be at most {DRAW_SEEDS_PER_SPLIT}, "
-                         f"got {args.draws}")
+    _require("--draws", args.draws, int, "at least 1", lambda n: n >= 1)
+    _require("--draws", args.draws, int, f"at most {DRAW_SEEDS_PER_SPLIT}",
+             lambda n: n <= DRAW_SEEDS_PER_SPLIT)
     _check_distinct(("--epsilon", args.epsilon))
     for eps in args.epsilon:
-        if not 0 <= eps < np.inf:
-            raise ValueError(
-                f"--epsilon must be nonnegative and finite, got {eps}")
-    out, summary, ratings, models = _load_run(args)
+        _require("--epsilon", eps, float, "nonnegative and finite",
+                 lambda eps: 0 <= eps < np.inf)
+    out, record, ratings, models = _load_run(args)
     rows = []
     with shared_scope():  # one norm per draw seed, for every eps and mu
-        for (mu_key, split_seed), model in models.items():
-            task = build_task(ratings, target_item_id=summary["movie_id"],
-                              train_fraction=summary["train_fraction"],
+        for (mu, split_seed), (model, _) in models.items():
+            task = build_task(ratings, target_item_id=record.movie_id,
+                              train_fraction=record.train_fraction,
                               seed=split_seed)
-            test = _test_set(task, summary["train_fraction"])
+            test = _test_set(task, record.train_fraction)
             base = _evaluate(model, task.gso, test)
             for eps in args.epsilon:
                 for draw in range(args.draws):
@@ -324,7 +306,7 @@ def cmd_perturb_sweep(args) -> int:
                     perturbed = _evaluate(model, task.gso, test, spec,
                                           f"at epsilon {eps}, draw {draw}")
                     del spec
-                    rows.append((mu_key, split_seed, eps, draw,
+                    rows.append((mu, split_seed, eps, draw,
                                  base, perturbed, perturbed - base))
             del task, test  # before the next model's task is built
     _write_csv(out / "perturb_sweep.csv", _header_lines(args),
@@ -338,8 +320,7 @@ def _print_sweep_summary(rows):
     by_mu_eps = {}
     for mu, _, eps, _, _, _, diff in rows:
         by_mu_eps.setdefault((mu, eps), []).append(diff)
-    # mu is a key of train_summary.json, a string: order it as a number
-    for mu, eps in sorted(by_mu_eps, key=lambda key: (float(key[0]), key[1])):
+    for mu, eps in sorted(by_mu_eps):
         print(f"mu={mu} eps={eps}: mean RMSE difference "
               f"{statistics.fmean(by_mu_eps[mu, eps]):+.4f}")
 
@@ -350,19 +331,19 @@ def cmd_split_sweep(args) -> int:
     _check_distinct(("--splits", args.splits))
     for ratio in args.splits:
         check_train_fraction(ratio)
-    out, summary, ratings, models = _load_run(args)
-    fraction = summary["train_fraction"]
+    out, record, ratings, models = _load_run(args)
+    fraction = record.train_fraction
     if max(args.splits) > fraction:
         raise ValueError(f"--splits {max(args.splits)} exceeds the run's "
                          f"train fraction {fraction}")
     rows = []
-    for (mu_key, split_seed), model in models.items():
-        base, test = _evaluate_on_task(model, ratings, summary["movie_id"],
+    for (mu, split_seed), (model, _) in models.items():
+        base, test = _evaluate_on_task(model, ratings, record.movie_id,
                                        fraction, split_seed)
         for ratio in args.splits:
             perturbed, _ = _evaluate_on_task(
-                model, ratings, summary["movie_id"], ratio, split_seed, test)
-            rows.append((mu_key, split_seed, ratio, base, perturbed,
+                model, ratings, record.movie_id, ratio, split_seed, test)
+            rows.append((mu, split_seed, ratio, base, perturbed,
                          perturbed - base))
     _write_csv(out / "split_sweep.csv", _header_lines(args),
                ["mu", "split_seed", "train_fraction", "rmse_base",

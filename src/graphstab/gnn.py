@@ -17,13 +17,16 @@ where `forward` shifts all N rows of the features K - 1 times.
 """
 
 import copy
+import inspect
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .filters import bank_apply, shift_stack
 from .graphs import GSO, shared
+from .movielens import check_train_fraction
 from .spectral import bank_response, check_interval, eigendecompose, il_grid
 
 _ACTIVATIONS = {
@@ -34,6 +37,13 @@ _ACTIVATIONS = {
 
 # ADAM's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
+def _require(name, v, kinds, what, holds=lambda v: True):
+    """v, if it is of kinds (a bool is not) and holds; else a ValueError."""
+    if isinstance(v, bool) or not (isinstance(v, kinds) and holds(v)):
+        raise ValueError(f"{name} must be {what}, got {v!r}")
+    return v
 
 
 @dataclass
@@ -74,6 +84,8 @@ class GNNModel:
             raise ValueError("readout weights and bias must be finite")
         if not self.layers:
             raise ValueError("model needs at least one layer")
+        # a JSON integer: int() would cut 3.7, read true as 1, overflow on inf
+        _require("readout node", self.node, Integral, "an integer")
         if self.node < 0:
             raise ValueError(f"readout node {self.node} is negative")
         f = self.layers[0].taps.shape[0]
@@ -97,7 +109,8 @@ class GNNModel:
 
 @dataclass
 class TrainConfig:
-    """Training settings; a set lambda_interval is `check_interval`'s pair."""
+    """Training settings; a set lambda_interval is `check_interval`'s pair.
+    `train` sets rng_seed to the split seed: (mu, rng_seed) names a model."""
 
     mu: float = 0.0
     lambda_interval: tuple | None = None  # default: eigenvalue range of S
@@ -108,19 +121,37 @@ class TrainConfig:
 
     def __post_init__(self):
         # a chained comparison is False for NaN, so NaN fails it too
-        if not 0 <= self.mu < np.inf:
-            raise ValueError(
-                f"mu must be nonnegative and finite, got {self.mu}")
-        if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning rate must be positive and finite, "
-                             f"got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(
-                f"batch size must be at least 1, got {self.batch_size}")
+        _require("mu", self.mu, Real, "nonnegative and finite",
+                 lambda mu: 0 <= mu < np.inf)
+        _require("learning rate", self.learning_rate, Real,
+                 "positive and finite", lambda rate: 0 < rate < np.inf)
+        for name, count in (("epochs", self.epochs),
+                            ("batch size", self.batch_size)):
+            _require(name, count, Integral, "at least 1", lambda n: n >= 1)
+        _require("rng_seed", self.rng_seed, Integral,
+                 "a nonnegative integer", lambda seed: seed >= 0)
         if self.lambda_interval is not None:
             self.lambda_interval = check_interval(self.lambda_interval)
+
+
+@dataclass(frozen=True)
+class TaskRecord:
+    """A `train` checkpoint's task: `run`, a digest of its run's settings,
+    movie_id, train_fraction and test_rmse (NaN: no test users)."""
+
+    run: str
+    movie_id: int
+    train_fraction: float
+    test_rmse: float
+
+    def __post_init__(self):
+        _require("run", self.run, str, "a string")
+        _require("movie_id", self.movie_id, Integral, "an integer")
+        check_train_fraction(_require("train_fraction", self.train_fraction,
+                                      Real, "a number"))
+        # `not rmse <= 0` holds for NaN
+        _require("test_rmse", self.test_rmse, Real,
+                 "a positive number or NaN", lambda rmse: not rmse <= 0)
 
 
 @dataclass
@@ -474,62 +505,49 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
 # --- checkpoints -------------------------------------------------------------
 
 def model_to_dict(model: GNNModel) -> dict:
-    return {
-        "layers": [
-            {"taps": layer.taps.tolist(), "activation": layer.activation}
-            for layer in model.layers
-        ],
-        "readout_weights": model.readout_weights.tolist(),
-        "readout_bias": float(model.readout_bias[0]),
-        "node": model.node,
-    }
+    layers = [{"taps": layer.taps.tolist(), "activation": layer.activation}
+              for layer in model.layers]
+    return {"layers": layers, "readout_weights": model.readout_weights.tolist(),
+            "readout_bias": float(model.readout_bias[0]), "node": model.node}
 
 
-def model_from_dict(d: dict) -> GNNModel:
-    # a JSON integer: int() would cut 3.7, read true as 1, overflow on inf
-    if type(d["node"]) is not int:
-        raise ValueError(f"readout node must be an integer, got {d['node']!r}")
-    return GNNModel(
-        layers=[LayerSpec(np.array(l["taps"]), l["activation"])
-                for l in d["layers"]],
-        readout_weights=np.array(d["readout_weights"]),
-        readout_bias=float(d["readout_bias"]),
-        node=d["node"],
-    )
-
-
-def save_checkpoint(path, model: GNNModel, config: TrainConfig) -> None:
-    payload = {"model": model_to_dict(model),
-               "config": asdict(config)}
+def save_checkpoint(path, model: GNNModel, config: TrainConfig,
+                    task: TaskRecord) -> None:
+    """Write model, config and task as one JSON object under those keys."""
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump({"model": model_to_dict(model), "config": asdict(config),
+                   "task": asdict(task)}, fh)
 
 
-def _check_keys(what, d, expected) -> None:
+def _from_json(what, d, build, **parse):
+    """build(**d) for a JSON object d whose keys are build's parameters (a
+    dataclass's fields), each value passed through parse[key] if given."""
+    if type(d) is not dict:
+        raise ValueError(f"{what} is a JSON {type(d).__name__}, not an object")
+    names = inspect.signature(build).parameters
     wrong = [f"{kind} keys {keys}" for kind, keys in (
-        ("missing", sorted(set(expected) - set(d))),
-        ("unknown", sorted(set(d) - set(expected)))) if keys]
+        ("missing", sorted(set(names) - set(d))),
+        ("unknown", sorted(set(d) - set(names)))) if keys]
     if wrong:
         raise ValueError(f"{what} has {' and '.join(wrong)}")
+    return build(**{k: parse.get(k, lambda v: v)(v) for k, v in d.items()})
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by `save_checkpoint`.
+    """(model, config, task) of a checkpoint written by `save_checkpoint`;
+    a ValueError naming the file if it is not one: not a JSON object,
+    missing or unknown keys, or values the model, config or task reject."""
+    def model(d):
+        return _from_json("model", d, GNNModel, layers=lambda layers: [
+            _from_json(f"layer {i}", layer, LayerSpec)
+            for i, layer in enumerate(layers)])
 
-    Raises ValueError naming the file when it is not such a checkpoint:
-    missing or unknown keys, or values the model or config reject.
-    """
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        payload = json.loads(text)
-        _check_keys("checkpoint", payload, ["model", "config"])
-        _check_keys("model", payload["model"],
-                    ["layers", "readout_weights", "readout_bias", "node"])
-        for i, layer in enumerate(payload["model"]["layers"]):
-            _check_keys(f"layer {i}", layer, ["taps", "activation"])
-        cfg = payload["config"]
-        _check_keys("config", cfg, [f.name for f in fields(TrainConfig)])
-        return model_from_dict(payload["model"]), TrainConfig(**cfg)
+    try:  # an OSError passes as it is
+        with open(path) as fh:
+            return _from_json(
+                "checkpoint", json.load(fh),
+                lambda model, config, task: (model, config, task), model=model,
+                config=lambda d: _from_json("config", d, TrainConfig),
+                task=lambda d: _from_json("task", d, TaskRecord))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed checkpoint {path}: {exc}") from exc

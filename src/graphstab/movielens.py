@@ -31,8 +31,8 @@ class RatingsMatrix:
     """Dense user-by-movie rating matrix; 0 encodes "unrated".
 
     Every entry must be an integer in 0..MAX_RATING: `pearson_graph` relies
-    on it to sum ratings exactly in single precision. It is kept as read-only
-    uint8 (one byte per rating), copied unless given so and owning its data.
+    on it to sum ratings exactly in single precision. It is a never-writable
+    view of read-only uint8 data (a byte per rating), copied unless so given.
     """
 
     matrix: np.ndarray
@@ -51,7 +51,7 @@ class RatingsMatrix:
         if M.dtype != np.uint8 or M.flags.writeable or not M.flags.owndata:
             M = M.astype(np.uint8)
             M.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
+        object.__setattr__(self, "matrix", M.view())
 
     def movie_index(self, item_id: int) -> int:
         try:

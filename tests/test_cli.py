@@ -224,18 +224,26 @@ def test_invariant_suite_structure():
 
 
 def test_train_outputs(trained_dir):
-    summary = json.loads((trained_dir / "train_summary.json").read_text())
-    assert set(summary["mus"]) == {"0.0", "0.5"}
-    for mu in ("0.0", "0.5"):
-        assert len(summary["mus"][mu]["rmse_per_split"]) == 2
-        for seed in (0, 1):
-            assert (trained_dir / f"checkpoint_mu{mu}_split{seed}.json").is_file()
-            trace = csv_body(trained_dir / f"trace_mu{mu}_split{seed}.csv")
-            assert trace[0] == "epoch,loss,penalty"
-            assert len(trace) == 4
+    # the checkpoints are the one record of the run: no summary is written
     rmse_rows = csv_body(trained_dir / "rmse.csv")
     assert rmse_rows[0] == "mu,split_seed,test_rmse"
     assert len(rmse_rows) == 5
+    runs = set()
+    for row in rmse_rows[1:]:
+        mu, seed, test_rmse = row.split(",")
+        _, config, task = gnn.load_checkpoint(
+            trained_dir / f"checkpoint_mu{mu}_split{seed}.json")
+        assert (config.mu, config.rng_seed) == (float(mu), int(seed))
+        assert (task.movie_id, task.train_fraction) == (7, 0.9)
+        assert task.test_rmse == float(test_rmse)
+        runs.add(task.run)
+        trace = csv_body(trained_dir / f"trace_mu{mu}_split{seed}.csv")
+        assert trace[0] == "epoch,loss,penalty"
+        assert len(trace) == 4
+    assert len(runs) == 1
+    assert sorted(p.name for p in trained_dir.glob("*.json")) == [
+        f"checkpoint_mu{mu}_split{seed}.json" for mu in ("0.0", "0.5")
+        for seed in (0, 1)]
     for seed in (0, 1):
         assert (trained_dir / f"split_{seed}.csv").is_file()
 
@@ -261,16 +269,16 @@ def _train_two_splits(ratings_file, out, *mus):
 
 @pytest.fixture
 def eigh_runs(monkeypatch):
-    """Count np.linalg.eigh runs by a weakref to each eigenvector array."""
+    """Count GSO decompositions by a weakref to each eigenvector array."""
     refs = []
-    eigh = np.linalg.eigh
+    decompose = graphs._decompose
 
-    def counted(A):
-        lam, V = eigh(A)
-        refs.append(weakref.ref(V))
-        return lam, V
+    def counted(S):
+        eig = decompose(S)
+        refs.append(weakref.ref(eig.eigenvectors))
+        return eig
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(graphs, "_decompose", counted)
     return refs
 
 
@@ -299,9 +307,16 @@ def test_train_shares_without_changing_outputs(ratings_file, tmp_path,
         assert _train_two_splits(ratings_file, tmp_path / mu, mu) == 0
         for seed in (3, 4):
             tag = f"mu{float(mu)}_split{seed}"
-            for name in (f"checkpoint_{tag}.json", f"trace_{tag}.csv"):
-                assert ((tmp_path / "both" / name).read_bytes()
-                        == (tmp_path / mu / name).read_bytes())
+            name = f"trace_{tag}.csv"
+            assert ((tmp_path / "both" / name).read_bytes()
+                    == (tmp_path / mu / name).read_bytes())
+            # the task records differ by design: each names its own run
+            both, alone = (json.loads(
+                (tmp_path / run / f"checkpoint_{tag}.json").read_text())
+                for run in ("both", mu))
+            for part in ("model", "config"):
+                assert both[part] == alone[part]
+            assert both["task"]["run"] != alone["task"]["run"]
     assert len(eigh_runs) == 6
     rows = csv_body(tmp_path / "both" / "rmse.csv")[1:]
     assert [row.split(",")[:2] for row in rows] == [
@@ -361,6 +376,12 @@ def test_failed_train_leaves_earlier_splits_complete(ratings_file, tmp_path,
         "split_3.csv", "trace_mu0.0_split3.csv", "trace_mu0.5_split3.csv"]
     assert graphs._shared is None
     assert "not finite" in capsys.readouterr().err
+    # the sweeps read what was written as a run of split 3 alone
+    assert main(["split-sweep", "--data", str(ratings_file),
+                 "--checkpoints", str(out), "--splits", "0.5",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    rows = csv_body(tmp_path / "sweep" / "split_sweep.csv")[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.0", "3"], ["0.5", "3"]]
 
 
 def test_transfer(trained_dir, ratings_file, tmp_path, capsys):
@@ -417,9 +438,10 @@ def test_perturb_sweep(trained_dir, ratings_file, tmp_path, capsys):
 
 
 def test_sweep_summary_orders_mu_as_numbers(capsys):
-    # mu comes as a string key of train_summary.json; "10.0" < "2.0"
+    # mu comes as a float from each checkpoint's config; as strings,
+    # "10.0" < "2.0"
     rows = [(mu, 0, eps, 0, 1.0, 1.25, 0.25)
-            for mu in ("10.0", "2.0", "0.5") for eps in (0.1, 0.05)]
+            for mu in (10.0, 2.0, 0.5) for eps in (0.1, 0.05)]
     cli._print_sweep_summary(rows)
     lines = capsys.readouterr().out.splitlines()
     heads = [line.split(":")[0] for line in lines]
@@ -585,7 +607,7 @@ def test_perturb_sweep_rejects_epsilon_before_reading_input(tmp_path, capsys,
     # draw 1000 of split s would be draw 0 of split s + 1 (seed 1000 s + d)
     ("1001", "--draws must be at most 1000, got 1001"),
     # 1000 passes the check and fails on the missing train run
-    ("1000", "train_summary.json"),
+    ("1000", "no checkpoint in"),
 ])
 def test_perturb_sweep_rejects_more_draws_than_seeds_per_split(
         tmp_path, capsys, draws, named):
@@ -623,44 +645,35 @@ def test_train_rejects_settings_before_reading_the_ratings(
     assert not out.exists()
 
 
-# each malformed train_summary.json as a function of the one `train` wrote
-# (None: a file that is not JSON)
-SUMMARY_EDITS = {
-    "seeds 0": lambda summary: {**summary, "seeds": 0},
-    "fraction string": lambda summary: {**summary, "train_fraction": "0.9"},
-    "mus list": lambda summary: {**summary, "mus": ["0.0"]},
-    "float seed": lambda summary: {**summary, "seeds": [0.0]},
-    "boolean movie id": lambda summary: {**summary, "movie_id": True},
-    "fraction above 1": lambda summary: {**summary, "train_fraction": 1.5},
-    "no seeds": lambda summary: {k: v for k, v in summary.items()
-                                 if k != "seeds"},
-    "summary a list": list,
-    "summary not json": lambda summary: None,
-    "no seeds listed": lambda summary: {**summary, "seeds": []},
-    "no mus listed": lambda summary: {**summary, "mus": {}},
-    "seed repeated": lambda summary: {**summary, "seeds": [1, 1]},
-    "negative seed": lambda summary: {**summary, "seeds": [-1]},
-    "mus entry an integer": lambda summary: _edit_mu(summary, lambda s: 5),
-    "mus entry empty": lambda summary: _edit_mu(summary, lambda s: {}),
-    "rmse_mean zero": lambda summary: _edit_mu(
-        summary, lambda s: {"rmse_mean": 0}),
-    "rmse_mean boolean": lambda summary: _edit_mu(
-        summary, lambda s: {"rmse_mean": True}),
-    "mus key not a number": lambda summary: _rename_mu(summary, "zero"),
-    "mus key negative": lambda summary: _rename_mu(summary, "-0.5"),
+# each malformed checkpoint_mu0.5_split1.json as a function of the one
+# `train` wrote (None: a file that is not JSON)
+CHECKPOINT_EDITS = {
+    "rng_seed True": lambda c: _edit(c, "config", rng_seed=True),
+    "fraction string": lambda c: _edit(c, "task", train_fraction="0.9"),
+    "mu a list": lambda c: _edit(c, "config", mu=[0.5]),
+    "rng_seed 0.0": lambda c: _edit(c, "config", rng_seed=0.0),
+    "boolean movie id": lambda c: _edit(c, "task", movie_id=True),
+    "fraction above 1": lambda c: _edit(c, "task", train_fraction=1.5),
+    "no rng_seed": lambda c: _edit(c, "config", drop="rng_seed"),
+    "checkpoint a list": list,
+    "checkpoint not json": lambda c: None,
+    "seed repeated": lambda c: _edit(c, "config", rng_seed=0),
+    "rng_seed -1": lambda c: _edit(c, "config", rng_seed=-1),
+    "task an integer": lambda c: {**c, "task": 5},
+    "no test_rmse": lambda c: _edit(c, "task", drop="test_rmse"),
+    "test_rmse zero": lambda c: _edit(c, "task", test_rmse=0),
+    "test_rmse boolean": lambda c: _edit(c, "task", test_rmse=True),
+    "mu not a number": lambda c: _edit(c, "config", mu="zero"),
+    "mu negative": lambda c: _edit(c, "config", mu=-0.5),
 }
 
 
-def _rename_mu(summary, key):
-    """The summary with its mu 0.5 entry listed under key."""
-    return {**summary, "mus": {key if mu == "0.5" else mu: stats
-                               for mu, stats in summary["mus"].items()}}
-
-
-def _edit_mu(summary, edit):
-    """The summary with its mu 0.5 entry replaced by edit(entry)."""
-    return {**summary, "mus": {**summary["mus"],
-                               "0.5": edit(summary["mus"]["0.5"])}}
+def _edit(checkpoint, part, drop=None, **values):
+    """The checkpoint with values set in its part (model, config or task)
+    and the key drop removed from it."""
+    edited = {**checkpoint[part], **values}
+    return {**checkpoint, part: {k: v for k, v in edited.items()
+                                 if k != drop}}
 
 
 @pytest.mark.parametrize("command,bad,named", [
@@ -668,7 +681,7 @@ def _edit_mu(summary, edit):
     ("train", "missing data", "not found"),
     ("transfer", "empty data", "no ratings"),
     ("transfer", "missing data", "not found"),
-    ("transfer", "missing checkpoints", "train_summary.json"),
+    ("transfer", "missing checkpoints", "no checkpoint in {run}"),
     # the input reads, but the task it asks for is rejected
     ("train", "absent movie", "movie id 99999 not present"),
     ("transfer", "absent movie", "movie id 99999 not present"),
@@ -694,70 +707,76 @@ def _edit_mu(summary, edit):
      "split1.json: readout node must be an integer, got 3.7"),
     ("perturb-sweep", "boolean node",
      "split1.json: readout node must be an integer, got True"),
-    # the run's summary reads, but a field a sweep needs is malformed
-    *((command, bad, f"malformed run summary {{run}}: {named}")
+    # the checkpoint reads, but its config or task record is malformed
+    *((command, bad, f"malformed checkpoint {{ckpt}}: {named}")
       for command in ("transfer", "perturb-sweep", "split-sweep")
       for bad, named in (
-          ("seeds 0", "seeds must be a list of integers, got 0"),
+          ("rng_seed True",
+           "rng_seed must be a nonnegative integer, got True"),
           ("fraction string", "train_fraction must be a number, got '0.9'"),
-          ("mus list", "mus must be a mapping, got ['0.0']"))),
-    ("transfer", "float seed", "malformed run summary {run}: seeds must be "
-                               "a list of integers, got [0.0]"),
+          ("mu a list", "mu must be nonnegative and finite, got [0.5]"))),
+    ("transfer", "rng_seed 0.0", "malformed checkpoint {ckpt}: rng_seed must "
+                                 "be a nonnegative integer, got 0.0"),
     ("perturb-sweep", "boolean movie id",
-     "malformed run summary {run}: movie_id must be an integer, got True"),
+     "malformed checkpoint {ckpt}: movie_id must be an integer, got True"),
     ("split-sweep", "fraction above 1",
-     "malformed run summary {run}: train fraction 1.5 is outside (0, 1]"),
-    ("transfer", "no seeds", "malformed run summary {run}: no key 'seeds'"),
-    ("perturb-sweep", "summary a list", "malformed run summary {run}: "),
-    ("split-sweep", "summary not json", "malformed run summary {run}: "),
-    # a sweep over no split or no mu would write a header-only CSV, and a
-    # repeated seed would score its split twice
-    *((command, bad, f"malformed run summary {{run}}: {named}")
+     "malformed checkpoint {ckpt}: train fraction 1.5 is outside (0, 1]"),
+    ("transfer", "no rng_seed",
+     "malformed checkpoint {ckpt}: config has missing keys ['rng_seed']"),
+    ("perturb-sweep", "checkpoint a list",
+     "malformed checkpoint {ckpt}: checkpoint is a JSON list, not an object"),
+    ("split-sweep", "checkpoint not json", "malformed checkpoint {ckpt}: "),
+    # a sweep over no checkpoint would write a header-only CSV, and a
+    # repeated (mu, seed) would score its split twice
+    *((command, bad, "no checkpoint in {run}")
       for command in ("transfer", "perturb-sweep", "split-sweep")
-      for bad, named in (("no seeds listed", "seeds is empty"),
-                         ("no mus listed", "mus is empty"))),
+      for bad in ("checkpoints removed", "empty run directory")),
     ("transfer", "seed repeated",
-     "malformed run summary {run}: seeds repeats a value: [1, 1]"),
+     "checkpoint {ckpt} repeats mu 0.5 at split seed 0"),
     # numpy's own message would name neither the file nor the field
-    *((command, "negative seed", "malformed run summary {run}: seeds must "
-                                 "be nonnegative, got [-1]")
+    *((command, "rng_seed -1", "malformed checkpoint {ckpt}: rng_seed must "
+                               "be a nonnegative integer, got -1")
       for command in ("transfer", "perturb-sweep", "split-sweep")),
-    # transfer divides by each mu's rmse_mean; train writes NaN for a split
-    # without test users, which the "no test users" rows above read
-    ("transfer", "mus entry an integer", "malformed run summary {run}: "
-     "mus['0.5'] must map rmse_mean to a positive number or NaN, got 5"),
-    ("transfer", "mus entry empty", "malformed run summary {run}: "
-     "mus['0.5'] must map rmse_mean to a positive number or NaN, got {{}}"),
-    ("transfer", "rmse_mean zero", "malformed run summary {run}: "
-     "mus['0.5'] must map rmse_mean to a positive number or NaN, "
-     "got {{'rmse_mean': 0}}"),
-    ("perturb-sweep", "rmse_mean boolean", "malformed run summary {run}: "
-     "mus['0.5'] must map rmse_mean to a positive number or NaN, "
-     "got {{'rmse_mean': True}}"),
-    # train writes each key as str(mu); perturb-sweep orders them as numbers
-    *((command, "mus key not a number", "malformed run summary {run}: "
-                                        "could not convert string to float")
+    # transfer divides by each mu's mean test RMSE; train writes NaN for a
+    # split without test users, which the "no test users" rows above read
+    ("transfer", "task an integer",
+     "malformed checkpoint {ckpt}: task is a JSON int, not an object"),
+    ("transfer", "no test_rmse",
+     "malformed checkpoint {ckpt}: task has missing keys ['test_rmse']"),
+    ("transfer", "test_rmse zero", "malformed checkpoint {ckpt}: "
+     "test_rmse must be a positive number or NaN, got 0"),
+    ("perturb-sweep", "test_rmse boolean", "malformed checkpoint {ckpt}: "
+     "test_rmse must be a positive number or NaN, got True"),
+    # every sweep orders the models by mu as a number
+    *((command, "mu not a number", "malformed checkpoint {ckpt}: "
+                                   "mu must be nonnegative and finite, "
+                                   "got 'zero'")
       for command in ("transfer", "perturb-sweep", "split-sweep")),
-    ("perturb-sweep", "mus key negative", "malformed run summary {run}: "
-     "mus key '-0.5' must be a finite nonnegative number"),
+    ("perturb-sweep", "mu negative", "malformed checkpoint {ckpt}: "
+     "mu must be nonnegative and finite, got -0.5"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,
                                             command, bad, named):
     data, checkpoints, movie_id, extra = ratings_file, trained_dir, "7", []
+    ckpt = checkpoints / "checkpoint_mu0.5_split1.json"
     if bad == "empty data":
         data = tmp_path / "empty.data"
         data.write_text("")
     elif bad == "missing data":
         data = tmp_path / "missing.data"
-    elif bad == "missing checkpoints":
-        checkpoints = tmp_path / "missing_run"
+    elif bad in ("missing checkpoints", "empty run directory"):
+        checkpoints = tmp_path / "run_without_checkpoints"
+        if bad == "empty run directory":
+            checkpoints.mkdir()
+    elif bad == "checkpoints removed":
+        for path in checkpoints.glob("checkpoint_*.json"):
+            path.unlink()
     elif bad == "absent movie":
         movie_id, extra = "99999", ["--movie-ids", "99999"]
     elif bad in ("nan tap", "inf readout", "nan bias", "inf node",
                  "fractional node", "boolean node"):
-        path = checkpoints / "checkpoint_mu0.5_split1.json"
-        payload = json.loads(path.read_text())
+        payload = json.loads(ckpt.read_text())
         model = payload["model"]
         if bad == "nan tap":
             model["layers"][0]["taps"][0][0][0] = float("nan")
@@ -769,28 +788,14 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
             model["node"] = {"inf node": float("inf"),
                              "fractional node": 3.7,
                              "boolean node": True}[bad]
-        path.write_text(json.dumps(payload))
-
-        def unread(path):  # a bad checkpoint stops the sweep before this
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(cli, "load_ratings", unread)
-    elif bad in SUMMARY_EDITS:
-        path = checkpoints / "train_summary.json"
-        named = named.format(run=path)
-        summary = SUMMARY_EDITS[bad](json.loads(path.read_text()))
-        path.write_text("" if summary is None else json.dumps(summary))
-
-        def unread(path):  # a bad summary stops the sweep before this
-            raise AssertionError(f"{path} was read")
-
-        monkeypatch.setattr(cli, "load_checkpoint", unread)
-        monkeypatch.setattr(cli, "load_ratings", unread)
+        ckpt.write_text(json.dumps(payload))
+    elif bad in CHECKPOINT_EDITS:
+        payload = CHECKPOINT_EDITS[bad](json.loads(ckpt.read_text()))
+        ckpt.write_text("" if payload is None else json.dumps(payload))
     elif bad == "huge taps":
-        path = checkpoints / "checkpoint_mu0.5_split1.json"
-        payload = json.loads(path.read_text())
+        payload = json.loads(ckpt.read_text())
         payload["model"]["layers"][0]["taps"][0][0][:2] = [1e300, 1e300]
-        path.write_text(json.dumps(payload))
+        ckpt.write_text(json.dumps(payload))
         if command == "transfer":
             extra = ["--movie-ids", "3"]
     elif bad == "ratio above train fraction":
@@ -808,6 +813,13 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                      "--train-fraction", "1.0", "--out", str(checkpoints)]) == 0
         if command == "perturb-sweep":
             extra = ["--epsilon", "0.05", "--draws", "1"]
+    if "split1.json" in named or "{" in named:
+        named = named.format(run=checkpoints, ckpt=ckpt)
+
+        def unread(path):  # a bad run stops the sweep before this
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(cli, "load_ratings", unread)
     argv = [command, "--data", str(data)]
     if command == "train":
         argv += ["--movie-id", movie_id, "--seeds", "0", "--epochs", "1"]
@@ -817,6 +829,7 @@ def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
     assert main(argv + ["--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
 
 def test_perturb_sweep_names_an_empty_test_set(ratings_file, tmp_path,
                                                monkeypatch, capsys):
@@ -903,7 +916,7 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
 
     row = rows[0]
     assert (row["mu"], row["split_seed"], row["draw"]) == ("0.0", "0", "0")
-    model, _ = gnn.load_checkpoint(
+    model, _, _ = gnn.load_checkpoint(
         trained_dir / "checkpoint_mu0.0_split0.json")
     assert len(model.layers) == 1
     S_hat = cli.random_relative_perturbation(
@@ -911,6 +924,21 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
     for column, S in (("rmse_base", task.gso), ("rmse_perturbed", S_hat)):
         assert float(row[column]) == pytest.approx(
             _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
+
+
+def _sweep_rejects_the_run(ratings_file, tmp_path, monkeypatch, capsys,
+                           command, run, named):
+    """command over run exits 2 with named in its message, before the
+    ratings are read and before any output directory is made."""
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(cli, "load_ratings", unread)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(ratings_file),
+                 "--checkpoints", str(run), "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command",
@@ -926,20 +954,35 @@ def test_sweeps_reject_a_deeper_checkpoint(ratings_file, tmp_path,
     run = tmp_path / "run"
     run.mkdir()
     path = run / "checkpoint_mu0.0_split0.json"
-    gnn.save_checkpoint(path, model, gnn.TrainConfig())
-    (run / "train_summary.json").write_text(json.dumps({
-        "movie_id": 7, "train_fraction": 0.9, "seeds": [0],
-        "mus": {"0.0": {"rmse_mean": 1.0}}}))
+    gnn.save_checkpoint(path, model, gnn.TrainConfig(),
+                        gnn.TaskRecord("0123456789abcdef", 7, 0.9, 1.0))
+    _sweep_rejects_the_run(ratings_file, tmp_path, monkeypatch, capsys,
+                           command, run, f"checkpoint {path} has 2 layers")
 
-    def unread(path):
-        raise AssertionError(f"{path} was read")
 
-    monkeypatch.setattr(cli, "load_ratings", unread)
-    out = tmp_path / "out"
-    assert main([command, "--data", str(ratings_file),
-                 "--checkpoints", str(run), "--out", str(out)]) == 2
-    assert f"checkpoint {path} has 2 layers" in capsys.readouterr().err
-    assert not out.exists()
+@pytest.mark.parametrize("command",
+                         ["transfer", "perturb-sweep", "split-sweep"])
+def test_sweeps_reject_two_runs_in_one_directory(ratings_file, tmp_path,
+                                                 monkeypatch, capsys, command):
+    # the second run overwrites the mu = 0 checkpoints and leaves the first
+    # run's mu = 0.5 ones: a sweep would mix the two runs' models
+    run = tmp_path / "run"
+    assert _train_two_splits(ratings_file, run, "0", "0.5") == 0
+    assert _train_two_splits(ratings_file, run, "0") == 0
+    _sweep_rejects_the_run(ratings_file, tmp_path, monkeypatch, capsys,
+                           command, run, f"{run} holds checkpoints of 2 runs")
+
+
+@pytest.mark.parametrize("command",
+                         ["transfer", "perturb-sweep", "split-sweep"])
+def test_sweeps_reject_a_hole_in_the_mu_seed_grid(trained_dir, ratings_file,
+                                                  tmp_path, monkeypatch,
+                                                  capsys, command):
+    # mu 0.5 would be averaged over fewer splits than mu 0
+    (trained_dir / "checkpoint_mu0.5_split1.json").unlink()
+    _sweep_rejects_the_run(
+        ratings_file, tmp_path, monkeypatch, capsys, command, trained_dir,
+        f"{trained_dir} holds no checkpoint of mu 0.5 at split seed 1")
 
 
 def test_perturb_sweep_rejects_a_non_finite_rmse(trained_dir, ratings_file,

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -31,6 +32,7 @@ from graphstab.graphs import shared_scope
 from graphstab.gnn import (
     _ACTIVATIONS,
     _parameters,
+    TaskRecord,
     load_checkpoint,
     model_to_dict,
     objective_gradients,
@@ -296,15 +298,19 @@ def test_gnn_permutation_equivariance():
 def test_checkpoint_roundtrip(tmp_path, gso8):
     model = init_model(3, [1, 4], [5], ["relu"], node=6)
     config = TrainConfig(mu=0.5, lambda_interval=(-2.0, 2.0))
+    task = TaskRecord("0123456789abcdef", 7, 0.9, float("nan"))
     path = tmp_path / "model.json"
-    save_checkpoint(path, model, config)
-    loaded, loaded_config = load_checkpoint(path)
+    save_checkpoint(path, model, config, task)
+    loaded, loaded_config, loaded_task = load_checkpoint(path)
     x = np.random.default_rng(10).standard_normal(8)
     assert forward(loaded, gso8, x).prediction == pytest.approx(
         forward(model, gso8, x).prediction
     )
     assert loaded_config.mu == 0.5
     assert loaded_config.lambda_interval == (-2.0, 2.0)
+    # NaN marks a split without test users
+    assert loaded_task.run == task.run and np.isnan(loaded_task.test_rmse)
+    assert (loaded_task.movie_id, loaded_task.train_fraction) == (7, 0.9)
 
 
 @pytest.mark.parametrize("drop, add, message", [
@@ -318,7 +324,7 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
 def test_checkpoint_names_only_the_wrong_keys(tmp_path, drop, add, message):
     path = tmp_path / "model.json"
     save_checkpoint(path, init_model(3, [1, 2], [2], ["relu"], node=0),
-                    TrainConfig())
+                    TrainConfig(), TaskRecord("0123456789abcdef", 7, 0.9, 1.0))
     payload = json.loads(path.read_text())
     if drop:
         del payload["config"][drop]
@@ -328,6 +334,15 @@ def test_checkpoint_names_only_the_wrong_keys(tmp_path, drop, add, message):
     with pytest.raises(ValueError) as info:
         load_checkpoint(path)
     assert str(info.value).endswith(f": {message}")
+
+
+@pytest.mark.parametrize("seed", [-1, 0.0, True, "0", None])
+def test_train_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # numpy would reject -1 and 0.0 naming no field, and take True as 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"rng_seed must be a nonnegative integer, got {seed!r}")):
+        TrainConfig(rng_seed=seed)
+    assert TrainConfig(rng_seed=np.int64(3)).rng_seed == 3
 
 
 @pytest.mark.parametrize("field, name", [("epochs", "epochs"),

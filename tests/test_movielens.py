@@ -143,6 +143,15 @@ def test_ratings_matrix_keeps_one_read_only_byte_per_rating(ratings_file):
             ratings_from_matrix([[5, 0], [1, bad]])
 
 
+def test_ratings_matrix_cannot_be_made_writable(ratings_file):
+    # a write would change the samples a built task makes on first read,
+    # while the task's GSO keeps the old ratings
+    for ratings in (load_ratings(ratings_file),
+                    ratings_from_matrix([[5.0, 0.0], [1.0, 3.0]])):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            ratings.matrix.setflags(write=True)
+
+
 def test_movie_index_missing():
     ratings = ratings_from_matrix([[5.0]])
     with pytest.raises(KeyError):

@@ -1,3 +1,4 @@
+import fnmatch
 import re
 import shlex
 from pathlib import Path
@@ -40,3 +41,25 @@ def test_readme_cli_lines_without_data_run(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, argv
     assert "all invariants satisfied" in capsys.readouterr().out
     assert len(list(tmp_path.glob("*/tradeoff.csv"))) == 1
+
+
+def test_readme_cli_names_only_files_the_commands_write(ratings_file,
+                                                        tmp_path):
+    # so a retired output cannot stay documented; a `{seed}` field matches
+    # any text, as a glob
+    text = README.read_text()
+    start = text.index("## CLI")
+    cli = text[start:text.index("\n## ", start)]
+    names = set(re.findall(r"`([^`\s]+\.(?:csv|json))`", cli))
+    assert "rmse.csv" in names
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(ratings_file), "--movie-id", "7",
+                 "--mu", "0", "--seeds", "0", "--epochs", "1",
+                 "--features", "2", "--taps", "2", "--out", str(run)]) == 0
+    for argv in (["transfer"], ["perturb-sweep", "--draws", "1"],
+                 ["split-sweep"]):
+        assert main([*argv, "--data", str(ratings_file), "--checkpoints",
+                     str(run), "--out", str(tmp_path / "sweeps")]) == 0
+    written = [path.name for path in tmp_path.rglob("*") if path.is_file()]
+    assert [name for name in sorted(names) if not fnmatch.filter(
+        written, re.sub(r"\{[^}]*\}", "*", name))] == []
