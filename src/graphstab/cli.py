@@ -136,10 +136,11 @@ def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
     (S^k x)[node] = r_k . x with r_k = S^k e_node (S is symmetric). The
     rows come from K - 1 shifts of e_node, by `graph_shift` or by
     spec.shift, which never forms S_hat. Each `forward` takes a (K, N, 1)
-    stack exact at row node and zero elsewhere, like `train`'s, and reads
-    its GSO only for N and the node check. Both arms take the same
-    arithmetic, so they have the same bits at epsilon = 0. The benchmark
-    pins the `forward` count, so this does not call `predict`.
+    stack exact at row node and zero elsewhere, so it applies the bank and
+    the activation at that row alone, and reads its GSO only for N and the
+    node check. Both arms take the same arithmetic, so they have the same
+    bits at epsilon = 0. The benchmark pins the `forward` count, so this
+    does not call `predict`.
     """
     X = np.stack([x for x, _ in samples], axis=1)
     K = model.layers[0].taps.shape[2]

@@ -13,7 +13,9 @@ hence the trained network stable to relative graph perturbations.
 
 The readout reads row `node` of the last layer only, and S is symmetric, so
 row `node` of S^k F is (S^k e_node)^T F. `predict` takes that (K, F) product
-where `forward` shifts all N rows of the features K - 1 times.
+where `forward` shifts all N rows of the features K - 1 times. Given a
+first-layer shift stack, as in training, `forward` applies the last bank and
+its activation at row `node` alone.
 """
 
 import copy
@@ -156,10 +158,15 @@ class TaskRecord:
 
 @dataclass
 class ForwardCache:
+    """What `forward` computed; the last layer's full arrays are None when it
+    was given a first-layer stack (see `forward`)."""
+
     prediction: float
-    layer_shifts: list        # (K, N, F_in)
-    preactivations: list      # H_l(S) x_{l-1}
-    features: np.ndarray      # final (N, F_L)
+    layer_shifts: list             # (K, N, F_in) per layer
+    preactivations: list           # H_l(S) x_{l-1}, (N, F_l) per layer
+    features: np.ndarray | None    # final (N, F_L)
+    readout_preactivation: np.ndarray  # (F_L,) row `node` of the last z
+    readout_features: np.ndarray   # (F_L,) row `node` of the final features
 
 
 def init_model(seed, layer_dims, taps_per_layer, activations, node) -> GNNModel:
@@ -214,6 +221,20 @@ def _layer(S: GSO, layer: LayerSpec, feat, shifts=None):
     return shifts, z, _ACTIVATIONS[layer.activation][0](z)
 
 
+def _readout_row(row, taps):
+    """row, a row of the output of the bank `taps`, laid out as that row of
+    `bank_apply`'s full (N, F_out) result. The result is in Fortran order
+    when F_in = 1 < K, so its rows are strided, and BLAS sums a strided
+    vector in another order than a contiguous one: the readout's dot
+    product keeps its bits only on the same stride."""
+    f_in, f_out, K = taps.shape
+    if not f_in == 1 < K:
+        return row
+    strided = np.empty((f_out, 2))
+    strided[:, 0] = row
+    return strided[:, 0]
+
+
 def forward(model: GNNModel, S: GSO, x: np.ndarray,
             first_layer_shifts: np.ndarray | None = None) -> ForwardCache:
     """Run the network; caches per-layer shifts and pre-activations.
@@ -221,10 +242,14 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     first_layer_shifts, when given, is the precomputed (K, N, F_0) shift
     stack of x; shifts do not depend on the parameters, so each caller
     builds its stacks once. `train` passes a stack that is true only
-    inside the readout's receptive field, so the prediction is exact and
-    the features on rows outside it are not. `cli._evaluate` passes a
-    one-layer model a stack that is exact at row `node` and zero elsewhere,
-    which such a model's prediction alone reads.
+    inside the readout's receptive field, and `cli._evaluate` one that is
+    true only at row `node`. Either way the prediction is exact, because
+    the last bank and its activation then run at row `node` alone: the
+    cache holds that row as readout_preactivation and readout_features,
+    and its features and last preactivations are None. Without a stack,
+    every layer runs on all N rows and the cache holds them, the readout
+    row being a view of the features. The row keeps the stride of the full
+    result on both paths (see `_readout_row`), so both give the same bits.
     """
     feat = _check_input(model, S, x)
     if first_layer_shifts is not None:
@@ -236,16 +261,29 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
                 f"{np.shape(first_layer_shifts)} does not match "
                 f"(K, N, F_0) = {want}"
             )
-    layer_shifts, preactivations = [], []
-    for i, layer in enumerate(model.layers):
-        shifts, z, feat = _layer(S, layer, feat,
-                                 first_layer_shifts if i == 0 else None)
+    *lower, last = model.layers
+    shifts, layer_shifts, preactivations = first_layer_shifts, [], []
+    for layer in lower:
+        shifts, z, feat = _layer(S, layer, feat, shifts)
         layer_shifts.append(shifts)
         preactivations.append(z)
-    prediction = float(
-        feat[model.node] @ model.readout_weights + model.readout_bias[0]
-    )
-    return ForwardCache(prediction, layer_shifts, preactivations, feat)
+        shifts = None
+    if shifts is None:
+        shifts = shift_stack(S, feat, last.taps.shape[2])
+    layer_shifts.append(shifts)
+    node, activation = model.node, _ACTIVATIONS[last.activation][0]
+    if first_layer_shifts is None:
+        z = bank_apply(shifts, last.taps)
+        feat = activation(z)
+        z_row, f_row = z[node], feat[node]
+    else:
+        z_row = bank_apply(shifts[:, node:node + 1], last.taps)[0]
+        f_row = _readout_row(activation(z_row), last.taps)
+        z = feat = None
+    preactivations.append(z)
+    prediction = float(f_row @ model.readout_weights + model.readout_bias[0])
+    return ForwardCache(prediction, layer_shifts, preactivations, feat,
+                        z_row, f_row)
 
 
 def predict(model: GNNModel, S: GSO, signals) -> np.ndarray:
@@ -308,25 +346,27 @@ def sample_gradients(model: GNNModel, S: GSO, y: float, cache: ForwardCache):
 
     The readout reads row `model.node` only, so the last layer's upstream
     gradient is zero on every other row and its tap gradient is the exact
-    outer product of that row's shifts with the readout-row gradient. The
-    full N-row gradient is built only to backpropagate into earlier layers;
-    there, layer l's gradient is nonzero only within sum_{m > l} (K_m - 1)
-    hops of the readout node.
+    outer product of that row's shifts with the readout-row gradient. So
+    the last layer is read through the cache's readout row alone, which
+    `forward` fills with or without a first-layer stack. The full N-row
+    gradient is built only to backpropagate into earlier layers; there,
+    layer l's gradient is nonzero only within sum_{m > l} (K_m - 1) hops of
+    the readout node.
 
     Returns (tap_grads per layer, readout_weight_grad, bias_grad).
     """
     node = model.node
     dpred = smooth_l1_grad(cache.prediction, y)
-    g_w = dpred * cache.features[node]
+    g_w = dpred * cache.readout_features
     g_b = dpred
     last = len(model.layers) - 1
     dact = _ACTIVATIONS[model.layers[last].activation][1]
-    gp = dpred * model.readout_weights * dact(cache.preactivations[last][node])
+    gp = dpred * model.readout_weights * dact(cache.readout_preactivation)
     tap_grads = [None] * last + [
         np.einsum("kf,g->fgk", cache.layer_shifts[last][:, node], gp)
     ]
     if last > 0:
-        Gp = np.zeros_like(cache.features)
+        Gp = np.zeros((S.node_count, gp.size))
         Gp[node] = gp
     for i in range(last, 0, -1):
         taps = model.layers[i].taps

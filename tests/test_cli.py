@@ -926,6 +926,33 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
             _per_user_rmse(model, S, task.test), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("arm", ["base", "perturbed"])
+def test_evaluate_has_the_bits_of_one_plain_forward_per_user(arm):
+    """`_evaluate` scores the paper's [1, 64] K = 5 model at the readout
+    row; its RMSE equals, bit for bit, that of one plain `forward` per user
+    over S or S_hat. Weights, E and signals are dyadic and small, so every
+    shift is exact in any order and the bits show how the readout row is
+    laid out and summed. A lone user of label 0 scores |prediction|, so
+    there no last bit of a prediction rounds away in the mean."""
+    from graphstab import gnn
+    from graphstab.perturbation import PerturbationSpec
+
+    rng = np.random.default_rng(4)
+    n = 30
+    W = np.triu(rng.choice([0.0, 0.25, 0.5], (n, n), p=[0.85, 0.1, 0.05]), 1)
+    S = graphs.build_gso(W + W.T)
+    E = np.triu(rng.choice([-1.0, 0.0, 1.0], (n, n), p=[0.1, 0.8, 0.1]) / 16)
+    spec = (PerturbationSpec(S, E + np.triu(E, 1).T) if arm == "perturbed"
+            else None)
+    model = gnn.init_model(5, [1, 64], [5], ["relu"], node=3)
+    samples = [(rng.integers(0, 6, n) * (rng.random(n) < 0.4),
+                float(rng.integers(1, 6))) for _ in range(40)]
+    for users in [samples] + [[(x, 0.0)] for x, _ in samples]:
+        want = _per_user_rmse(model, S if spec is None else spec.perturbed,
+                              users)
+        assert cli._evaluate(model, S, users, spec) == want
+
+
 def _sweep_rejects_the_run(ratings_file, tmp_path, monkeypatch, capsys,
                            command, run, named):
     """command over run exits 2 with named in its message, before the

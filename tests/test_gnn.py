@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -373,9 +374,29 @@ def _full_n_sample_gradients(model, S, y, cache):
     return tap_grads, dpred * cache.features[model.node], dpred
 
 
+def _full_n_forward(model, S, x, first_layer_shifts):
+    """Oracle: every layer on all N rows, the first on the given stack, and
+    the readout on row `node` of the full features."""
+    feat = np.atleast_2d(np.asarray(x, dtype=float).T).T
+    shifts = first_layer_shifts
+    layer_shifts, preactivations = [], []
+    for layer in model.layers:
+        if shifts is None:
+            shifts = shift_stack(S, feat, layer.taps.shape[2])
+        z = np.einsum("knf,fgk->ng", shifts, layer.taps)
+        feat = _ACTIVATIONS[layer.activation][0](z)
+        layer_shifts.append(shifts)
+        preactivations.append(z)
+        shifts = None
+    prediction = float(feat[model.node] @ model.readout_weights
+                       + model.readout_bias[0])
+    return SimpleNamespace(prediction=prediction, layer_shifts=layer_shifts,
+                           preactivations=preactivations, features=feat)
+
+
 def _full_n_train(model, S, train_set, config):
     """Oracle: the per-sample training loop on the full N-row first-layer
-    shift stack, with full N-row gradients."""
+    shift stack, with a full N-row forward pass and full N-row gradients."""
     model = copy.deepcopy(model)
     config = copy.copy(config)
     config.lambda_interval = resolve_lambda_interval(S, config)
@@ -398,8 +419,7 @@ def _full_n_train(model, S, train_set, config):
             acc = [np.zeros_like(p) for p in params]
             for idx in batch:
                 x, y = train_set[idx]
-                cache = forward(model, S, x,
-                                first_layer_shifts=shifts_all[:, idx])
+                cache = _full_n_forward(model, S, x, shifts_all[:, idx])
                 epoch_loss += smooth_l1_loss(cache.prediction, y)
                 tap_grads, g_w, g_b = _full_n_sample_gradients(model, S, y,
                                                                cache)
@@ -447,6 +467,11 @@ EXACTNESS_NETS = [
     ([1, 4], [4], ["relu"]),
     ([1, 3, 2], [3, 4], ["relu", "tanh"]),
     ([2, 3, 2, 3], [2, 3, 2], ["relu", "tanh", "relu"]),
+    # the paper's model, whose readout row is strided (see
+    # `gnn._readout_row`), and one whose readout row is as wide but
+    # contiguous
+    ([1, 64], [5], ["relu"]),
+    ([1, 3, 16], [3, 2], ["relu", "relu"]),
 ]
 
 
