@@ -28,7 +28,6 @@ from .gnn import (
     load_checkpoint,
     objective,
     objective_gradients,
-    predict,
     save_checkpoint,
     train,
 )
@@ -139,8 +138,7 @@ def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
     stack exact at row node and zero elsewhere, so it applies the bank and
     the activation at that row alone, and reads its GSO only for N and the
     node check. Both arms take the same arithmetic, so they have the same
-    bits at epsilon = 0. The benchmark pins the `forward` count, so this
-    does not call `predict`.
+    bits at epsilon = 0, and every sweep scores through here.
     """
     X = np.stack([x for x, _ in samples], axis=1)
     K = model.layers[0].taps.shape[2]
@@ -156,11 +154,6 @@ def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
                          (A[:, j, None] * e_node)[:, :, None]).prediction
                  for j, (x, _) in enumerate(samples)]
         score = rmse(preds, [y for _, y in samples])
-    return _finite_rmse(score, where)
-
-
-def _finite_rmse(score, where):
-    """score, or a ValueError naming `where` if it is not finite."""
     if not np.isfinite(score):
         raise ValueError(f"test RMSE {where} is {score}, not finite")
     return score
@@ -176,21 +169,17 @@ def _test_set(task, train_fraction):
 
 def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed,
                       samples=None):
-    """RMSE of `predict` on samples (default: the task's test set) over the
+    """`_evaluate`'s RMSE on samples (default: the task's test set) over the
     GSO of the task built for movie_id, by a copy of model whose readout is
     moved to that movie; and the samples. The task is dropped on return, so
     a sweep never holds one task while it builds the next. A non-finite
-    RMSE raises ValueError naming the movie and the train fraction; no
-    floating-point warning escapes."""
+    RMSE raises ValueError naming the movie and the train fraction."""
     task = build_task(ratings, target_item_id=movie_id,
                       train_fraction=train_fraction, seed=split_seed)
     samples = samples or _test_set(task, train_fraction)
-    signals, labels = zip(*samples)
     model = dataclasses.replace(model, node=task.target_index)
-    with np.errstate(over="ignore", invalid="ignore"):
-        score = rmse(predict(model, task.gso, signals), labels)
-    return _finite_rmse(score, f"for movie {movie_id} at train fraction "
-                               f"{train_fraction}"), samples
+    return _evaluate(model, task.gso, samples, where=(
+        f"for movie {movie_id} at train fraction {train_fraction}")), samples
 
 
 def _train_one_split(ratings, args, split_seed, config: TrainConfig,

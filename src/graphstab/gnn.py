@@ -11,11 +11,9 @@ where the penalty sums, over every filter in every bank, the maximum of
 interval. Keeping that quantity small keeps the filters integral Lipschitz,
 hence the trained network stable to relative graph perturbations.
 
-The readout reads row `node` of the last layer only, and S is symmetric, so
-row `node` of S^k F is (S^k e_node)^T F. `predict` takes that (K, F) product
-where `forward` shifts all N rows of the features K - 1 times. Given a
-first-layer shift stack, as in training, `forward` applies the last bank and
-its activation at row `node` alone.
+The readout reads row `node` of the last layer only. Given a first-layer
+shift stack, as in training, `forward` applies the last bank and its
+activation at row `node` alone.
 """
 
 import copy
@@ -213,14 +211,6 @@ def _check_input(model: GNNModel, S: GSO, x) -> np.ndarray:
     return x
 
 
-def _layer(S: GSO, layer: LayerSpec, feat, shifts=None):
-    """A layer's shift stack of feat (unless given), preactivation, output."""
-    if shifts is None:
-        shifts = shift_stack(S, feat, layer.taps.shape[2])
-    z = bank_apply(shifts, layer.taps)
-    return shifts, z, _ACTIVATIONS[layer.activation][0](z)
-
-
 def _readout_row(row, taps):
     """row, a row of the output of the bank `taps`, laid out as that row of
     `bank_apply`'s full (N, F_out) result. The result is in Fortran order
@@ -264,7 +254,10 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     *lower, last = model.layers
     shifts, layer_shifts, preactivations = first_layer_shifts, [], []
     for layer in lower:
-        shifts, z, feat = _layer(S, layer, feat, shifts)
+        if shifts is None:
+            shifts = shift_stack(S, feat, layer.taps.shape[2])
+        z = bank_apply(shifts, layer.taps)
+        feat = _ACTIVATIONS[layer.activation][0](z)
         layer_shifts.append(shifts)
         preactivations.append(z)
         shifts = None
@@ -284,24 +277,6 @@ def forward(model: GNNModel, S: GSO, x: np.ndarray,
     prediction = float(f_row @ model.readout_weights + model.readout_bias[0])
     return ForwardCache(prediction, layer_shifts, preactivations, feat,
                         z_row, f_row)
-
-
-def predict(model: GNNModel, S: GSO, signals) -> np.ndarray:
-    """`forward`'s prediction, to rounding, for each of a nonempty sequence
-    of signals, with its ValueErrors. The last layer takes the K rows S^k
-    e_node once and a (K, F) product per signal (see the module docstring)."""
-    *lower, last = model.layers
-    # zero rows for a node outside S, which the first signal's check rejects
-    rows = shift_stack(S, np.arange(S.node_count) == model.node,
-                       last.taps.shape[2])  # (K, N)
-    readout_shifts = []
-    for x in signals:
-        feat = _check_input(model, S, x)
-        for layer in lower:
-            feat = _layer(S, layer, feat)[2]
-        readout_shifts.append(rows @ feat)  # (K, F)
-    out = _layer(S, last, None, np.stack(readout_shifts, axis=1))[2]
-    return out @ model.readout_weights + model.readout_bias[0]
 
 
 def smooth_l1_loss(prediction: float, target: float) -> float:

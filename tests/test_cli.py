@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import inspect
 import json
+import statistics
 import weakref
 
 import numpy as np
@@ -10,10 +11,18 @@ import pytest
 from graphstab import cli, gnn, graphs, perturbation
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
+from conftest import make_ratings_file
+
 
 def csv_body(path):
     return [line for line in path.read_text().splitlines()
             if not line.startswith("#")]
+
+
+def csv_table(path):
+    """The CSV's rows as dicts keyed by its column names."""
+    rows = [line.split(",") for line in csv_body(path)]
+    return [dict(zip(rows[0], row)) for row in rows[1:]]
 
 
 @pytest.fixture
@@ -462,15 +471,15 @@ def test_split_sweep(trained_dir, ratings_file, tmp_path):
 
 def test_split_sweep_scores_the_checkpoints_test_users_at_every_ratio(
         trained_dir, ratings_file, tmp_path, monkeypatch):
-    # only the graph changes with the ratio: every `predict` call, the base
-    # and each ratio, scores the test users of the checkpoint's own split
-    exact, scored = cli.predict, []
+    # only the graph changes with the ratio: every `_evaluate` call, the
+    # base and each ratio, scores the test users of the checkpoint's own split
+    exact, scored = cli._evaluate, []
 
-    def recording(model, S, signals):
-        scored.append(len(signals))
-        return exact(model, S, signals)
+    def recording(model, S, samples, *args, **kwargs):
+        scored.append(len(samples))
+        return exact(model, S, samples, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "predict", recording)
+    monkeypatch.setattr(cli, "_evaluate", recording)
     assert main(["split-sweep", "--data", str(ratings_file),
                  "--checkpoints", str(trained_dir),
                  "--splits", "0.5", "0.7", "0.9",
@@ -878,11 +887,6 @@ def _count_perturb_sweep_calls(monkeypatch, argv):
     return calls
 
 
-def _perturb_sweep_rows(out):
-    rows = [line.split(",") for line in csv_body(out / "perturb_sweep.csv")]
-    return [dict(zip(rows[0], row)) for row in rows[1:]]
-
-
 def _per_user_rmse(model, S, samples):
     from graphstab import gnn
     from graphstab.movielens import rmse
@@ -903,7 +907,7 @@ def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
     calls = _count_perturb_sweep_calls(monkeypatch, [
         "--data", str(ratings_file), "--checkpoints", str(trained_dir),
         "--epsilon", "0.02", "0.05", "--draws", "2", "--out", str(out)])
-    rows = _perturb_sweep_rows(out)
+    rows = csv_table(out / "perturb_sweep.csv")
     models, draws = 2 * 2, 2 * 2  # (mu, seed) pairs; epsilons x draws
     assert len(rows) == models * draws
 
@@ -1065,24 +1069,18 @@ def test_sweeps_reject_repeated_values(tmp_path, capsys, command, flag,
     assert not out.exists()
 
 
-def test_transfer_and_split_sweep_score_without_forward(
-        trained_dir, ratings_file, tmp_path, monkeypatch):
-    """Both sweeps score through `predict`; their RMSE columns match a
-    per-sample `forward` on the same tasks to 1e-12 relative."""
+def test_transfer_and_split_sweep_match_a_per_sample_forward(
+        trained_dir, ratings_file, tmp_path):
+    """Both sweeps' RMSE columns match a plain per-sample `forward` on the
+    same tasks to 1e-12 relative."""
     from graphstab import gnn
     from graphstab.movielens import build_task, load_ratings, rmse
 
-    def unused(*args, **kwargs):
-        raise AssertionError("forward was called")
-
-    monkeypatch.setattr(cli, "forward", unused)
-    monkeypatch.setattr(gnn, "forward", unused)
     common = ["--data", str(ratings_file), "--checkpoints", str(trained_dir)]
     assert main(["transfer", *common, "--movie-ids", "3", "5",
                  "--out", str(tmp_path / "transfer")]) == 0
     assert main(["split-sweep", *common, "--splits", "0.5", "0.8",
                  "--out", str(tmp_path / "splits")]) == 0
-    monkeypatch.undo()
 
     ratings = load_ratings(ratings_file)
     models = {(mu, seed): gnn.load_checkpoint(
@@ -1102,24 +1100,52 @@ def test_transfer_and_split_sweep_score_without_forward(
     def close(got, want):
         return float(got) == pytest.approx(want, rel=1e-12, abs=0)
 
-    def table(path):
-        rows = [line.split(",") for line in csv_body(path)]
-        return [dict(zip(rows[0], row)) for row in rows[1:]]
-
-    rows = table(tmp_path / "transfer" / "transfer.csv")
+    rows = csv_table(tmp_path / "transfer" / "transfer.csv")
     assert len(rows) == 2 * 2  # mus x movies
     for row in rows:
         per_split = [per_sample(row["mu"], seed, int(row["movie_id"]), 0.9)
                      for seed in (0, 1)]
         mean, std = cli._mean_std(per_split)
         assert close(row["rmse_mean"], mean) and close(row["rmse_std"], std)
-    rows = table(tmp_path / "splits" / "split_sweep.csv")
+    rows = csv_table(tmp_path / "splits" / "split_sweep.csv")
     assert len(rows) == 2 * 2 * 2  # mus x seeds x ratios
     for row in rows:
         seed = int(row["split_seed"])
         assert close(row["rmse_base"], per_sample(row["mu"], seed, 7, 0.9))
         assert close(row["rmse_at_ratio"], per_sample(
             row["mu"], seed, 7, float(row["train_fraction"])))
+
+
+def test_every_sweep_scores_one_base_rmse(tmp_path):
+    """perturb-sweep and split-sweep score each checkpoint of the paper's
+    [1, 64] K = 5 model on its own task with the same bits, and transfer
+    to the run's own movie gives their mean over the split seeds."""
+    data = str(make_ratings_file(tmp_path / "u.data", users=60, movies=200))
+    run = str(tmp_path / "run")
+    assert main(["train", "--data", data, "--movie-id", "7",
+                 "--mu", "0.0", "0.5", "--seeds", "0", "1", "--epochs", "1",
+                 "--out", run]) == 0
+    common = ["--data", data, "--checkpoints", run]
+    assert main(["perturb-sweep", *common, "--epsilon", "0.1",
+                 "--draws", "1", "--out", str(tmp_path / "perturb")]) == 0
+    assert main(["split-sweep", *common, "--splits", "0.5",
+                 "--out", str(tmp_path / "splits")]) == 0
+    assert main(["transfer", *common, "--movie-ids", "7",
+                 "--out", str(tmp_path / "transfer")]) == 0
+
+    def base(path):
+        return {(row["mu"], row["split_seed"]): float(row["rmse_base"])
+                for row in csv_table(path)}
+
+    perturbed = base(tmp_path / "perturb" / "perturb_sweep.csv")
+    assert sorted(perturbed) == [(mu, seed) for mu in ("0.0", "0.5")
+                                 for seed in ("0", "1")]
+    assert base(tmp_path / "splits" / "split_sweep.csv") == perturbed
+    transfer = {row["mu"]: float(row["rmse_mean"])
+                for row in csv_table(tmp_path / "transfer" / "transfer.csv")}
+    assert transfer == {mu: statistics.fmean(perturbed[mu, seed]
+                                             for seed in ("0", "1"))
+                        for mu in ("0.0", "0.5")}
 
 
 @pytest.mark.parametrize("fraction,users", [("0.03", 1), ("0.01", 0)])
