@@ -61,6 +61,7 @@ from .stability import (
 )
 from .movielens import (
     RatingsMatrix,
+    Samples,
     TaskSplit,
     build_task,
     load_ratings,

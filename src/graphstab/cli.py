@@ -39,7 +39,8 @@ from .graphs import (
     random_weighted_graph,
     shared_scope,
 )
-from .movielens import build_task, check_train_fraction, load_ratings, rmse
+from .movielens import (Samples, build_task, check_train_fraction,
+                        load_ratings, rmse)
 from .perturbation import (SingularEquationError, random_relative_perturbation,
                            solve_relative_error)
 from .spectral import bank_response, eigendecompose
@@ -96,9 +97,10 @@ def _check_seeds(flag, seeds) -> None:
 def _load_run(args):
     """The sweep's output directory (made only when it writes its CSV), a
     task record of the `train` run in --checkpoints, the ratings, and each
-    checkpoint's (model, test RMSE) by (mu, split seed), ascending. Every
+    checkpoint's (model, task record) by (mu, split seed), ascending. Every
     checkpoint_*.json is checked first: one run, one-layer models, as
-    `train` writes, and each (mu, seed) of the mu x seed grid once."""
+    `train` writes, and each (mu, seed) of the mu x seed grid once. Then
+    --data must hold the ratings the run was trained on."""
     ckpt_dir = Path(args.checkpoints)
     models, runs = {}, set()
     for path in sorted(ckpt_dir.glob("checkpoint_*.json")):
@@ -111,8 +113,9 @@ def _load_run(args):
         if key in models:
             raise ValueError(f"checkpoint {path} repeats mu {key[0]} at "
                              f"split seed {key[1]}")
-        models[key] = model, record.test_rmse
-        runs.add((record.run, record.movie_id, record.train_fraction))
+        models[key] = model, record
+        runs.add((record.run, record.movie_id, record.train_fraction,
+                  record.ratings_digest))
     if len(runs) != 1:
         raise ValueError(f"{ckpt_dir} holds checkpoints of {len(runs)} runs"
                          if runs else f"no checkpoint in {ckpt_dir}")
@@ -121,26 +124,31 @@ def _load_run(args):
         if key not in models:
             raise ValueError(f"{ckpt_dir} holds no checkpoint of mu {key[0]} "
                              f"at split seed {key[1]}")
-    return (Path(args.out), record, load_ratings(args.data),
+    ratings = load_ratings(args.data)
+    if ratings.digest != record.ratings_digest:
+        raise ValueError(f"{args.data} has ratings digest {ratings.digest}, "
+                         f"but the run in {ckpt_dir} was trained on ratings "
+                         f"digest {record.ratings_digest}")
+    return (Path(args.out), record, ratings,
             {key: models[key] for key in sorted(models)})
 
 
 def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
-    """RMSE of a one-layer model's predictions on samples over the GSO S,
-    or over the S_hat of spec (a perturbation of S), one `forward` per
-    sample. A non-finite RMSE raises ValueError naming `where`; no
-    floating-point warning escapes.
+    """RMSE of a one-layer model's predictions on the `Samples` samples
+    over the GSO S, or over the S_hat of spec (a perturbation of S), one
+    `forward` per sample. A non-finite RMSE raises ValueError naming
+    `where`; no floating-point warning escapes.
 
     The model reads its shift stack only at row `node`, where
-    (S^k x)[node] = r_k . x with r_k = S^k e_node (S is symmetric). The
-    rows come from K - 1 shifts of e_node, by `graph_shift` or by
+    (S^k x)[node] = r_k . x with r_k = S^k e_node (S is symmetric), so the
+    rows times the (N, n) block X[:, 0] of the samples give every readout
+    row. The rows come from K - 1 shifts of e_node, by `graph_shift` or by
     spec.shift, which never forms S_hat. Each `forward` takes a (K, N, 1)
     stack exact at row node and zero elsewhere, so it applies the bank and
     the activation at that row alone, and reads its GSO only for N and the
     node check. Both arms take the same arithmetic, so they have the same
     bits at epsilon = 0, and every sweep scores through here.
     """
-    X = np.stack([x for x, _ in samples], axis=1)
     K = model.layers[0].taps.shape[2]
     shift = functools.partial(graph_shift, S) if spec is None else spec.shift
     with np.errstate(over="ignore", invalid="ignore"):
@@ -149,11 +157,11 @@ def _evaluate(model, S, samples, spec=None, where="on the task's GSO"):
         rows = [e_node]
         for _ in range(K - 1):
             rows.append(shift(rows[-1]))
-        A = np.stack(rows) @ X  # (K, n)
-        preds = [forward(model, S, x,
+        A = np.stack(rows) @ samples.X[:, 0]  # (K, n)
+        preds = [forward(model, S, samples.X[:, :, j],
                          (A[:, j, None] * e_node)[:, :, None]).prediction
-                 for j, (x, _) in enumerate(samples)]
-        score = rmse(preds, [y for _, y in samples])
+                 for j in range(len(samples))]
+        score = rmse(preds, samples.y)
     if not np.isfinite(score):
         raise ValueError(f"test RMSE {where} is {score}, not finite")
     return score
@@ -167,15 +175,27 @@ def _test_set(task, train_fraction):
     return task.test
 
 
+def _check_split(task, split_seed, split_digest):
+    """ValueError naming both digests unless the task, built at split_seed,
+    splits its users as a checkpoint's split_digest (if not None) records."""
+    if split_digest not in (None, task.split_digest):
+        raise ValueError(f"split seed {split_seed} splits the users with "
+                         f"digest {task.split_digest}, but its checkpoint "
+                         f"was trained on split digest {split_digest}")
+
+
 def _evaluate_on_task(model, ratings, movie_id, train_fraction, split_seed,
-                      samples=None):
-    """`_evaluate`'s RMSE on samples (default: the task's test set) over the
-    GSO of the task built for movie_id, by a copy of model whose readout is
-    moved to that movie; and the samples. The task is dropped on return, so
-    a sweep never holds one task while it builds the next. A non-finite
-    RMSE raises ValueError naming the movie and the train fraction."""
+                      samples=None, split_digest=None):
+    """`_evaluate`'s RMSE on the `Samples` samples (default: the task's test
+    set) over the GSO of the task built for movie_id, by a copy of model
+    whose readout is moved to that movie; and the samples. The task must
+    have split_digest, if given (see `_check_split`). The task is dropped
+    on return, so a sweep never holds one task while it builds the next. A
+    non-finite RMSE raises ValueError naming the movie and the train
+    fraction."""
     task = build_task(ratings, target_item_id=movie_id,
                       train_fraction=train_fraction, seed=split_seed)
+    _check_split(task, split_seed, split_digest)
     samples = samples or _test_set(task, train_fraction)
     model = dataclasses.replace(model, node=task.target_index)
     return _evaluate(model, task.gso, samples, where=(
@@ -192,16 +212,16 @@ def _train_one_split(ratings, args, split_seed, config: TrainConfig,
     trained, trace = train(model, task.gso, task.train, config)
     # a plain `forward` per test user: the benchmark pins the RMSE's bits
     # and each user's shift counts
-    preds = [forward(trained, task.gso, x).prediction for x, _ in task.test]
-    test_rmse = (rmse(preds, [y for _, y in task.test]) if task.test
-                 else float("nan"))
+    preds = [forward(trained, task.gso, task.test.X[:, :, j]).prediction
+             for j in range(len(task.test))]
+    test_rmse = rmse(preds, task.test.y) if task.test else float("nan")
     tag = f"mu{config.mu}_split{split_seed}"
     out.mkdir(parents=True, exist_ok=True)  # a rejected task writes nothing
     # the run digest: of the settings the `config:` header line echoes
     run = hashlib.sha256(_header_lines(args)[1].encode()).hexdigest()[:16]
     save_checkpoint(out / f"checkpoint_{tag}.json", trained, config,
                     TaskRecord(run, args.movie_id, args.train_fraction,
-                               test_rmse))
+                               test_rmse, ratings.digest, task.split_digest))
     _write_csv(out / f"trace_{tag}.csv", [], ["epoch", "loss", "penalty"],
                trace)
     if write_split:
@@ -248,7 +268,7 @@ def cmd_transfer(args) -> int:
     for mu in dict.fromkeys(mu for mu, _ in models):
         splits = [(seed, *models[mu, seed]) for m, seed in models if m == mu]
         # the mean of train's test RMSEs, as its stdout prints it
-        baseline = statistics.fmean(test_rmse for *_, test_rmse in splits)
+        baseline = statistics.fmean(own.test_rmse for *_, own in splits)
         for movie_id in movie_ids:
             mean, std = _mean_std([_evaluate_on_task(
                 model, ratings, movie_id, record.train_fraction, seed)[0]
@@ -282,10 +302,11 @@ def cmd_perturb_sweep(args) -> int:
     out, record, ratings, models = _load_run(args)
     rows = []
     with shared_scope():  # one norm per draw seed, for every eps and mu
-        for (mu, split_seed), (model, _) in models.items():
+        for (mu, split_seed), (model, own) in models.items():
             task = build_task(ratings, target_item_id=record.movie_id,
                               train_fraction=record.train_fraction,
                               seed=split_seed)
+            _check_split(task, split_seed, own.split_digest)
             test = _test_set(task, record.train_fraction)
             base = _evaluate(model, task.gso, test)
             for eps in args.epsilon:
@@ -327,9 +348,10 @@ def cmd_split_sweep(args) -> int:
         raise ValueError(f"--splits {max(args.splits)} exceeds the run's "
                          f"train fraction {fraction}")
     rows = []
-    for (mu, split_seed), (model, _) in models.items():
+    for (mu, split_seed), (model, own) in models.items():
         base, test = _evaluate_on_task(model, ratings, record.movie_id,
-                                       fraction, split_seed)
+                                       fraction, split_seed,
+                                       split_digest=own.split_digest)
         for ratio in args.splits:
             perturbed, _ = _evaluate_on_task(
                 model, ratings, record.movie_id, ratio, split_seed, test)
@@ -428,7 +450,8 @@ def invariant_suite(seed: int = 0):
     # gradient check against finite differences
     model = init_model(seed, [1, 3], [4], ["tanh"], node=2)
     S = build_gso(random_weighted_graph(8, seed))
-    samples = [(rng.standard_normal(8), float(rng.normal())) for _ in range(3)]
+    z = rng.standard_normal((3, 9))  # per sample: 8 signal entries, label
+    samples = Samples(z[:, :8].T[:, None], z[:, 8])
     config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0))
     checks.append(_check("analytic vs finite-difference gradients",
                          gradient_residual(model, S, samples, config), 1e-4))

@@ -6,10 +6,10 @@ The training objective is
 
     sum_T smooth_l1(prediction, label) + mu * penalty
 
-where the penalty sums, over every filter in every bank, the maximum of
-|lambda h'(lambda)| on the `spectral.il_grid` of a fixed eigenvalue
-interval. Keeping that quantity small keeps the filters integral Lipschitz,
-hence the trained network stable to relative graph perturbations.
+over a `movielens.Samples` T, where the penalty sums, over every filter in
+every bank, the maximum of |lambda h'(lambda)| on the `spectral.il_grid` of
+a fixed eigenvalue interval. Keeping it small keeps the filters integral
+Lipschitz, hence the trained network stable to relative graph perturbations.
 
 The readout reads row `node` of the last layer only. Given a first-layer
 shift stack, as in training, `forward` applies the last bank and its
@@ -26,7 +26,7 @@ import numpy as np
 
 from .filters import bank_apply, shift_stack
 from .graphs import GSO, shared
-from .movielens import check_train_fraction
+from .movielens import Samples, check_train_fraction
 from .spectral import bank_response, check_interval, eigendecompose, il_grid
 
 _ACTIVATIONS = {
@@ -137,12 +137,16 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TaskRecord:
     """A `train` checkpoint's task: `run`, a digest of its run's settings,
-    movie_id, train_fraction and test_rmse (NaN: no test users)."""
+    movie_id, train_fraction, test_rmse (NaN: no test users), and the
+    digests of its ratings (`RatingsMatrix.digest`) and of its split
+    (`TaskSplit.split_digest`)."""
 
     run: str
     movie_id: int
     train_fraction: float
     test_rmse: float
+    ratings_digest: str
+    split_digest: str
 
     def __post_init__(self):
         _require("run", self.run, str, "a string")
@@ -152,6 +156,8 @@ class TaskRecord:
         # `not rmse <= 0` holds for NaN
         _require("test_rmse", self.test_rmse, Real,
                  "a positive number or NaN", lambda rmse: not rmse <= 0)
+        for name in ("ratings_digest", "split_digest"):
+            _require(name, getattr(self, name), str, "a string")
 
 
 @dataclass
@@ -394,21 +400,23 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig):
 def objective(model: GNNModel, S: GSO, samples, config: TrainConfig) -> float:
     """Total training objective: summed data loss plus mu * penalty."""
     total = sum(
-        smooth_l1_loss(forward(model, S, x).prediction, y) for x, y in samples
+        smooth_l1_loss(forward(model, S, samples.X[:, :, j]).prediction, y)
+        for j, y in enumerate(samples.y.tolist())
     )
     if config.mu > 0:
         total += config.mu * penalty(model, config)[0]
     return float(total)
 
 
-def _data_gradients(model: GNNModel, S: GSO, samples, shifts):
-    """Summed data-loss gradients over samples, in parameter order, and the
-    loss of each sample. shifts holds each sample's precomputed first-layer
-    shift stack, or None (see `forward`)."""
+def _data_gradients(model: GNNModel, S: GSO, samples, columns, shifts=None):
+    """Summed data-loss gradients over the samples in columns, in parameter
+    order, and the loss of each. shifts, if given, holds sample j's
+    precomputed first-layer shift stack at shifts[:, j] (see `forward`)."""
     acc = _zero_like(_parameters(model))
     losses = []
-    for (x, y), first_layer_shifts in zip(samples, shifts):
-        cache = forward(model, S, x, first_layer_shifts=first_layer_shifts)
+    for j, y in zip(columns, samples.y[columns].tolist()):
+        stack = None if shifts is None else shifts[:, j]
+        cache = forward(model, S, samples.X[:, :, j], stack)
         losses.append(smooth_l1_loss(cache.prediction, y))
         tap_grads, g_w, g_b = sample_gradients(model, S, y, cache)
         for slot, g in zip(acc, tap_grads + [g_w, np.atleast_1d(g_b)]):
@@ -425,7 +433,7 @@ def _add_penalty_gradients(acc, model: GNNModel, config: TrainConfig) -> None:
 
 def objective_gradients(model: GNNModel, S: GSO, samples, config: TrainConfig):
     """Gradients of `objective` as a flat parameter-ordered list."""
-    acc, _ = _data_gradients(model, S, samples, [None] * len(samples))
+    acc, _ = _data_gradients(model, S, samples, range(len(samples)))
     _add_penalty_gradients(acc, model, config)
     return acc
 
@@ -441,14 +449,15 @@ def resolve_lambda_interval(S: GSO, config: TrainConfig) -> tuple:
     return (a, b)
 
 
-def _first_layer_stack(S, X0, node, K0, H) -> np.ndarray:
-    """`train`'s read-only first-layer stack; near[j]: nodes within j hops."""
+def _first_layer_stack(S, X, node, K0, H) -> np.ndarray:
+    """`train`'s read-only (K0, n, N, F) first-layer stack of the (N, F, n)
+    signals X; near[j]: nodes within j hops."""
     adjacent = S != 0
     near = [np.arange(S.shape[0]) == node]
     for _ in range(H):
         near.append(near[-1] | adjacent[near[-1]].any(axis=0))
-    stack = np.zeros((K0,) + X0.shape)
-    stack[0] = X0
+    stack = np.zeros((K0, X.shape[2], *X.shape[:2]))
+    stack[0] = X.transpose(2, 0, 1)
     for k in range(1, K0):
         rows = np.flatnonzero(near[H - k])
         stack[k][:, rows] = np.einsum("ij,sjf->sif", S[rows], stack[k - 1])
@@ -456,11 +465,9 @@ def _first_layer_stack(S, X0, node, K0, H) -> np.ndarray:
     return stack
 
 
-def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
-    """Mini-batch ADAM on the penalized objective.
-
-    train_set is a list of (signal, label) pairs; every signal and label
-    must be finite. Batches are drawn by a seeded shuffle each epoch;
+def train(model: GNNModel, S: GSO, train_set: Samples, config: TrainConfig):
+    """Mini-batch ADAM on the penalized objective over the `Samples`
+    train_set. Batches are drawn by a seeded shuffle each epoch;
     gradients are averaged over the batch before each ADAM step. Returns
     (trained model, per-epoch trace) where the trace rows are (epoch, mean
     data loss, penalty value). Raises ValueError naming the epoch whose loss
@@ -476,33 +483,27 @@ def train(model: GNNModel, S: GSO, train_set, config: TrainConfig):
     full stack. It is built once for all samples and, inside a
     `graphs.shared_scope`, once for equal S, signals, node, K_0 and H.
     """
-    if not train_set:
+    n = len(train_set)
+    if not n:
         raise ValueError("training set is empty")
-    X0 = np.stack(
-        [np.atleast_2d(np.asarray(x, dtype=float).T).T for x, _ in train_set]
-    )  # (n, N, F_0)
-    labels = np.array([y for _, y in train_set], dtype=float)
-    if not (np.isfinite(X0).all() and np.isfinite(labels).all()):
-        raise ValueError("training signals and labels must be finite")
     model = copy.deepcopy(model)
     config = copy.copy(config)
     config.lambda_interval = resolve_lambda_interval(S, config)
     params = _parameters(model)
     state = adam_init(params)
     rng = np.random.default_rng(config.rng_seed)
-    n = len(train_set)
     H = sum(layer.taps.shape[2] - 1 for layer in model.layers)
-    shifts_all = shared("first-layer stack", _first_layer_stack, S.matrix, X0,
-                        model.node, model.layers[0].taps.shape[2], H)
+    shifts_all = shared("first-layer stack", _first_layer_stack, S.matrix,
+                        train_set.X, model.node,
+                        model.layers[0].taps.shape[2], H)
     trace = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            acc, losses = _data_gradients(
-                model, S, [train_set[i] for i in batch],
-                [shifts_all[:, i] for i in batch])
+            acc, losses = _data_gradients(model, S, train_set, batch,
+                                          shifts_all)
             for loss in losses:
                 epoch_loss += loss
             for slot in acc:

@@ -9,6 +9,7 @@ at the target node as the label, zeroes that entry, and builds the GSO from
 training users only.
 """
 
+import hashlib
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -53,6 +54,11 @@ class RatingsMatrix:
             M.setflags(write=False)
         object.__setattr__(self, "matrix", M.view())
 
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the user ids, the movie ids and the ratings."""
+        return _digest(self.user_ids, self.movie_ids, self.matrix)
+
     def movie_index(self, item_id: int) -> int:
         try:
             return self.movie_ids.index(item_id)
@@ -61,9 +67,42 @@ class RatingsMatrix:
 
 
 @dataclass(frozen=True)
+class Samples:
+    """n signals of F features on N nodes, and their n labels.
+
+    X is a read-only, C-ordered (N, F, n) float64 array; signal j is
+    X[:, :, j], so for F = 1 the (N, n) block X[:, 0] holds one signal per
+    column. y holds the labels. Every entry must be finite. As in a `GSO`,
+    a read-only, C-ordered float64 array that owns its memory is kept as it
+    is, and anything else is copied.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        X, y = (a if (type(a) is np.ndarray and a.dtype == np.float64
+                      and a.flags.c_contiguous and a.flags.owndata
+                      and not a.flags.writeable)
+                else np.array(a, dtype=float, order="C")
+                for a in (self.X, self.y))
+        if X.ndim != 3 or y.shape != X.shape[2:]:
+            raise ValueError("samples need (N, F, n) signals and n labels, "
+                             f"got shapes {X.shape} and {y.shape}")
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
+            raise ValueError("signals and labels must be finite")
+        for name, a in (("X", X), ("y", y)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.X.shape[2]
+
+
+@dataclass(frozen=True)
 class TaskSplit:
-    """Train/test datasets for one target movie plus the train-only GSO;
-    each sample list is built from its rows of `ratings` on first read."""
+    """Train/test `Samples` for one target movie plus the train-only GSO;
+    each is built from its rows of `ratings` on first read."""
 
     ratings: RatingsMatrix
     target_index: int
@@ -77,13 +116,30 @@ class TaskSplit:
     train = cached_property(lambda self: self._samples(self.train_rows))
     test = cached_property(lambda self: self._samples(self.test_rows))
 
-    def _samples(self, rows) -> list:
-        samples = []
-        for u in rows:
-            x = self.ratings.matrix[u].astype(float)
-            samples.append((x, float(x[self.target_index])))
-            x[self.target_index] = 0.0
-        return samples
+    @property
+    def split_digest(self) -> str:
+        """SHA-256 of the train and the test user ids."""
+        return _digest(self.train_user_ids, self.test_user_ids)
+
+    def _samples(self, rows) -> Samples:
+        """rows' ratings in one copy, labelled by and zeroed at the target."""
+        R = self.ratings.matrix
+        X = np.empty((R.shape[1], 1, len(rows)))
+        X[:, 0] = R[rows].T
+        X[self.target_index] = 0.0
+        X.setflags(write=False)
+        return Samples(X, R[rows, self.target_index])
+
+
+def _digest(*arrays) -> str:
+    """SHA-256 of the shape and the C-ordered bytes of each array in turn;
+    a tuple of ids is an int64 array."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, np.int64 if type(a) is tuple else None)
+        h.update(np.array(a.shape, dtype=np.int64))
+        h.update(a)
+    return h.hexdigest()
 
 
 def load_ratings(path) -> RatingsMatrix:

@@ -18,6 +18,7 @@ from .filters import filter_distance
 from .gnn import (_ACTIVATIONS, GNNModel, LayerSpec, TrainConfig, forward,
                   init_model, train)
 from .graphs import GSO
+from .movielens import Samples
 from .perturbation import (
     PerturbationSpec,
     edge_dilation,
@@ -285,7 +286,7 @@ def discriminability_tradeoff_demo(S: GSO, epsilon: float,
     # 1-layer relu GNN trained to tell the two eigenvectors apart
     node = int(np.argmax(np.abs(V[:, -1])))
     model = init_model(seed, [1, 4], [5], ["relu"], node)
-    dataset = [(V[:, -1], 1.0), (V[:, -2], 0.0)]
+    dataset = Samples(V[:, None, [-1, -2]], [1.0, 0.0])
     config = TrainConfig(mu=0.02, lambda_interval=interval,
                          learning_rate=0.01, epochs=150,
                          batch_size=2, rng_seed=seed)

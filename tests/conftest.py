@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphstab import build_gso, filters, random_weighted_graph
+from graphstab import Samples, build_gso, filters, random_weighted_graph
 
 PATH3 = np.array([[0.0, 1.0, 0.0],
                   [1.0, 0.0, 1.0],
@@ -20,6 +20,14 @@ def path3_adjacency():
 @pytest.fixture
 def gso20():
     return build_gso(random_weighted_graph(20, seed=0))
+
+
+def as_samples(pairs) -> Samples:
+    """The `Samples` of a list of (signal, label) pairs, in order; a signal
+    of shape (N,) has one feature."""
+    X = np.stack([np.atleast_2d(np.asarray(x, dtype=float).T).T
+                  for x, _ in pairs], axis=-1)
+    return Samples(X, [y for _, y in pairs])
 
 
 def make_ratings_file(path: Path, seed: int = 0, users: int = 40,

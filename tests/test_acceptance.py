@@ -40,7 +40,7 @@ from graphstab.cli import (equivariance_residual, gradient_residual,
 from graphstab.gnn import GNNModel
 from graphstab.stability import design_il_taps, il_layer, linear_fit_r2
 
-from conftest import movielens_data_path
+from conftest import as_samples, movielens_data_path
 
 ML100K = movielens_data_path()
 ML_SKIP_REASON = (
@@ -148,8 +148,8 @@ def test_gradient_oracle_five_models():
     for trial in range(5):
         model = init_model(trial, [1, 3], [4],
                            ["relu" if trial % 2 else "tanh"], node=1)
-        samples = [(rng.standard_normal(8), float(rng.normal()))
-                   for _ in range(3)]
+        samples = as_samples([(rng.standard_normal(8), float(rng.normal()))
+                              for _ in range(3)])
         assert gradient_residual(model, S, samples, config) <= 1e-4
     assert time.perf_counter() - start < 10.0
 
@@ -202,10 +202,10 @@ def movielens_models():
                                task.target_index)
             config = TrainConfig(mu=mu, epochs=40, rng_seed=seed)
             trained, _ = train(model, task.gso, task.train, config)
-            preds = [forward(trained, task.gso, x).prediction
-                     for x, _ in task.test]
-            labels = [y for _, y in task.test]
-            per_split.append((trained, task, rmse(preds, labels)))
+            test = task.test
+            preds = [forward(trained, task.gso, test.X[:, :, j]).prediction
+                     for j in range(len(test))]
+            per_split.append((trained, task, rmse(preds, test.y)))
         results[mu] = per_split
     return results
 
@@ -226,10 +226,10 @@ def test_movielens_penalty_improves_stability(movielens_models):
                 spec = random_relative_perturbation(
                     task.gso, epsilon, seed=1000 * split_seed + draw
                 )
-                preds = [forward(model, spec.perturbed, x).prediction
-                         for x, _ in task.test]
-                labels = [y for _, y in task.test]
-                diffs.append(rmse(preds, labels) - base)
+                test = task.test
+                preds = [forward(model, spec.perturbed, test.X[:, :, j])
+                         .prediction for j in range(len(test))]
+                diffs.append(rmse(preds, test.y) - base)
         degradation[mu] = float(np.mean(diffs))
     assert degradation[0.5] <= degradation[0.0]
 

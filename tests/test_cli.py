@@ -11,7 +11,7 @@ import pytest
 from graphstab import cli, gnn, graphs, perturbation
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
 
-from conftest import make_ratings_file
+from conftest import as_samples, make_ratings_file
 
 
 def csv_body(path):
@@ -674,6 +674,10 @@ CHECKPOINT_EDITS = {
     "test_rmse boolean": lambda c: _edit(c, "task", test_rmse=True),
     "mu not a number": lambda c: _edit(c, "config", mu="zero"),
     "mu negative": lambda c: _edit(c, "config", mu=-0.5),
+    "no ratings_digest": lambda c: _edit(c, "task", drop="ratings_digest"),
+    "ratings_digest a list": lambda c: _edit(c, "task", ratings_digest=[]),
+    "split_digest a number": lambda c: _edit(c, "task", split_digest=5),
+    "no split_digest": lambda c: _edit(c, "task", drop="split_digest"),
 }
 
 
@@ -763,6 +767,15 @@ def _edit(checkpoint, part, drop=None, **values):
       for command in ("transfer", "perturb-sweep", "split-sweep")),
     ("perturb-sweep", "mu negative", "malformed checkpoint {ckpt}: "
      "mu must be nonnegative and finite, got -0.5"),
+    # each checkpoint names the ratings and the split it was trained on
+    ("transfer", "no ratings_digest", "malformed checkpoint {ckpt}: "
+     "task has missing keys ['ratings_digest']"),
+    ("perturb-sweep", "ratings_digest a list", "malformed checkpoint {ckpt}: "
+     "ratings_digest must be a string, got []"),
+    ("split-sweep", "split_digest a number", "malformed checkpoint {ckpt}: "
+     "split_digest must be a string, got 5"),
+    ("perturb-sweep", "no split_digest", "malformed checkpoint {ckpt}: "
+     "task has missing keys ['split_digest']"),
 ])
 def test_unreadable_input_creates_no_output(trained_dir, ratings_file,
                                             tmp_path, monkeypatch, capsys,
@@ -891,8 +904,8 @@ def _per_user_rmse(model, S, samples):
     from graphstab import gnn
     from graphstab.movielens import rmse
 
-    return rmse([gnn.forward(model, S, x).prediction for x, _ in samples],
-                [y for _, y in samples])
+    return rmse([gnn.forward(model, S, samples.X[:, :, j]).prediction
+                 for j in range(len(samples))], samples.y)
 
 
 def test_perturb_sweep_scores_one_layer_models_at_the_readout_rows(
@@ -952,6 +965,7 @@ def test_evaluate_has_the_bits_of_one_plain_forward_per_user(arm):
     samples = [(rng.integers(0, 6, n) * (rng.random(n) < 0.4),
                 float(rng.integers(1, 6))) for _ in range(40)]
     for users in [samples] + [[(x, 0.0)] for x, _ in samples]:
+        users = as_samples(users)
         want = _per_user_rmse(model, S if spec is None else spec.perturbed,
                               users)
         assert cli._evaluate(model, S, users, spec) == want
@@ -986,9 +1000,81 @@ def test_sweeps_reject_a_deeper_checkpoint(ratings_file, tmp_path,
     run.mkdir()
     path = run / "checkpoint_mu0.0_split0.json"
     gnn.save_checkpoint(path, model, gnn.TrainConfig(),
-                        gnn.TaskRecord("0123456789abcdef", 7, 0.9, 1.0))
+                        gnn.TaskRecord("0123456789abcdef", 7, 0.9, 1.0, "",
+                                       ""))
     _sweep_rejects_the_run(ratings_file, tmp_path, monkeypatch, capsys,
                            command, run, f"checkpoint {path} has 2 layers")
+
+
+def test_checkpoints_record_the_ratings_and_split_digests(trained_dir,
+                                                         ratings_file):
+    ratings = cli.load_ratings(ratings_file)
+    for seed in (0, 1):
+        task = cli.build_task(ratings, target_item_id=7, seed=seed)
+        # the split manifest lists the users the split digest is taken of
+        listed = [line.split(",") for line in
+                  csv_body(trained_dir / f"split_{seed}.csv")[1:]]
+        assert [int(uid) for uid, subset in listed if subset == "train"] == (
+            list(task.train_user_ids))
+        assert [int(uid) for uid, subset in listed if subset == "test"] == (
+            list(task.test_user_ids))
+        for mu in ("0.0", "0.5"):
+            _, _, record = gnn.load_checkpoint(
+                trained_dir / f"checkpoint_mu{mu}_split{seed}.json")
+            assert record.ratings_digest == ratings.digest
+            assert record.split_digest == task.split_digest
+    assert len({cli.build_task(ratings, target_item_id=7, seed=seed)
+                .split_digest for seed in (0, 1)}) == 2
+
+
+@pytest.mark.parametrize("command",
+                         ["transfer", "perturb-sweep", "split-sweep"])
+def test_sweeps_reject_another_ratings_file(trained_dir, ratings_file,
+                                            tmp_path, monkeypatch, capsys,
+                                            command):
+    """A sweep rebuilds each task from --data: a file other than the run's
+    would score other users on another graph. It exits 2 naming both
+    digests, before any task is built and with no output."""
+    other = make_ratings_file(tmp_path / "other.data", seed=1)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a task was built")
+
+    monkeypatch.setattr(cli, "build_task", unbuilt)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(other), "--checkpoints",
+                 str(trained_dir), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{other} has ratings digest {cli.load_ratings(other).digest}, "
+            f"but the run in {trained_dir} was trained on ratings digest "
+            f"{cli.load_ratings(ratings_file).digest}") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,code", [("perturb-sweep", 2),
+                                          ("split-sweep", 2),
+                                          ("transfer", 0)])
+def test_sweeps_reject_another_split(trained_dir, ratings_file, tmp_path,
+                                     monkeypatch, capsys, command, code):
+    """With the shuffle of `build_task` changed, perturb-sweep and
+    split-sweep would score other test users than the checkpoint's: they
+    exit 2 naming both split digests, with no output. transfer scores
+    other movies, whose splits no checkpoint records."""
+    build = cli.build_task
+    monkeypatch.setattr(cli, "build_task", lambda ratings, seed, **kwargs:
+                        build(ratings, seed=seed + 7, **kwargs))
+    out = tmp_path / "out"
+    extra = ["--draws", "1"] if command == "perturb-sweep" else []
+    assert main([command, "--data", str(ratings_file), "--checkpoints",
+                 str(trained_dir), *extra, "--out", str(out)]) == code
+    if code == 2:
+        ratings = cli.load_ratings(ratings_file)
+        got, want = (build(ratings, target_item_id=7, seed=seed).split_digest
+                     for seed in (7, 0))
+        assert (f"split seed 0 splits the users with digest {got}, but its "
+                f"checkpoint was trained on split digest {want}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command",
@@ -1094,8 +1180,8 @@ def test_transfer_and_split_sweep_match_a_per_sample_forward(
         task = build_task(ratings, target_item_id=movie_id,
                           train_fraction=fraction, seed=seed)
         model = dataclasses.replace(models[mu, seed], node=task.target_index)
-        return rmse([gnn.forward(model, task.gso, x).prediction
-                     for x, _ in test], [y for _, y in test])
+        return rmse([gnn.forward(model, task.gso, test.X[:, :, j]).prediction
+                     for j in range(len(test))], test.y)
 
     def close(got, want):
         return float(got) == pytest.approx(want, rel=1e-12, abs=0)

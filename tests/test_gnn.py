@@ -11,6 +11,7 @@ from graphstab import (
     GSO,
     GNNModel,
     LayerSpec,
+    Samples,
     TrainConfig,
     adam_init,
     adam_step,
@@ -39,6 +40,8 @@ from graphstab.gnn import (
     save_checkpoint,
 )
 from graphstab.spectral import IL_GRID_POINTS
+
+from conftest import as_samples
 
 
 @pytest.fixture
@@ -108,7 +111,7 @@ def test_readout_node_and_layers_validated(gso8):
         forward(identity_network(8), gso8, np.zeros(8))
     with pytest.raises(ValueError, match="not one of the 8 nodes"):
         train(init_model(0, [1, 2], [3], ["relu"], node=8), gso8,
-              [(np.ones(8), 1.0)], TrainConfig(epochs=1))
+              as_samples([(np.ones(8), 1.0)]), TrainConfig(epochs=1))
     with pytest.raises(ValueError, match="negative"):
         identity_network(-1)
     with pytest.raises(ValueError, match="at least one layer"):
@@ -187,7 +190,7 @@ def test_penalty_matches_response_derivative_max():
 def test_gradients_zero_upstream(gso8):
     model = identity_network(node=0)
     x = np.zeros(8)
-    grads = objective_gradients(model, gso8, [(x, 0.0)],
+    grads = objective_gradients(model, gso8, as_samples([(x, 0.0)]),
                                 TrainConfig(lambda_interval=(-1, 1)))
     assert all(np.allclose(g, 0.0) for g in grads)
 
@@ -197,8 +200,8 @@ def test_gradient_matches_finite_differences(gso8):
     for trial in range(5):
         model = init_model(trial, [1, 3], [4],
                            ["tanh" if trial % 2 else "relu"], node=3)
-        samples = [(rng.standard_normal(8), float(rng.normal()))
-                   for _ in range(3)]
+        samples = as_samples([(rng.standard_normal(8), float(rng.normal()))
+                              for _ in range(3)])
         config = TrainConfig(mu=0.3, lambda_interval=(-2.0, 2.0))
         assert gradient_residual(model, gso8, samples, config) <= 1e-4
 
@@ -237,7 +240,7 @@ def test_adam_deterministic():
 
 def test_train_single_sample_overfits(gso8):
     model = init_model(0, [1, 4], [5], ["relu"], node=2)
-    data = [(np.random.default_rng(6).standard_normal(8), 2.5)]
+    data = as_samples([(np.random.default_rng(6).standard_normal(8), 2.5)])
     config = TrainConfig(mu=0.0, epochs=40, batch_size=1,
                          learning_rate=0.01, rng_seed=0)
     _, trace = train(model, gso8, data, config)
@@ -249,8 +252,8 @@ def test_train_single_sample_overfits(gso8):
 def test_train_huge_penalty_drives_taps_down(gso8):
     model = init_model(1, [1, 4], [5], ["relu"], node=2)
     rng = np.random.default_rng(7)
-    data = [(rng.standard_normal(8), float(rng.uniform(1, 5)))
-            for _ in range(6)]
+    data = as_samples([(rng.standard_normal(8), float(rng.uniform(1, 5)))
+                       for _ in range(6)])
     config = TrainConfig(mu=1e6, epochs=60, batch_size=3, rng_seed=0)
     _, trace = train(model, gso8, data, config)
     penalties = [row[2] for row in trace]
@@ -261,7 +264,8 @@ def test_train_huge_penalty_drives_taps_down(gso8):
 def test_train_deterministic(gso8):
     model = init_model(2, [1, 3], [4], ["relu"], node=1)
     rng = np.random.default_rng(8)
-    data = [(rng.standard_normal(8), float(rng.normal())) for _ in range(5)]
+    data = as_samples([(rng.standard_normal(8), float(rng.normal()))
+                       for _ in range(5)])
     config = TrainConfig(epochs=5, batch_size=2, rng_seed=3)
     trace_a = train(model, gso8, data, config)[1]
     trace_b = train(model, gso8, data, config)[1]
@@ -270,7 +274,8 @@ def test_train_deterministic(gso8):
 
 def test_train_empty_dataset(gso8):
     with pytest.raises(ValueError):
-        train(identity_network(0), gso8, [], TrainConfig())
+        train(identity_network(0), gso8, Samples(np.zeros((8, 1, 0)), []),
+              TrainConfig())
 
 
 def test_gnn_permutation_equivariance():
@@ -295,7 +300,8 @@ def test_gnn_permutation_equivariance():
 def test_checkpoint_roundtrip(tmp_path, gso8):
     model = init_model(3, [1, 4], [5], ["relu"], node=6)
     config = TrainConfig(mu=0.5, lambda_interval=(-2.0, 2.0))
-    task = TaskRecord("0123456789abcdef", 7, 0.9, float("nan"))
+    task = TaskRecord("0123456789abcdef", 7, 0.9, float("nan"), "a" * 64,
+                      "b" * 64)
     path = tmp_path / "model.json"
     save_checkpoint(path, model, config, task)
     loaded, loaded_config, loaded_task = load_checkpoint(path)
@@ -308,6 +314,8 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
     # NaN marks a split without test users
     assert loaded_task.run == task.run and np.isnan(loaded_task.test_rmse)
     assert (loaded_task.movie_id, loaded_task.train_fraction) == (7, 0.9)
+    assert (loaded_task.ratings_digest, loaded_task.split_digest) == (
+        "a" * 64, "b" * 64)
 
 
 @pytest.mark.parametrize("drop, add, message", [
@@ -321,7 +329,8 @@ def test_checkpoint_roundtrip(tmp_path, gso8):
 def test_checkpoint_names_only_the_wrong_keys(tmp_path, drop, add, message):
     path = tmp_path / "model.json"
     save_checkpoint(path, init_model(3, [1, 2], [2], ["relu"], node=0),
-                    TrainConfig(), TaskRecord("0123456789abcdef", 7, 0.9, 1.0))
+                    TrainConfig(),
+                    TaskRecord("0123456789abcdef", 7, 0.9, 1.0, "", ""))
     payload = json.loads(path.read_text())
     if drop:
         del payload["config"][drop]
@@ -479,7 +488,7 @@ def test_train_matches_full_n_oracle(graph, dims, taps, acts, mu):
     model = init_model(4, dims, taps, acts, node=7)
     data = _sparse_samples(S.node_count, dims[0], count=9, seed=5)
     config = TrainConfig(mu=mu, epochs=3, batch_size=4, rng_seed=1)
-    got_model, got_trace = train(model, S, data, config)
+    got_model, got_trace = train(model, S, as_samples(data), config)
     want_model, want_trace = _full_n_train(model, S, data, config)
     assert got_trace == want_trace
     assert model_to_dict(got_model) == model_to_dict(want_model)
@@ -499,22 +508,12 @@ def test_sample_gradients_match_full_n(graph, dims, taps, acts):
         assert np.array_equal(g_w, want_w) and g_b == want_b
 
 
-def test_train_rejects_non_finite_inputs(gso8):
-    model = init_model(0, [1, 4], [5], ["relu"], node=2)
-    x = np.ones(8)
-    x_nan = x.copy()
-    x_nan[3] = np.nan
-    for data in ([(x, 1.0), (x_nan, 2.0)], [(x, np.inf)]):
-        with pytest.raises(ValueError, match="finite"):
-            train(model, gso8, data, TrainConfig(epochs=1))
-
-
 def test_train_stops_on_non_finite_loss(gso8):
     model = identity_network(node=2)
     model.readout_weights[:] = 1e308  # the prediction overflows
     with pytest.raises(ValueError, match="epoch 0"), \
             np.errstate(over="ignore", invalid="ignore"):
-        train(model, gso8, [(np.full(8, 10.0), 1.0)],
+        train(model, gso8, as_samples([(np.full(8, 10.0), 1.0)]),
               TrainConfig(epochs=3, batch_size=1))
 
 
@@ -615,6 +614,7 @@ def test_train_in_a_scope_recomputes_for_a_changed_input(change,
         x = data[0][0].copy()
         x[np.flatnonzero(x)[0]] += 1
         changed[0] = (x, data[0][1])
+    data, changed = as_samples(data), as_samples(changed)
     alone = train(model, build_gso(W), changed, config)
     with shared_scope():
         first = train(model, GSO(S.matrix), data, config)
@@ -631,6 +631,6 @@ def test_train_in_a_scope_recomputes_for_a_changed_input(change,
 def test_shared_stack_is_read_only(stack_builds):
     S, model, data, config = _sharing_case()
     with shared_scope():
-        train(model, S, data, config)
+        train(model, S, as_samples(data), config)
     with pytest.raises(ValueError, match="read-only"):
         stack_builds[0][0, 0, 0, 0] = 1.0

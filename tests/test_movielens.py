@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,12 +6,13 @@ import pytest
 
 from graphstab import (
     RatingsMatrix,
+    Samples,
     build_task,
     load_ratings,
     pearson_graph,
     rmse,
 )
-from graphstab import movielens
+from graphstab import cli, init_model, movielens
 from graphstab.cli import main
 from graphstab.graphs import _TILE
 
@@ -304,11 +306,49 @@ def test_build_task_memory_within_budget():
     assert traced_peak(build_task, ratings, 1, 0.9, 0) <= 2.0 * N * N * 8
 
 
+def test_evaluate_holds_no_second_copy_of_the_test_block():
+    # the test signals are one (N, n) block already: scoring them holds the
+    # K readout rows and one user's prediction at a time, not a second block
+    N = 200
+    ratings = random_ratings(1000, N, seed=4, density=0.9)
+    task = build_task(ratings, 1, 0.4, 0)
+    test = task.test
+    n = len(test)
+    assert n >= 500
+    model = init_model(0, [1, 64], [5], ["relu"], task.target_index)
+    assert traced_peak(cli._evaluate, model, task.gso, test) <= 0.5 * 8 * N * n
+
+
 def test_load_ratings_memory_within_budget(tmp_path):
     # the matrix and at most one full-size temporary of its checks
     path = make_ratings_file(tmp_path / "u.data", users=300, movies=1000)
     size = load_ratings(path).matrix.nbytes
     assert traced_peak(load_ratings, path) <= 2.5 * size
+
+
+def _per_user_samples(task, rows):
+    """The (signal, label) pairs of the users in rows, one vector per user,
+    as tasks built them before `Samples`: the oracle of their bits."""
+    samples = []
+    for u in rows:
+        x = task.ratings.matrix[u].astype(float)
+        samples.append((x, float(x[task.target_index])))
+        x[task.target_index] = 0.0
+    return samples
+
+
+def _assert_per_user_layout(task, samples, rows):
+    """samples is one read-only, C-ordered (N, 1, n) array with the bits of
+    the per-user vectors and labels of rows."""
+    N = task.ratings.matrix.shape[1]
+    assert samples.X.shape == (N, 1, len(rows))
+    assert samples.X.flags.c_contiguous and not samples.X.flags.writeable
+    assert samples.X.dtype == np.float64
+    want = _per_user_samples(task, rows)
+    for j, (x, y) in enumerate(want):
+        assert samples.X[:, 0, j].tobytes() == x.tobytes()
+        assert samples.y[j] == y
+    assert len(samples) == len(want)
 
 
 def test_build_task_split_invariants(ratings_file):
@@ -318,10 +358,12 @@ def test_build_task_split_invariants(ratings_file):
     assert total == int(np.count_nonzero(ratings.matrix[:, split.target_index]))
     assert len(split.train) == int(round(0.9 * total))
     assert set(split.train_user_ids).isdisjoint(split.test_user_ids)
-    for x, y in split.train + split.test:
-        assert not np.shares_memory(x, ratings.matrix)
-        assert x[split.target_index] == 0.0
-        assert 1.0 <= y <= 5.0
+    for samples, rows in ((split.train, split.train_rows),
+                          (split.test, split.test_rows)):
+        _assert_per_user_layout(split, samples, rows)
+        assert not np.shares_memory(samples.X, ratings.matrix)
+        assert (samples.X[split.target_index] == 0.0).all()
+        assert ((1.0 <= samples.y) & (samples.y <= 5.0)).all()
     S = split.gso.matrix
     assert np.array_equal(S, S.T)
     assert np.all(np.diag(S) == 0.0)
@@ -345,11 +387,39 @@ def test_build_task_builds_training_samples_on_first_read():
     assert held <= N * N * 8 + (n_test + n_train / 4) * N * 8
     dense = ratings.matrix.astype(float)
     assert len(task.train) == n_train
-    for (x, y), uid in zip(task.train, task.train_user_ids):
+    _assert_per_user_layout(task, task.train, task.train_rows)
+    for j, uid in enumerate(task.train_user_ids):
         want = dense[ratings.user_ids.index(uid)].copy()
-        assert y == want[0]
+        assert task.train.y[j] == want[0]
         want[0] = 0.0
-        assert x.dtype == np.float64 and x.tobytes() == want.tobytes()
+        assert task.train.X[:, 0, j].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("X,y,message", [
+    (np.array([[[1.0, np.nan]], [[2.0, 3.0]]]), [1.0, 2.0], "finite"),
+    (np.ones((2, 1, 2)), [1.0, np.inf], "finite"),
+    (np.ones((2, 1, 2)), [1.0, 2.0, 3.0],
+     r"got shapes \(2, 1, 2\) and \(3,\)"),
+    (np.ones((2, 2)), [1.0, 2.0], r"\(N, F, n\) signals"),
+], ids=["nan signal", "inf label", "label count", "2-D signals"])
+def test_samples_rejects(X, y, message):
+    with pytest.raises(ValueError, match=message):
+        Samples(X, y)
+
+
+def test_samples_keep_a_read_only_array_and_copy_any_other():
+    X = np.ones((3, 1, 2))
+    X.setflags(write=False)
+    y = np.array([1.0, 2.0])
+    y.setflags(write=False)
+    kept = Samples(X, y)
+    assert kept.X is X and kept.y is y
+    for given in (np.ones((3, 1, 2)), np.asfortranarray(np.ones((3, 1, 2))),
+                  X[::1], np.ones((3, 1, 2), dtype=np.float32)):
+        copied = Samples(given, [1.0, 2.0])
+        assert not np.shares_memory(copied.X, given)
+        assert copied.X.flags.c_contiguous and not copied.X.flags.writeable
+        assert copied.X.dtype == np.float64 and not copied.y.flags.writeable
 
 
 def test_build_task_seeded_splits_differ(ratings_file):
@@ -410,6 +480,30 @@ def test_load_rejects_a_file_without_ratings(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError, match=f"{path}: no ratings"):
         load_ratings(path)
+
+
+def test_ratings_digest_names_the_ids_and_the_ratings():
+    base = ratings_from_matrix([[1, 2], [3, 4]])
+    assert base.digest == ratings_from_matrix([[1, 2], [3, 4]]).digest
+    assert len(base.digest) == 64
+    others = [ratings_from_matrix([[1, 2], [3, 5]]),
+              RatingsMatrix(base.matrix, (1, 3), (1, 2)),
+              RatingsMatrix(base.matrix, (1, 2), (2, 1)),
+              # the same id and rating bytes in another shape
+              RatingsMatrix([[1], [2]], (1, 2), (3,)),
+              RatingsMatrix([[1, 2]], (1,), (2, 3))]
+    assert len({base.digest, *(r.digest for r in others)}) == 6
+
+
+def test_split_digest_names_the_train_and_the_test_users(ratings_file):
+    ratings = load_ratings(ratings_file)
+    task = build_task(ratings, 7, seed=0)
+    assert task.split_digest == build_task(ratings, 7, seed=0).split_digest
+    moved = dataclasses.replace(
+        task, train_user_ids=task.train_user_ids[:-1],
+        test_user_ids=task.train_user_ids[-1:] + task.test_user_ids)
+    assert len({task.split_digest, moved.split_digest,
+                build_task(ratings, 7, seed=1).split_digest}) == 3
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
