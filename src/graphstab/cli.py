@@ -39,8 +39,8 @@ from .graphs import (
     random_weighted_graph,
     shared_scope,
 )
-from .movielens import (Samples, build_task, check_train_fraction,
-                        load_ratings, rmse)
+from .movielens import (MIN_RATERS, Samples, build_task,
+                        check_train_fraction, load_ratings, rmse)
 from .perturbation import (SingularEquationError, random_relative_perturbation,
                            solve_relative_error)
 from .spectral import bank_response, eigendecompose
@@ -284,10 +284,14 @@ def cmd_transfer(args) -> int:
 
 
 def _most_rated(ratings, exclude_item_id, count):
+    """The ids of the `count` most-rated movies other than exclude_item_id
+    that have the MIN_RATERS raters `build_task` needs, ties by lower index;
+    fewer when fewer movies have them."""
     counts = (ratings.matrix > 0).sum(axis=0)
     order = np.argsort(-counts, kind="stable")
     ids = [ratings.movie_ids[i] for i in order
-           if ratings.movie_ids[i] != exclude_item_id]
+           if counts[i] >= MIN_RATERS
+           and ratings.movie_ids[i] != exclude_item_id]
     return ids[:count]
 
 
@@ -580,7 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("transfer", help="evaluate trained models on other movies")
     add_run(p)
-    p.add_argument("--movie-ids", type=int, nargs="+", default=None)
+    p.add_argument("--movie-ids", type=int, nargs="+", default=None,
+                   help="movies to evaluate on (default: the five most-rated "
+                   f"other movies with at least {MIN_RATERS} raters)")
     p.set_defaults(func=cmd_transfer)
 
     p = add_parser("perturb-sweep",

@@ -27,7 +27,8 @@ SPARSE_MAX_DENSITY = 1 / 16
 SYMMETRY_RTOL = 1e-12
 
 # side of the square tiles over which the symmetric N x N work (Pearson sums
-# and tail, k-NN selection and symmetrization, perturbation draws) runs
+# and tail, perturbation draws) runs, and the row count of k-NN's selection
+# blocks
 _TILE = 128
 
 _shared: dict | None = None  # name -> (key, value) in a `shared_scope`
@@ -88,12 +89,17 @@ class GSO:
         order as column indices `cols` and values `vals`, the rows that hold
         any, and where each such row starts in `cols`. None when more than
         SPARSE_MAX_DENSITY of the entries are nonzero; that is decided by a
-        count before any index is built.
+        count of the mask S != 0 before any index is built. The index is one
+        flat pass over that mask, split by divmod into rows and columns: the
+        arrays `np.nonzero(S)` gives, at a fraction of its cost.
         """
         S = self.matrix
-        if np.count_nonzero(S) > SPARSE_MAX_DENSITY * S.size:
+        nonzero = S != 0
+        if np.count_nonzero(nonzero) > SPARSE_MAX_DENSITY * S.size:
             return None
-        r, cols = np.nonzero(S)
+        flat = np.flatnonzero(nonzero)
+        del nonzero
+        r, cols = np.divmod(flat, S.shape[1])
         starts = np.flatnonzero(np.diff(r, prepend=-1))
         return r[starts], starts, cols, S[r, cols]
 
@@ -247,10 +253,13 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
 
     The result is written into W and W is returned, when W is a float64
     array (anything else is converted first); bad input is rejected before
-    any write. The rows are selected _TILE rows at a time, each block
-    reading only its own rows before it zeroes their dropped weights, and
-    the kept weights are symmetrized in place by `_mirror_tiles` as
-    (k_ij + k_ji) * 0.5, so no other N x N array is made.
+    any write. `_knn_rows` selects the rows _TILE at a time, each block
+    reading only its own rows before it zeroes their dropped weights. Then
+    only the kept entries (i, j) and their mirrors (j, i) are symmetrized,
+    each set to m = (w_ij + w_ji) * 0.5. A pair kept both ways is set twice,
+    the second time (when its rows lie in two blocks) as (m + m) * 0.5,
+    which is m exactly. No other N x N array is made: beyond W, one block's
+    selection arrays and the N * k kept positions are held.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1]:
@@ -260,24 +269,61 @@ def knn_sparsify(W: np.ndarray, k: int) -> np.ndarray:
         raise ValueError(f"k must be in (0, {N}), got {k}")
     if not np.isfinite(W).all():
         raise ValueError("weights must be finite")
-    for a in range(0, N, _TILE):
-        # each row keeps every off-diagonal weight above its k-th largest,
-        # then fills up to k with the lowest-index weights equal to it
-        rows = W[a:a + _TILE]
-        diag = (np.arange(rows.shape[0]), np.arange(a, a + rows.shape[0]))
-        part = rows.copy()
-        part[diag] = -np.inf
+    # a list, so every block is selected before any entry is mirrored
+    for kept in [_knn_rows(W, a, k) for a in range(0, N, _TILE)]:
+        i, j = np.divmod(kept, N)
+        w = (W[i, j] + W[j, i]) * 0.5
+        W[i, j] = w
+        W[j, i] = w
+    return W
+
+
+def _knn_rows(W: np.ndarray, a: int, k: int) -> np.ndarray:
+    """Zero all but the k weights each of the rows a .. a + _TILE - 1 of W
+    keeps (its diagonal included) and return their flat indices in W.
+
+    A row keeps every off-diagonal weight above its k-th largest, then fills
+    up to k with the lowest-index weights equal to it. When k or more of its
+    weights equal its maximum, that maximum is the k-th largest, as in most
+    rows of a Pearson graph, where any two movies with just two co-raters
+    correlate exactly 1; only the other rows are partitioned.
+    """
+    N = W.shape[1]
+    rows = W[a:a + _TILE]
+    B = rows.shape[0]
+    rows[np.arange(B), np.arange(a, a + B)] = -np.inf  # never kept
+    at_max = np.flatnonzero(rows == rows.max(axis=1)[:, None])
+    counts = np.diff(np.searchsorted(at_max, np.arange(B + 1) * N))
+    kept = [_leading(at_max, N, np.where(counts < k, 0, k))]
+    # rows with fewer than k weights at their maximum, which is then above
+    # their k-th largest
+    short = np.flatnonzero(counts < k)
+    if short.size:
+        part = rows[short]
         part.partition(N - k, axis=1)
         kth = part[:, N - k, None].copy()
         del part
-        above = rows > kth
-        tie = rows == kth
-        above[diag] = False
-        tie[diag] = False
-        need = k - np.count_nonzero(above, axis=1)[:, None]
-        keep = above | (tie & (np.cumsum(tie, axis=1, dtype=np.int32) <= need))
-        np.copyto(rows, 0.0, where=~keep)
-    return _mirror_tiles(W, lambda I, J: (W[I, J] + W[J, I].T) * 0.5)
+        sub = rows[short]
+        above = np.flatnonzero(sub > kth)
+        need = k - np.bincount(above // N, minlength=short.size)
+        r, c = np.divmod(np.concatenate(
+            (above, _leading(np.flatnonzero(sub == kth), N, need))), N)
+        kept.append(short[r] * N + c)
+    kept = np.concatenate(kept)
+    w = rows.flat[kept]
+    rows[...] = 0.0
+    rows.flat[kept] = w
+    return kept + a * N
+
+
+def _leading(flat: np.ndarray, N: int, need: np.ndarray) -> np.ndarray:
+    """The first need[r] entries of each row r in `flat`, the ascending flat
+    indices of a mask with len(need) rows of N columns: for each row, its
+    lowest-column entries."""
+    first = np.searchsorted(flat, np.arange(need.size) * N)
+    pick = np.repeat(first - (np.cumsum(need) - need), need)
+    pick += np.arange(pick.size)
+    return flat[pick]
 
 
 def validate_permutation(perm: np.ndarray, n: int) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .graphs import GSO, _TILE, _mirror_tiles, build_gso, knn_sparsify
 
 MIN_COMMON_RATERS = 2
+MIN_RATERS = 10  # raters a target movie needs for `build_task`
 DEFAULT_KNN = 10
 STAR_WARS_ITEM_ID = 50
 MAX_RATING = 5
@@ -299,10 +300,10 @@ def build_task(ratings: RatingsMatrix, target_item_id: int = STAR_WARS_ITEM_ID,
     check_train_fraction(train_fraction)
     n = ratings.movie_index(target_item_id)
     raters = np.flatnonzero(ratings.matrix[:, n] > 0)
-    if raters.size < 10:
+    if raters.size < MIN_RATERS:
         raise ValueError(
             f"movie id {target_item_id} has only {raters.size} raters; "
-            "need at least 10"
+            f"need at least {MIN_RATERS}"
         )
     rng = np.random.default_rng(seed)
     raters = raters[rng.permutation(raters.size)]

@@ -10,6 +10,7 @@ import pytest
 
 from graphstab import cli, gnn, graphs, perturbation
 from graphstab.cli import _write_csv, build_parser, invariant_suite, main
+from graphstab.movielens import MIN_RATERS, RatingsMatrix
 
 from conftest import as_samples, make_ratings_file
 
@@ -1252,6 +1253,37 @@ def test_key_error_prints_without_quotes(ratings_file, tmp_path, capsys):
                  "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err == (
         "error: movie id 99999 not present in the ratings\n")
+
+
+def test_most_rated_takes_only_movies_a_task_can_be_built_for():
+    # rater counts 12, 9, 15, 10, 3, 11 for movie ids 1..6; movie 3 is the
+    # excluded target and movies 2 and 5 have fewer than MIN_RATERS raters
+    counts = [12, 9, 15, 10, 3, 11]
+    matrix = np.zeros((20, len(counts)), dtype=np.uint8)
+    for m, c in enumerate(counts):
+        matrix[:c, m] = 4
+    ratings = RatingsMatrix(matrix, tuple(range(1, 21)),
+                            tuple(range(1, len(counts) + 1)))
+    assert MIN_RATERS == 10
+    assert cli._most_rated(ratings, 3, 5) == [1, 6, 4]
+    assert cli._most_rated(ratings, 3, 2) == [1, 6]
+
+
+def test_transfer_default_skips_movies_with_too_few_raters(tmp_path):
+    # 40 users rate 8 of 200 movies each, so only the target, movie 50, has
+    # the raters a task needs (the next most-rated have 5): the default
+    # takes no movie and writes an empty table
+    data = str(make_ratings_file(tmp_path / "u.data", users=40, movies=200,
+                                 target_item=50))
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--movie-id", "50", "--mu", "0.0",
+                 "--seeds", "0", "--epochs", "1", "--features", "4",
+                 "--taps", "3", "--out", str(run)]) == 0
+    out = tmp_path / "transfer"
+    assert main(["transfer", "--data", data, "--checkpoints", str(run),
+                 "--out", str(out)]) == 0
+    assert csv_body(out / "transfer.csv") == [
+        "mu,movie_id,rmse_mean,rmse_std,degradation_percent"]
 
 
 def test_transfer_defaults_to_the_five_most_rated_other_movies(

@@ -275,6 +275,72 @@ def test_knn_memory_within_budget():
     assert traced_peak(knn_sparsify, W, 10) <= 0.5 * N * N * 8
 
 
+def test_knn_memory_within_budget_when_rows_tie_throughout():
+    # an all-zero row ties its N - 1 off-diagonal weights at its maximum,
+    # so a block of them gives the ranking its most ties
+    N = 1000
+    rng = np.random.default_rng(14)
+    W = np.zeros((N, N))
+    W[rng.choice(N, 100, replace=False)] = rng.uniform(0.0, 1.0, (100, N))
+    np.fill_diagonal(W, 0.0)
+    assert traced_peak(knn_sparsify, W, 10) <= 0.5 * N * N * 8
+
+
+def row_kind_weights(n=150, k=5, seed=15):
+    """Weights whose rows hold more than k, exactly k or fewer than k
+    off-diagonal entries at their maximum, or are all zero (some entries
+    -0.0), in that order repeating, each with a diagonal above the rest."""
+    rng = np.random.default_rng(seed)
+    W = rng.choice([0.1, 0.2, 0.3], size=(n, n))
+    for i in range(n):
+        cols = rng.permutation(np.delete(np.arange(n), i))
+        kind = i % 4
+        if kind == 3:
+            W[i] = 0.0
+            W[i, cols[:20]] = -0.0
+        else:
+            W[i, cols[:(2 * k, k, k // 2)[kind]]] = 0.9
+    np.fill_diagonal(W, 2.0)
+    return W
+
+
+@pytest.mark.parametrize("k", [5, 149])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_knn_matches_per_row_sort_on_every_kind_of_row(k, order):
+    W = np.asarray(row_kind_weights(), order=order)
+    off = W.copy()
+    np.fill_diagonal(off, -np.inf)
+    counts = np.count_nonzero(off == off.max(axis=1)[:, None], axis=1)
+    assert (counts[0::4] > 5).all() and (counts[1::4] == 5).all()
+    assert (counts[2::4] < 5).all() and (counts[3::4] == 149).all()
+    assert np.signbit(W[3::4]).any()
+    out, expected = knn_sparsify(W.copy(order="K"), k), knn_oracle(W, k)
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_nonzero_rows_matches_numpy_nonzero():
+    # a sparse symmetric matrix with -0.0 entries, which are not nonzeros,
+    # and empty rows at both ends and in the middle
+    rng = np.random.default_rng(16)
+    N = 300
+    M = np.triu(rng.uniform(-1.0, 1.0, (N, N))
+                * (rng.random((N, N)) < 0.02), 1)
+    M = M + M.T
+    signed = np.triu(rng.random((N, N)) < 0.01, 1)
+    M[signed] = M.T[signed] = -0.0
+    empty = [0, 150, N - 1]
+    M[empty] = M[:, empty] = 0.0
+    assert np.signbit(M[M == 0]).any() and np.array_equal(M, M.T)
+    rows, starts, cols, vals = GSO(M).nonzero_rows
+    r, c = np.nonzero(M)
+    assert np.array_equal(rows, np.unique(r))
+    assert np.array_equal(starts, np.searchsorted(r, rows))
+    assert np.array_equal(cols, c)
+    assert vals.tobytes() == M[r, c].tobytes()
+    for got in (rows, starts, cols):
+        assert got.dtype == np.intp
+
+
 def test_knn_rejects_non_finite_weights():
     W = np.ones((3, 3)) - np.eye(3)
     W[0, 1] = np.nan
